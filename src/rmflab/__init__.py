@@ -55,6 +55,7 @@ from .sums import (
     interval_sum_pconstraint,
     large_prime_sum,
     large_prime_sum_bruteforce,
+    quotient_sums,
     statistics_at,
 )
 

@@ -342,7 +342,11 @@ def _cmd_report(args) -> int:
     stats: dict[int, list[float]] = {}
     for path in args.inputs:
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            missing = sorted({"trial", "x", "normalized"} - set(reader.fieldnames or ()))
+            if missing:
+                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
                 if int(row["trial"]) < 0:
                     continue
                 stats.setdefault(int(row["x"]), []).append(float(row["normalized"]))

@@ -72,41 +72,15 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _log_product_at(F: SampledFunction | None, x: int, ts: np.ndarray) -> np.ndarray:
-    """Sum over primes p <= x of log(local factor) at each t; shape of ts.
-
-    F = None is the diagnostic mode where f vanishes on every prime, i.e.
-    the product is identically 1.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    if F is None or x < 2:
-        return np.zeros(ts.shape, dtype=np.complex128)
-    k = F.tables.prime_count_upto(x)
-    ps = F.tables.primes[:k].astype(np.float64)
-    fp = np.asarray(F._values[:k], dtype=np.complex128)
-    out = np.zeros(ts.shape, dtype=np.complex128)
-    # Chunk over primes to keep the (primes x ts) intermediate small.
-    step = max(1, 2_000_000 // max(1, ts.size))
-    flat_t = ts.reshape(-1)
-    acc = np.zeros(flat_t.shape, dtype=np.complex128)
-    for i in range(0, k, step):
-        pe = ps[i : i + step]
-        z = (fp[i : i + step, None] / np.sqrt(pe)[:, None]) * np.exp(
-            -1j * np.outer(np.log(pe), flat_t)
-        )
-        if F.model is Model.RADEMACHER:
-            acc += np.log1p(z).sum(axis=0)
-        else:
-            acc -= np.log1p(-z).sum(axis=0)
-    out[...] = acc.reshape(ts.shape)
-    return out
-
-
 def euler_product(F: SampledFunction | None, x: int, t: float) -> EulerProductValue:
-    """The truncated product at 1/2 + it, for one frequency t."""
-    if F is not None and x > F.tables.limit:
+    """The truncated product at 1/2 + it, for one t; 1 in the F = None (f = 0) mode."""
+    if F is None:
+        return EulerProductValue(x=x, t=float(t), value=1.0 + 0.0j)
+    if x > F.tables.limit:
         raise ValueError(f"x={x} exceeds table limit {F.tables.limit}")
-    logs = _log_product_at(F, x, np.array([float(t)]))
+    k = F.tables.prime_count_upto(x)
+    logs = log_factor_matrix(F.model, F._values[:k], F.tables.primes[:k],
+                             np.array([float(t)])).sum(axis=0)
     return EulerProductValue(x=x, t=float(t), value=complex(np.exp(logs[0])))
 
 
@@ -173,9 +147,18 @@ def _adaptive_simpson(func, a: float, b: float, abs_tol: float,
 
 
 def _euler_integrand(F: SampledFunction | None, x: int):
+    """|S_x(1/2+it)|^2 / |1/2+it|^2 as a vectorized function of t."""
+    k = 0 if F is None else F.tables.prime_count_upto(x)
+
     def integrand(ts: np.ndarray) -> np.ndarray:
-        logs = _log_product_at(F, x, ts)
-        return np.exp(2.0 * logs.real) / (0.25 + ts * ts)
+        logs = np.zeros(ts.shape)
+        # Chunk over primes to keep the (primes x ts) intermediate small.
+        step = max(1, 2_000_000 // max(1, ts.size))
+        for i in range(0, k, step):
+            j = min(i + step, k)
+            logs += log_factor_matrix(F.model, F._values[i:j], F.tables.primes[i:j],
+                                      ts).real.sum(axis=0)
+        return np.exp(2.0 * logs) / (0.25 + ts * ts)
 
     return integrand
 
@@ -378,14 +361,19 @@ def simpson_grid(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndar
 
 def log_factor_matrix(model: Model, fp: np.ndarray, primes: np.ndarray,
                       ts: np.ndarray) -> np.ndarray:
-    """log(local factor) per (prime, t); shape (len(primes), len(ts))."""
+    """log(local factor) at 1/2 + it per (prime, t); shape fp.shape + ts.shape.
+
+    ``fp`` holds f(p) for ``primes`` on its last axis; leading axes, such as
+    seeds, broadcast.  The local factor is 1 + f(p) p^-s for Rademacher and
+    (1 - f(p) p^-s)^-1 for Steinhaus.
+    """
     pf = primes.astype(np.float64)
-    z = (np.asarray(fp, dtype=np.complex128)[:, None] / np.sqrt(pf)[:, None]) * np.exp(
+    z = (np.asarray(fp, dtype=np.complex128) / np.sqrt(pf))[..., None] * np.exp(
         -1j * np.outer(np.log(pf), ts)
     )
     if Model(model) is Model.RADEMACHER:
-        return np.log1p(z)
-    return -np.log1p(-z)
+        return np.log1p(z, out=z)
+    return np.negative(np.log1p(np.negative(z, out=z), out=z), out=z)
 
 
 def integral_on_grid(model: Model, fp: np.ndarray, primes: np.ndarray,

@@ -22,9 +22,10 @@ from .euler import (
     simpson_grid,
 )
 from .reporting import MomentReport
-from .rmf import Model, SampledFunction, prime_value_matrix, value_matrix
-from .sieve import PrimeTables, divisor_m
-from .sums import exact_expected_variance, grid_statistics
+from .rmf import (Model, SampledFunction, cumulate, partial_sum_matrix,
+                  prime_value_matrix, value_matrix)
+from .sieve import PrimeTables, divisor_m, squarefree_count
+from .sums import exact_expected_variance, grid_statistics, quotient_sums
 
 #: Seed offset separating conditioning seeds from resample seed streams.
 RESAMPLE_STREAM = 0x5EED_0000
@@ -248,11 +249,9 @@ def hoeffding_tail_check(
         raise ValueError("need at least 1000 resamples")
     if resample_seed_base is None:
         resample_seed_base = small_prime_seed + RESAMPLE_STREAM
-    s = math.isqrt(x)
     F0 = SampledFunction(model, small_prime_seed, tables)
-    A = F0.prefix_sums(s)
-    ps = tables.primes_in(s, x)
-    w = np.asarray(A[x // ps], dtype=np.complex128)
+    ks, w = quotient_sums(F0.prefix_sums(math.isqrt(x)), x, tables)
+    w = np.asarray(w, dtype=np.complex128)
     v0 = float(np.sum(w.real**2 + w.imag**2))
     t = 2.0 * math.sqrt(x) * fluctuation_scale(x, epsilon)
     label = f"hoeffding x={x} seed={small_prime_seed} {model.value}"
@@ -260,7 +259,7 @@ def hoeffding_tail_check(
         return MomentReport(0.0, 0.0, 0.0, trials, False, label=label,
                             aux={"v0": 0.0, "threshold": t, "literature_bound": 0.0})
     seeds = resample_seed_base + np.arange(trials)
-    fp = np.asarray(prime_value_matrix(model, seeds, ps), dtype=np.complex128)
+    fp = np.asarray(prime_value_matrix(model, seeds, tables.primes[ks]), dtype=np.complex128)
     M = fp @ w
     hits = np.abs(M) >= t
     est = float(np.mean(hits))
@@ -286,20 +285,20 @@ def hoeffding_tail_check(
 # ---------------------------------------------------------------------------
 
 
-def _revealed_prime_sums(model: Model, seeds, x_base: int, p_lo: int, p_hi: int,
+def _revealed_prime_sums(model: Model, seeds, x_base: int, p_hi: int,
                          tables: PrimeTables) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial sums G_p = sum of f(n) over n <= x_base with P(n) = p.
 
-    Only primes p in (p_lo, p_hi] with p^2 > x_base are meaningful here: each
-    such n = p*m has m < p, so G_p = f(p) * A_f(floor(x_base/p)).  Returns
-    (primes, matrix of shape (trials, len(primes))).
+    Covers the primes sqrt(x_base) < p <= p_hi, where each such n = p*m has
+    m < p, so G_p = f(p) * A_f(floor(x_base/p)).  Returns (primes, matrix of
+    shape (trials, len(primes))).
     """
-    ps = tables.primes_in(p_lo, p_hi)
-    fv = np.asarray(value_matrix(model, seeds, x_base, tables), dtype=np.complex128)
-    G = np.zeros((len(seeds), len(ps)), dtype=np.complex128)
-    for j, p in enumerate(ps.tolist()):
-        G[:, j] = fv[:, p::p].sum(axis=1)
-    return ps, G
+    A = cumulate(value_matrix(model, seeds, math.isqrt(x_base), tables))
+    ks, Aq = quotient_sums(A, x_base, tables)
+    ps = tables.primes[ks]
+    n = np.searchsorted(ps, p_hi, side="right")
+    G = prime_value_matrix(model, seeds, ps[:n]) * Aq[:, :n]
+    return ps[:n], np.asarray(G, dtype=np.complex128)
 
 
 def submartingale_z_check(
@@ -317,7 +316,8 @@ def submartingale_z_check(
     sqrt(x_base) < P(n) <= isqrt(k)|^2.  Stepping k -> k+1 reveals at most
     one new prime; with everything below frozen, the conditional mean
     increment is exactly |A_f(floor(x_base/p))|^2 >= 0 (the cross term has
-    mean zero).  One report per step; ``violated`` iff the Monte Carlo mean
+    mean zero).  A prime above x_base divides no n <= x_base and reveals
+    nothing.  One report per step; ``violated`` iff the Monte Carlo mean
     dips below -3 SE.
     """
     model = Model(model)
@@ -327,23 +327,22 @@ def submartingale_z_check(
         raise ValueError("need 2 <= k_lo < k_hi")
     F = SampledFunction(model, seed, tables)
     s0 = math.isqrt(x_base)
+    ks, Aq = quotient_sums(F.prefix_sums(s0), x_base, tables)
+    # frozen[j]: the sum over the first j revealed primes of f(q) * A(x_base // q).
+    frozen = np.concatenate(([0], np.cumsum(F._values[ks] * Aq)))
     out: list[MomentReport] = []
     for k in range(k_lo, k_hi):
         r, r2 = math.isqrt(k), math.isqrt(k + 1)
         label = f"z-step x_base={x_base} k={k} {model.value}"
-        newp = tables.primes_in(max(r, s0), r2)
+        newp = tables.primes_in(max(r, s0), min(r2, x_base))
         if r2 == r or len(newp) == 0:
             out.append(MomentReport(0.0, 0.0, 0.0, resamples, False, label=label,
                                     aux={"target": 0.0, "new_prime": 0}))
             continue
         p = int(newp[0])
-        # Frozen part: everything with sqrt(x_base) < P(n) <= r.
-        S = complex(0.0)
-        for q in tables.primes_in(s0, r).tolist():
-            aq = F.prefix_sums(x_base // q)[x_base // q]
-            S += complex(F.prime_value(q) * aq)
-        aq = F.prefix_sums(x_base // p)[x_base // p]
-        c = complex(aq)
+        j = int(np.searchsorted(tables.primes[ks], p))
+        S = complex(frozen[j])
+        c = complex(Aq[j])
         fp = np.asarray(
             prime_value_matrix(model, seed + RESAMPLE_STREAM + np.arange(resamples), [p]),
             dtype=np.complex128,
@@ -413,20 +412,12 @@ def y_submartingale_check(
 
     delta_primes = tables.primes[k0:k1]
     norm_next = (math.log(x_to) / math.log(block_prev)) ** (1.0 / (ell - 1) ** K)
-    phase = (1.0 / np.sqrt(delta_primes.astype(np.float64)))[:, None] * np.exp(
-        -1j * np.outer(np.log(delta_primes.astype(np.float64)), ts)
-    )
     y_next = np.empty(resamples)
-    chunk = max(1, 4_000_000 // max(1, phase.size))
+    chunk = max(1, 4_000_000 // max(1, delta_primes.size * ts.size))
     for j0 in range(0, resamples, chunk):
         seeds = seed + RESAMPLE_STREAM + np.arange(j0, min(j0 + chunk, resamples))
-        fp = np.asarray(
-            prime_value_matrix(model, seeds, delta_primes), dtype=np.complex128
-        )
-        if model is Model.RADEMACHER:
-            dre = np.log1p(fp[:, :, None] * phase[None, :, :]).real.sum(axis=1)
-        else:
-            dre = -np.log1p(-fp[:, :, None] * phase[None, :, :]).real.sum(axis=1)
+        fp = prime_value_matrix(model, seeds, delta_primes)
+        dre = log_factor_matrix(model, fp, delta_primes, ts).real.sum(axis=1)
         vals = np.exp(2.0 * (base_re[None, :] + dre)) / denom[None, :]
         y_next[j0 : j0 + len(seeds)] = (
             norm_next / math.log(x_to)
@@ -446,8 +437,7 @@ def y_submartingale_check(
 def _z_trajectories(model: Model, seeds, x_base: int, r_hi: int,
                     tables: PrimeTables) -> np.ndarray:
     """Matrix (trials, steps) of the prime-reveal squared sums."""
-    s0 = math.isqrt(x_base)
-    ps, G = _revealed_prime_sums(model, seeds, x_base, s0, r_hi, tables)
+    _, G = _revealed_prime_sums(model, seeds, x_base, r_hi, tables)
     cum = np.cumsum(G, axis=1)
     return cum.real**2 + cum.imag**2
 
@@ -604,21 +594,12 @@ def variance_ratio_ensemble(
     seeds = config.seed_base + np.arange(config.trials)
     for x in xs:
         s = math.isqrt(x)
-        ps = tables.primes_in(s, x)
-        quots = (x // ps).astype(np.int64)
         vals = np.empty(config.trials)
-        chunk = max(1, 4_000_000 // max(1, len(ps)))
+        chunk = max(1, 4_000_000 // max(1, len(tables.primes_in(s, x))))
         for j0 in range(0, config.trials, chunk):
-            sub = seeds[j0 : j0 + chunk]
-            fv = np.asarray(
-                value_matrix(config.model, sub, s, tables), dtype=np.complex128
-            )
-            A = np.concatenate(
-                (np.zeros((len(sub), 1), dtype=np.complex128), np.cumsum(fv[:, 1:], axis=1)),
-                axis=1,
-            )
-            Aq = A[:, quots]
-            vals[j0 : j0 + len(sub)] = (Aq.real**2 + Aq.imag**2).sum(axis=1)
+            A = cumulate(value_matrix(config.model, seeds[j0 : j0 + chunk], s, tables))
+            _, Aq = quotient_sums(A, x, tables)
+            vals[j0 : j0 + chunk] = (Aq.real**2 + Aq.imag**2).sum(axis=1)
         est, se = _mean_se(vals)
         exact = exact_expected_variance(x, config.model, tables)
         ratio = vals * math.sqrt(math.log(math.log(x))) / x
@@ -649,17 +630,13 @@ def partial_sum_second_moment_check(
     Target: floor(y) for Steinhaus, the squarefree count up to y for
     Rademacher.  Two-sided at 3 SE.
     """
-    from .sieve import squarefree_count
-
     model = Model(model)
     seeds = seed_base + np.arange(trials)
     vals = np.empty(trials)
     chunk = max(1, 8_000_000 // max(2, y))
     for j0 in range(0, trials, chunk):
-        sub = seeds[j0 : j0 + chunk]
-        fv = np.asarray(value_matrix(model, sub, y, tables), dtype=np.complex128)
-        A = fv[:, 1:].sum(axis=1)
-        vals[j0 : j0 + len(sub)] = A.real**2 + A.imag**2
+        A = partial_sum_matrix(model, seeds[j0 : j0 + chunk], y, tables)
+        vals[j0 : j0 + chunk] = A.real**2 + A.imag**2
     est, se = _mean_se(vals)
     target = float(y if model is Model.STEINHAUS else squarefree_count(y, tables))
     return MomentReport(

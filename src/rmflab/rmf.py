@@ -9,6 +9,7 @@ modulus 1 and f is completely multiplicative.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -132,76 +133,103 @@ class SampledFunction:
     def values_up_to(self, y: int) -> np.ndarray:
         """Array ``fv`` of length y+1 with ``fv[n] = f(n)`` (``fv[0] = 0``).
 
-        Sieved multiplicatively in O(y log log y): one strided multiply per
-        prime power.  Rademacher output is int8 (exact), Steinhaus complex128.
+        Rademacher output is int8 (exact), Steinhaus complex128.
         """
         if not 1 <= y <= self.tables.limit:
             raise ValueError(f"y={y} outside [1, {self.tables.limit}]")
-        primes = self.tables.primes
         k = self.tables.prime_count_upto(y)
-        if self.model is Model.RADEMACHER:
-            fv = np.ones(y + 1, dtype=np.int8)
-            for i in range(k):
-                p = int(primes[i])
-                fv[p::p] *= self._values[i]
-                if p * p <= y:
-                    fv[p * p :: p * p] = 0
-        else:
-            fv = np.ones(y + 1, dtype=np.complex128)
-            for i in range(k):
-                p = int(primes[i])
-                q = p
-                while q <= y:
-                    fv[q::q] *= self._values[i]
-                    q *= p
-        fv[0] = 0
-        return fv
+        return _sieve(self.model, self._values[None, :k], y, self.tables)[0]
 
     def prefix_sums(self, y: int) -> np.ndarray:
         """A[k] = sum of f(m) for m <= k, 0 <= k <= y, with A[0] = 0.
 
         Rademacher sums are exact int64; Steinhaus sums are complex128
-        (numpy pairwise cumulation, deterministic).
+        (sequential cumulation, deterministic).
         """
-        fv = self.values_up_to(y)
-        if self.model is Model.RADEMACHER:
-            return np.concatenate(([0], np.cumsum(fv[1:], dtype=np.int64)))
-        return np.concatenate(([0.0 + 0.0j], np.cumsum(fv[1:])))
+        return cumulate(self.values_up_to(y))
 
 
-def value_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray:
-    """f(n) for n = 0..y per seed, shape (len(seeds), y+1); column ops per prime.
+def _sieve(model: Model, pv: np.ndarray, y: int, tables: PrimeTables) -> np.ndarray:
+    """f(n) for n = 0..y, one row per row of prime values ``pv`` (rows, pi(y)).
 
-    Rademacher rows agree bit-for-bit with
-    ``SampledFunction(...).values_up_to``; Steinhaus rows agree up to 1-ulp
-    rounding (the broadcast multiply may fuse differently than the scalar one).
+    The primes p <= sqrt(y) are sieved with one strided operation per prime
+    power: Rademacher zeroes the multiples of p^2 (f lives on the squarefree
+    integers), Steinhaus multiplies by f(p) once per power.  What is left of
+    each n is its largest prime P(n) > sqrt(y), to the first power, so f(P(n))
+    is applied to all those n in one gather.  The work runs on (n, row)
+    planes, so every operation spans contiguous rows.
     """
-    model = Model(model)
-    seeds = np.asarray(seeds, dtype=np.int64)
-    k = tables.prime_count_upto(y)
-    pv = prime_value_matrix(model, seeds, tables.primes[:k])
+    rows = pv.shape[0]
     if model is Model.RADEMACHER:
-        fv = np.ones((len(seeds), y + 1), dtype=np.int8)
-        for i in range(k):
-            p = int(tables.primes[i])
-            fv[:, p::p] *= pv[:, i : i + 1]
-            if p * p <= y:
-                fv[:, p * p :: p * p] = 0
+        planes = [np.ones((y + 1, rows), dtype=np.int8)]
+        vals = [np.ascontiguousarray(pv.T)]
     else:
-        fv = np.ones((len(seeds), y + 1), dtype=np.complex128)
-        for i in range(k):
-            p = int(tables.primes[i])
-            q = p
-            while q <= y:
-                fv[:, q::q] *= pv[:, i : i + 1]
-                q *= p
+        planes = [np.ones((y + 1, rows)), np.zeros((y + 1, rows))]
+        vals = [np.ascontiguousarray(pv.real.T), np.ascontiguousarray(pv.imag.T)]
+    k = tables.prime_count_upto(math.isqrt(y))
+    for i, p in enumerate(tables.primes[:k].tolist()):
+        q = p
+        while q <= y:
+            if model is Model.RADEMACHER and q > p:
+                planes[0][q::q] = 0
+                break
+            _imul([a[q::q] for a in planes], [v[i] for v in vals])
+            q *= p
+    lpi = tables.largest_factor_table()[: y + 1]
+    n = np.flatnonzero(lpi[2:] >= k) + 2  # n < 2 has no prime factor
+    big = [a[n] for a in planes]
+    _imul(big, [v[lpi[n]] for v in vals])
+    for a, b in zip(planes, big):
+        a[n] = b
+    if model is Model.RADEMACHER:
+        fv = np.ascontiguousarray(planes[0].T)
+    else:
+        fv = np.empty((rows, y + 1), dtype=np.complex128)
+        fv.real, fv.imag = planes[0].T, planes[1].T
     fv[:, 0] = 0
     return fv
 
 
+def _imul(a: list[np.ndarray], v: list[np.ndarray]) -> None:
+    """a *= v in place, for planes [re] (Rademacher) or [re, im] (Steinhaus).
+
+    numpy's complex multiply may fuse multiply-adds in its vector lanes but
+    not in its scalar tail, so a row's rounding would depend on the batch;
+    separate correctly rounded real operations make every row reproducible.
+    """
+    if len(a) == 1:
+        a[0] *= v[0]
+        return
+    (re, im), (vr, vi) = a, v
+    t = re * vi
+    re *= vr
+    re -= im * vi
+    im *= vr
+    im += t
+
+
+def cumulate(fv: np.ndarray) -> np.ndarray:
+    """Prefix sums A[..., k] = fv[..., 1] + ... + fv[..., k] on the last axis; A[..., 0] = 0.
+
+    Integer (Rademacher) input sums exactly in int64, complex input in order.
+    """
+    A = np.zeros(fv.shape, dtype=np.int64 if fv.dtype.kind in "iu" else fv.dtype)
+    np.cumsum(fv[..., 1:], axis=-1, dtype=A.dtype, out=A[..., 1:])
+    return A
+
+
+def value_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray:
+    """f(n) for n = 0..y per seed, shape (len(seeds), y+1).
+
+    The same sieve as :meth:`SampledFunction.values_up_to`, so each row is
+    bit-identical to that seed's single-realization values.
+    """
+    model = Model(model)
+    k = tables.prime_count_upto(y)
+    pv = prime_value_matrix(model, np.asarray(seeds, dtype=np.int64), tables.primes[:k])
+    return _sieve(model, pv, y, tables)
+
+
 def partial_sum_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray:
     """Full partial sums A_f(y) = sum_{m<=y} f(m), one per seed."""
-    fv = value_matrix(model, seeds, y, tables)
-    if Model(model) is Model.RADEMACHER:
-        return fv[:, 1:].astype(np.int64).sum(axis=1)
-    return fv[:, 1:].sum(axis=1)
+    return cumulate(value_matrix(model, seeds, y, tables))[:, -1]

@@ -30,8 +30,9 @@ class PrimeTables:
     """Smallest-prime-factor table up to ``limit`` with the prime list.
 
     ``spf[n]`` is the smallest prime factor of n, with the sentinel
-    ``spf[1] == 1`` (and ``spf[0] == 0``, never consulted).  Instances are
-    immutable by contract after construction.
+    ``spf[1] == 1`` (and ``spf[0] == 0``, never consulted).  The lazily built
+    largest-factor table holds prime *indices* into ``primes``.  Instances
+    are immutable by contract after construction.
     """
 
     limit: int
@@ -40,17 +41,24 @@ class PrimeTables:
     _lpf: np.ndarray | None = field(default=None, repr=False)
 
     def largest_factor_table(self) -> np.ndarray:
-        """Array ``l`` with ``l[n]`` = largest prime factor of n, ``l[1] == 1``.
+        """uint32 array ``idx`` with ``primes[idx[n]]`` = largest prime factor of n.
 
-        Built lazily (one pass over prime multiples) and cached; callers must
-        not mutate the result.
+        A prime index, not the prime, so f(P(n)) is a single gather from the
+        per-prime values.  n < 2 has no prime factor: ``idx[0]`` and ``idx[1]``
+        hold the sentinel 0, which every caller must mask.  Built lazily and
+        cached; callers must not mutate it.
         """
         if self._lpf is None:
-            lpf = np.ones(self.limit + 1, dtype=np.uint32)
-            lpf[0] = 1
-            for p in self.primes:
-                p = int(p)
-                lpf[p::p] = p
+            lpf = np.zeros(self.limit + 1, dtype=np.uint32)
+            lpf[self.primes] = np.arange(len(self.primes))
+            # A composite n has P(n) = P(n / spf(n)), and n / spf(n) <= n/2 <
+            # lo for every n in [lo, 2*lo), so each block reads finished entries.
+            lo = 4
+            while lo <= self.limit:
+                hi = min(2 * lo, lo + (1 << 20), self.limit + 1)
+                cof = np.arange(lo, hi) // self.spf[lo:hi]
+                lpf[lo:hi] = np.where(cof > 1, lpf[cof], lpf[lo:hi])
+                lo = hi
             self._lpf = lpf
         return self._lpf
 

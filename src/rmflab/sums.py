@@ -1,9 +1,13 @@
 """The central random sums: large-prime-factor partial sums and variances.
 
 For an integer x, every n <= x whose largest prime factor P(n) exceeds
-sqrt(x) factors uniquely as n = p*m with p prime, p^2 > x and m <= x/p.
-The fast paths below exploit that: they only ever need full prefix sums
-up to sqrt(x) plus one pass over the primes in (sqrt(x), x].
+sqrt(x) factors uniquely as n = p*m with p prime, p^2 > x and m <= x/p < p.
+So every large-prime statistic is a sum over the primes sqrt(x) < p <= x of
+terms in f(p) and A_f(floor(x/p)), with A_f needed only on [0, isqrt(x)].
+The decomposition kernel :func:`quotient_sums` returns those primes with
+A[..., x // p], for one realization or a seed batch; the fast paths below
+and the suites in :mod:`rmflab.harness` are built on it.
+:func:`grid_statistics` applies n = P(n) * (n // P(n)) across a whole grid.
 
 Boundary convention throughout: "p > sqrt(u)" is evaluated as p*p > u in
 integer arithmetic, equivalently p > isqrt(u); no floating point square
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rmf import Model, SampledFunction
+from .rmf import Model, SampledFunction, cumulate
 from .sieve import PrimeTables, squarefree_indicator
 
 #: Largest x accepted by the definition-level brute-force oracle.
@@ -37,35 +41,36 @@ class SumStatistics:
 def _abs2(z: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(z):
         return z.real * z.real + z.imag * z.imag
-    z = z.astype(np.int64) if z.dtype.kind in "iu" else z
     return z * z
 
 
-def _check_x(F: SampledFunction, x: int, lo: int = 1) -> None:
-    if not lo <= x <= F.tables.limit:
-        raise ValueError(f"x={x} outside [{lo}, {F.tables.limit}]")
+def _check_x(F: SampledFunction, x: int) -> None:
+    if not 1 <= x <= F.tables.limit:
+        raise ValueError(f"x={x} outside [1, {F.tables.limit}]")
+
+
+def quotient_sums(A: np.ndarray, x: int, tables: PrimeTables) -> tuple[slice, np.ndarray]:
+    """The decomposition kernel: the primes sqrt(x) < p <= x and A[..., x // p].
+
+    ``A`` holds A_f(k), k = 0..isqrt(x), on its last axis; leading axes, such
+    as seeds, pass through.  Returns the slice of ``tables.primes`` (and of any
+    per-prime value array) holding those primes, and the gathered values.
+    Primes above ``tables.limit`` are not in the table and do not appear.
+    """
+    ks = slice(tables.prime_count_upto(math.isqrt(x)), tables.prime_count_upto(x))
+    return ks, A[..., x // tables.primes[ks]]
 
 
 def large_prime_sum(F: SampledFunction, x: int):
-    """Sum of f(n) over n <= x with P(n) > sqrt(x), via the p*m decomposition.
+    """Sum of f(n) over n <= x with P(n) > sqrt(x), as sum of f(p) * A_f(x // p).
 
     Uses prefix sums of f on [1, isqrt(x)] only; exact integer arithmetic in
     the Rademacher case.
     """
     _check_x(F, x)
-    s = math.isqrt(x)
-    if s < 1 or x < 2:
-        return 0 if F.model is Model.RADEMACHER else 0.0 + 0.0j
-    A = F.prefix_sums(s)
-    ps = F.tables.primes_in(s, x)
-    if len(ps) == 0:
-        return 0 if F.model is Model.RADEMACHER else 0.0 + 0.0j
-    i0 = F.tables.prime_count_upto(s)
-    fp = F._values[i0 : i0 + len(ps)]
-    quots = x // ps
-    if F.model is Model.RADEMACHER:
-        return int(np.sum(fp.astype(np.int64) * A[quots]))
-    return complex(np.sum(fp * A[quots]))
+    ks, Aq = quotient_sums(F.prefix_sums(math.isqrt(x)), x, F.tables)
+    total = np.sum(F._values[ks] * Aq)
+    return int(total) if F.model is Model.RADEMACHER else complex(total)
 
 
 def large_prime_sum_bruteforce(F: SampledFunction, x: int):
@@ -76,7 +81,7 @@ def large_prime_sum_bruteforce(F: SampledFunction, x: int):
     if x < 2:
         return 0 if F.model is Model.RADEMACHER else 0.0 + 0.0j
     fv = F.values_up_to(x)
-    lpf = F.tables.largest_factor_table()[: x + 1].astype(np.int64)
+    lpf = F.tables.primes[F.tables.largest_factor_table()[: x + 1]]
     mask = lpf * lpf > x
     mask[0] = mask[1] = False
     if F.model is Model.RADEMACHER:
@@ -87,15 +92,8 @@ def large_prime_sum_bruteforce(F: SampledFunction, x: int):
 def conditional_variance(F: SampledFunction, x: int) -> float:
     """V(x) = sum over primes sqrt(x) < p <= x of |A_f(floor(x/p))|^2."""
     _check_x(F, x)
-    s = math.isqrt(x)
-    if s < 1 or x < 2:
-        return 0.0
-    A = F.prefix_sums(s)
-    ps = F.tables.primes_in(s, x)
-    if len(ps) == 0:
-        return 0.0
-    quots = x // ps
-    return float(np.sum(_abs2(A[quots])))
+    _, Aq = quotient_sums(F.prefix_sums(math.isqrt(x)), x, F.tables)
+    return float(np.sum(_abs2(Aq)))
 
 
 def exact_expected_variance(x: int, model: Model, tables: PrimeTables) -> float:
@@ -107,14 +105,12 @@ def exact_expected_variance(x: int, model: Model, tables: PrimeTables) -> float:
     if not 1 <= x <= tables.limit:
         raise ValueError(f"x={x} outside [1, {tables.limit}]")
     s = math.isqrt(x)
-    ps = tables.primes_in(s, x)
-    if len(ps) == 0:
-        return 0.0
-    quots = x // ps
     if Model(model) is Model.STEINHAUS:
-        return float(np.sum(quots))
-    sq = np.cumsum(squarefree_indicator(s, tables).astype(np.int64))
-    return float(np.sum(sq[quots]))
+        mean_a2 = np.arange(s + 1)
+    else:
+        mean_a2 = np.cumsum(squarefree_indicator(s, tables), dtype=np.int64)
+    _, q = quotient_sums(mean_a2, x, tables)
+    return float(np.sum(q))
 
 
 def interval_sum_pconstraint(
@@ -131,7 +127,7 @@ def interval_sum_pconstraint(
     if n_hi < 2 or p_lo == p_hi:
         return 0 if F.model is Model.RADEMACHER else 0.0 + 0.0j
     fv = F.values_up_to(n_hi)
-    lpf = F.tables.largest_factor_table()[: n_hi + 1].astype(np.int64)
+    lpf = F.tables.primes[F.tables.largest_factor_table()[: n_hi + 1]]
     ns = np.arange(n_hi + 1)
     mask = (ns > n_lo) & (lpf > p_lo) & (lpf <= p_hi)
     mask[:2] = False
@@ -175,20 +171,16 @@ def statistics_at(F: SampledFunction, x: int) -> SumStatistics:
     )
 
 
-def _isqrt_array(xs: np.ndarray) -> np.ndarray:
-    s = np.sqrt(xs.astype(np.float64)).astype(np.int64)
-    s = np.where((s + 1) * (s + 1) <= xs, s + 1, s)
-    s = np.where(s * s > xs, s - 1, s)
-    return s
-
-
 def grid_statistics(F: SampledFunction, xs) -> tuple[np.ndarray, np.ndarray]:
     """M_f and V evaluated at every x in the ascending grid ``xs``.
 
-    Amortized O(max(xs)) for the whole grid: both statistics are rewritten as
-    a cumulative sum over n (each n = p*m with p^2 > n contributes f(n), or
-    the telescoped |A|^2 increment) minus a correction accumulated at prime
-    squares, where a prime permanently leaves the range (sqrt(x), x].
+    Amortized O(max(xs)) for the whole grid, with f sieved only on
+    [0, isqrt(max(xs))]: each n with P(n)^2 > n is P(n)*q with q < P(n), so
+    f(n) = f(P(n)) * f(q) is one gather.  Both statistics are rewritten as a
+    cumulative sum over those n (of f(n), or of the telescoped |A|^2
+    increment at q) minus a correction accumulated at prime squares, where a
+    prime permanently leaves the range (sqrt(x), x].  Rademacher sums are
+    exact int64 throughout; V is returned as float64.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size == 0:
@@ -198,39 +190,35 @@ def grid_statistics(F: SampledFunction, xs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("grid must be ascending with entries >= 1")
     N = int(xs[-1])
     _check_x(F, N)
+    tables = F.tables
 
-    fv = F.values_up_to(N)
-    if F.model is Model.RADEMACHER:
-        fv = fv.astype(np.int64)
-    lpf = F.tables.largest_factor_table()[: N + 1].astype(np.int64)
-    ns = np.arange(N + 1, dtype=np.int64)
-    A = np.concatenate(([0], np.cumsum(fv[1:])))
+    s_max = math.isqrt(N)
+    fs = F.values_up_to(s_max)
+    A = cumulate(fs)
+    a2 = _abs2(A)
 
-    big = lpf * lpf > ns
-    big[:2] = False
-    # Running sum of f(n) over n with P(n)^2 > n.
-    C1 = np.cumsum(np.where(big, fv, 0))
-    # Telescoped |A(m)|^2 - |A(m-1)|^2 at n = p*m for the same n.
-    q = ns // lpf
-    w = np.where(big, _abs2(A[q]) - _abs2(A[np.maximum(q - 1, 0)]), 0)
-    D1 = np.cumsum(w.astype(np.float64))
+    lpi = tables.largest_factor_table()[: N + 1]
+    p = tables.primes[lpi]
+    q = np.arange(N + 1) // p
+    # Keep n = P(n)*q only when q < P(n), i.e. P(n)^2 > n.  Elsewhere q = 0,
+    # where fs and the |A|^2 increment both vanish; n < 2 has no P(n).
+    q[q >= p] = 0
+    q[:2] = 0
+    C1 = np.cumsum(F._values[lpi] * fs[q], dtype=A.dtype)
+    D1 = np.cumsum(np.diff(a2, prepend=0)[q], dtype=a2.dtype)
 
     # Corrections: once x passes p^2 the prime p leaves (sqrt(x), x] and its
     # accumulated contribution (all n = p*m with m <= p-1) must be removed.
-    s_max = math.isqrt(N)
-    k_small = F.tables.prime_count_upto(s_max)
-    ps = F.tables.primes[:k_small]
-    fp = F._values[:k_small]
-    if F.model is Model.RADEMACHER:
-        corr_m = np.concatenate(
-            ([0], np.cumsum(fp.astype(np.int64) * A[ps - 1]))
-        )
-    else:
-        corr_m = np.concatenate(([0.0 + 0.0j], np.cumsum(fp * A[ps - 1])))
-    corr_v = np.concatenate(([0.0], np.cumsum(_abs2(A[ps - 1]).astype(np.float64))))
+    k_small = tables.prime_count_upto(s_max)
+    ps = tables.primes[:k_small]
+    corr_m = np.concatenate(([0], np.cumsum(F._values[:k_small] * A[ps - 1])))
+    corr_v = np.concatenate(([0], np.cumsum(a2[ps - 1])))
 
-    sx = _isqrt_array(xs)
-    k = np.searchsorted(ps, sx, side="right")
+    k = np.searchsorted(ps * ps, xs, side="right")  # primes with p^2 <= x
     m_vals = C1[xs] - corr_m[k]
     v_vals = D1[xs] - corr_v[k]
-    return m_vals, np.maximum(v_vals, 0.0)
+    # V(x) >= |A(1)|^2 = 1 for x >= 2 (Bertrand) and V(1) = 0, so a negative
+    # value can only come from a broken decomposition.
+    if np.any(v_vals < 0):
+        raise RuntimeError(f"negative conditional variance {v_vals.min()} on the grid")
+    return m_vals, v_vals.astype(np.float64)

@@ -1,9 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmflab
 from rmflab.cli import main
 
 
@@ -83,6 +87,20 @@ def test_report_aggregates(tmp_path):
     with open(agg, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and all(r["count"] == "2" for r in rows)
+
+
+def test_report_rejects_csv_without_required_columns(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("seed,x\r\n1,100\r\n")
+    assert _run(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "trial" in err and "normalized" in err
+
+
+def test_python_m_rmflab_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(rmflab.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-m", "rmflab", "no-such-command"],
+                          capture_output=True, env=env).returncode == 2
 
 
 def test_oracle_check_seeds_flag(capsys):

@@ -13,6 +13,7 @@ from rmflab import (
     normalized_parseval_statistic,
     parseval_identity_check,
     parseval_integral,
+    prime_value_matrix,
 )
 from rmflab.euler import (
     _adaptive_simpson,
@@ -149,6 +150,17 @@ def test_log_factor_matrix_shape(tables_small):
     prod = np.exp(M.sum(axis=0))
     for j, t in enumerate(ts.tolist()):
         assert prod[j] == pytest.approx(euler_product(F, 11, t).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_log_factor_matrix_broadcasts_over_seeds(tables_small, model):
+    ps = tables_small.primes[10:20]
+    fp = prime_value_matrix(model, [3, 4, 5], ps)
+    ts = np.linspace(-5, 5, 11)
+    M = log_factor_matrix(model, fp, ps, ts)
+    assert M.shape == (3, 10, 11)
+    for i in range(3):
+        assert np.array_equal(M[i], log_factor_matrix(model, fp[i], ps, ts))
 
 
 def test_normalized_statistic_validation(tables_small):

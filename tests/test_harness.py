@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab import (
     ExperimentConfig,
@@ -13,8 +15,10 @@ from rmflab import (
     fluctuation_scale,
     hoeffding_tail_check,
     hypercontractive_check,
+    interval_sum_pconstraint,
     large_prime_sum,
     partial_sum_second_moment_check,
+    prime_value_matrix,
     run_trial,
     sigma_event_statistic,
     submartingale_z_check,
@@ -22,7 +26,12 @@ from rmflab import (
     variance_ratio_ensemble,
     y_submartingale_check,
 )
-from rmflab.harness import _y_trajectories, _z_trajectories
+from rmflab.harness import (
+    RESAMPLE_STREAM,
+    _revealed_prime_sums,
+    _y_trajectories,
+    _z_trajectories,
+)
 
 
 def _brute_test_points(epsilon, x_max):
@@ -135,6 +144,51 @@ def test_submartingale_z_targets(tables_small):
     a = F.prefix_sums(1000 // 37)[1000 // 37]
     assert rep.aux["target"] == pytest.approx(abs(a) ** 2)
     assert not rep.violated
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(list(Model)), st.integers(0, 2**31), st.integers(16, 3000),
+       st.integers(0, 150))
+def test_revealed_prime_sums_match_definition(tables_small, model, seed, x_base, width):
+    s0 = math.isqrt(x_base)
+    seeds = [seed, seed + 1]
+    ps, G = _revealed_prime_sums(model, seeds, x_base, s0 + width, tables_small)
+    assert ps.tolist() == tables_small.primes_in(s0, min(s0 + width, x_base)).tolist()
+    for i, s in enumerate(seeds):
+        F = SampledFunction(model, s, tables_small)
+        for j, p in enumerate(ps.tolist()):
+            want = interval_sum_pconstraint(F, 0, x_base, p - 1, p)
+            if model is Model.RADEMACHER:
+                assert G[i, j] == want
+            else:
+                assert G[i, j] == pytest.approx(want, abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(list(Model)), st.integers(0, 2**31), st.integers(16, 3000),
+       st.integers(1, 12))
+def test_submartingale_z_frozen_sums_match_definition(tables_small, model, seed,
+                                                      x_base, nth):
+    # Steps k = p^2 - 2, p^2 - 1, p^2: only the middle one reveals p.
+    s0 = math.isqrt(x_base)
+    cands = tables_small.primes_in(s0, x_base)
+    p = int(cands[min(nth, len(cands)) - 1])
+    R = 101
+    reps = submartingale_z_check(model, x_base, p * p - 2, p * p + 1, R, seed,
+                                 tables_small)
+    assert [r.aux["new_prime"] for r in reps] == [0, p, 0]
+    F = SampledFunction(model, seed, tables_small)
+    S = complex(interval_sum_pconstraint(F, 0, x_base, s0, p - 1))
+    c = complex(interval_sum_pconstraint(F, 0, x_base, p - 1, p)) / F.prime_value(p)
+    fp = prime_value_matrix(model, seed + RESAMPLE_STREAM + np.arange(R), [p])[:, 0]
+    want = float(np.mean(np.abs(S + fp * c) ** 2 - abs(S) ** 2))
+    rep = reps[1]
+    if model is Model.RADEMACHER:
+        assert rep.aux["target"] == abs(c) ** 2
+        assert rep.estimate == want
+    else:
+        assert rep.aux["target"] == pytest.approx(abs(c) ** 2, rel=1e-12, abs=1e-9)
+        assert rep.estimate == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_submartingale_z_no_prime_step(tables_small):

@@ -98,11 +98,7 @@ def test_value_matrix_rows_match_single_sampler(tables_small, model):
     M = value_matrix(model, seeds, 200, tables_small)
     for i, s in enumerate(seeds):
         F = SampledFunction(model, s, tables_small)
-        if model is Model.RADEMACHER:
-            assert np.array_equal(M[i], F.values_up_to(200))
-        else:
-            # broadcast vs scalar multiply can differ by 1 ulp
-            assert np.allclose(M[i], F.values_up_to(200), rtol=0, atol=1e-14)
+        assert np.array_equal(M[i], F.values_up_to(200))
 
 
 def test_partial_sum_matrix(tables_small):

@@ -53,9 +53,10 @@ def test_largest_prime_factor(tables_small):
     assert largest_prime_factor(2, tables_small) == 2
     assert largest_prime_factor(12, tables_small) == 3
     assert largest_prime_factor(97 * 89, tables_small) == 97
-    lpf = tables_small.largest_factor_table()
-    for n in range(2, 300):
-        assert lpf[n] == largest_prime_factor(n, tables_small)
+    idx = tables_small.largest_factor_table()
+    assert idx.dtype == np.uint32 and idx.shape == (tables_small.limit + 1,)
+    for n in range(2, tables_small.limit + 1):
+        assert tables_small.primes[idx[n]] == largest_prime_factor(n, tables_small)
     with pytest.raises(ValueError):
         largest_prime_factor(1, tables_small)
 

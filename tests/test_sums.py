@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab import (
     Model,
@@ -13,6 +15,7 @@ from rmflab import (
     interval_sum_pconstraint,
     large_prime_sum,
     large_prime_sum_bruteforce,
+    quotient_sums,
     statistics_at,
 )
 from rmflab.sums import ORACLE_CAP
@@ -75,7 +78,7 @@ def test_exact_expected_variance_brute(tables_small):
 
 def test_interval_sum_pconstraint_brute(tables_small):
     F = SampledFunction(Model.RADEMACHER, 21, tables_small)
-    lpf = tables_small.largest_factor_table()
+    lpf = tables_small.primes[tables_small.largest_factor_table()]
     n_lo, n_hi, p_lo, p_hi = 10, 500, 7, 100
     direct = sum(
         F.value_at(n)
@@ -137,3 +140,40 @@ def test_out_of_range_rejected(tables_small):
         large_prime_sum(F, tables_small.limit + 1)
     with pytest.raises(ValueError):
         conditional_variance(F, 0)
+
+
+@st.composite
+def _model_seed_grid(draw):
+    """(model, seed, ascending grid in [1, 9500]) with x = p^2 - 1, p^2, p^2 + 1."""
+    model = draw(st.sampled_from(list(Model)))
+    seed = draw(st.integers(0, 2**31))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 31, 47, 97]))
+    xs = draw(st.lists(st.integers(1, 9500), min_size=1, max_size=12))
+    return model, seed, sorted(xs + [p * p - 1, p * p, p * p + 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_model_seed_grid())
+def test_grid_statistics_match_oracles(tables_small, case):
+    model, seed, xs = case
+    F = SampledFunction(model, seed, tables_small)
+    m_vals, v_vals = grid_statistics(F, xs)
+    for x, m, v in zip(xs, m_vals.tolist(), v_vals.tolist()):
+        brute = large_prime_sum_bruteforce(F, x)
+        cv = conditional_variance(F, x)
+        if model is Model.RADEMACHER:
+            assert m == brute and v == cv
+        else:
+            assert m == pytest.approx(brute, abs=1e-9)
+            assert v == pytest.approx(cv, rel=1e-12, abs=1e-9)
+
+
+def test_quotient_sums_batches_over_seeds(tables_small):
+    seeds = [1, 2, 3]
+    A = np.stack([SampledFunction(Model.STEINHAUS, s, tables_small).prefix_sums(31)
+                  for s in seeds])
+    ks, Aq = quotient_sums(A, 1000, tables_small)
+    assert tables_small.primes[ks].tolist() == tables_small.primes_in(31, 1000).tolist()
+    assert Aq.shape == (3, ks.stop - ks.start)
+    for i in range(3):
+        assert np.array_equal(Aq[i], quotient_sums(A[i], 1000, tables_small)[1])
