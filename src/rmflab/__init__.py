@@ -41,9 +41,7 @@ from .sieve import (
     divisor_partial_sum,
     factorize,
     largest_prime_factor,
-    load_spf_cache,
     mobius,
-    save_spf_cache,
     squarefree_count,
 )
 from .sums import (

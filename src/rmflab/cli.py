@@ -16,7 +16,8 @@ Output is byte-deterministic for a fixed argument list (including across
 ``%.17g`` format and rows are emitted in a fixed order.
 
 Exit codes: 0 all checks passed, 1 a statistical check was violated,
-2 usage error, 3 resource or quadrature failure.
+2 usage or I/O error, 3 resource or quadrature failure, 4 internal error
+(with a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -38,15 +40,12 @@ from .euler import (
     QuadratureError,
     expected_product_identity_check,
     parseval_identity_check,
-    parseval_integral,
 )
 from .harness import ExperimentConfig
 from .reporting import MomentReport
 from .rmf import Model, SampledFunction
-from .sieve import build_tables, load_spf_cache, save_spf_cache
+from .sieve import build_tables
 from .sums import large_prime_sum, large_prime_sum_bruteforce
-
-ENV_CACHE = "RMF_TABLE_CACHE"
 
 
 def _fmt(v) -> str:
@@ -83,16 +82,7 @@ def _emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
 
 
 def _tables(args):
-    limit = max(args.x_max, 1000)
-    cache = getattr(args, "table_cache", None) or os.environ.get(ENV_CACHE)
-    if cache and os.path.exists(cache):
-        tables = load_spf_cache(cache)
-        if tables.limit >= limit:
-            return tables
-    tables = build_tables(limit)
-    if cache:
-        save_spf_cache(tables, cache)
-    return tables
+    return build_tables(max(args.x_max, 1000))
 
 
 def _report_rows(reports: list[MomentReport]) -> list[dict]:
@@ -130,7 +120,7 @@ def _decimate(n: int, keep: int = 30) -> np.ndarray:
 def _cmd_simulate(args) -> int:
     config = ExperimentConfig(
         model=args.model, epsilon=args.epsilon, seed_base=args.seed,
-        trials=args.trials, x_max=args.x_max, t_param=args.t_param,
+        trials=args.trials, x_max=args.x_max,
     )
     tables = _tables(args)
     grid = harness.test_points(config.epsilon, config.x_max)
@@ -196,8 +186,7 @@ def _cmd_oracle_check(args) -> int:
     xs = [int(v) for v in args.points.split(",")] if args.points else [100, 1000, 3000]
     rows = []
     ok = True
-    n_seeds = args.seeds if args.seeds is not None else args.trials
-    for i in range(n_seeds):
+    for i in range(args.trials):
         F = SampledFunction(args.model, args.seed + i, tables)
         for x in xs:
             fast = complex(large_prime_sum(F, x))
@@ -329,8 +318,8 @@ def _cmd_euler(args) -> int:
 def _cmd_variance(args) -> int:
     tables = _tables(args)
     config = ExperimentConfig(
-        model=args.model, epsilon=args.epsilon, seed_base=args.seed,
-        trials=args.trials, x_max=args.x_max,
+        model=args.model, seed_base=args.seed, trials=args.trials,
+        x_max=args.x_max,
     )
     xs = [int(v) for v in args.points.split(",")] if args.points else [1000, 10000]
     rows = harness.variance_ratio_ensemble(config, tables, xs=xs)
@@ -347,6 +336,8 @@ def _cmd_report(args) -> int:
             if missing:
                 raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
             for row in reader:
+                if None in row.values():
+                    raise ValueError(f"{path}:{reader.line_num}: too few fields")
                 if int(row["trial"]) < 0:
                     continue
                 stats.setdefault(int(row["x"]), []).append(float(row["normalized"]))
@@ -371,62 +362,75 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=[m.value for m in Model],
-                        default="rademacher")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=100)
-    common.add_argument("--threads", default="1",
-                        help="worker count, or 'auto' for one per CPU")
-    common.add_argument("--epsilon", type=float, default=0.1)
-    common.add_argument("--x-max", type=int, default=10_000)
-    common.add_argument("--t-param", type=float, default=10.0)
-    common.add_argument("--tcut", type=float, default=None)
-    common.add_argument("--quad-tol", type=float, default=1e-6)
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--table-cache", default=None,
-                        help=f"sieve cache path (or ${ENV_CACHE})")
+def _threads(value: str) -> int:
+    if value == "auto":
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer or 'auto'") from None
 
+
+#: Every argument any subcommand reads; each subcommand picks its own below.
+_OPTIONS = {
+    "inputs": dict(nargs="+", help="simulate CSV files"),
+    "--suite": dict(required=True,
+                    choices=["hypercontractive", "hoeffding", "doob",
+                             "submartingale-z", "submartingale-y"]),
+    "--check": dict(required=True,
+                    choices=["parseval", "product-expectation", "sigma-event"]),
+    "--model": dict(choices=[m.value for m in Model], default="rademacher"),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=100),
+    "--epsilon": dict(type=float, default=0.1),
+    "--x-max": dict(type=int, default=10_000),
+    "--threads": dict(type=_threads, default=1,
+                      help="worker count, or 'auto' for one per CPU"),
+    "--full-grid": dict(action="store_true"),
+    "--points": dict(default=None, help="comma-separated x values"),
+    "--lam": dict(type=float, default=50.0),
+    "--m": dict(type=int, default=None,
+                help="restrict the hypercontractive suite to one moment"),
+    "--n": dict(type=int, default=None,
+                help="weight support size for hypercontractive (default --x-max)"),
+    "--t-param": dict(type=float, default=10.0),
+    "--tcut": dict(type=float, default=None),
+    "--quad-tol": dict(type=float, default=1e-6),
+    "--out": dict(default=None),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+}
+
+#: Subcommand -> (handler, the arguments it reads).
+_COMMANDS = {
+    "simulate": (_cmd_simulate,
+                 ["--model", "--seed", "--trials", "--epsilon", "--x-max",
+                  "--threads", "--full-grid", "--out", "--format"]),
+    "oracle-check": (_cmd_oracle_check,
+                     ["--model", "--seed", "--trials", "--x-max", "--points",
+                      "--out", "--format"]),
+    "moments": (_cmd_moments,
+                ["--suite", "--model", "--seed", "--trials", "--epsilon",
+                 "--x-max", "--points", "--lam", "--m", "--n", "--out",
+                 "--format"]),
+    "euler": (_cmd_euler,
+              ["--check", "--model", "--seed", "--trials", "--x-max",
+               "--t-param", "--tcut", "--quad-tol", "--points", "--out",
+               "--format"]),
+    "variance": (_cmd_variance,
+                 ["--model", "--seed", "--trials", "--x-max", "--points",
+                  "--out", "--format"]),
+    "report": (_cmd_report, ["inputs", "--out", "--format"]),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rmflab", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", parents=[common])
-    sp.add_argument("--full-grid", action="store_true")
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("oracle-check", parents=[common])
-    sp.add_argument("--points", default=None, help="comma-separated x values")
-    sp.add_argument("--seeds", type=int, default=None,
-                    help="number of seeds (defaults to --trials)")
-    sp.set_defaults(func=_cmd_oracle_check)
-
-    sp = sub.add_parser("moments", parents=[common])
-    sp.add_argument("--suite", required=True,
-                    choices=["hypercontractive", "hoeffding", "doob",
-                             "submartingale-z", "submartingale-y"])
-    sp.add_argument("--points", default=None)
-    sp.add_argument("--lam", type=float, default=50.0)
-    sp.add_argument("--m", type=int, default=None,
-                    help="restrict the hypercontractive suite to one moment")
-    sp.add_argument("--n", type=int, default=None,
-                    help="weight support size for hypercontractive (default --x-max)")
-    sp.set_defaults(func=_cmd_moments)
-
-    sp = sub.add_parser("euler", parents=[common])
-    sp.add_argument("--check", required=True,
-                    choices=["parseval", "product-expectation", "sigma-event"])
-    sp.add_argument("--points", default=None)
-    sp.set_defaults(func=_cmd_euler)
-
-    sp = sub.add_parser("variance", parents=[common])
-    sp.add_argument("--points", default=None)
-    sp.set_defaults(func=_cmd_variance)
-
-    sp = sub.add_parser("report", parents=[common])
-    sp.add_argument("inputs", nargs="+")
-    sp.set_defaults(func=_cmd_report)
+    for name, (func, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name)
+        for flag in flags:
+            sp.add_argument(flag, **_OPTIONS[flag])
+        sp.set_defaults(func=func)
     return p
 
 
@@ -436,24 +440,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if hasattr(args, "threads"):
-        if args.threads == "auto":
-            args.threads = os.cpu_count() or 1
-        else:
-            try:
-                args.threads = max(1, int(args.threads))
-            except ValueError:
-                print("rmflab: --threads must be an integer or 'auto'",
-                      file=sys.stderr)
-                return 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"rmflab: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, QuadratureError) as exc:
         print(f"rmflab: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        print("rmflab: internal error", file=sys.stderr)
+        return 4
 
 
 def console_main() -> None:

@@ -11,16 +11,11 @@ per-resample seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import (
-    QuadratureConfig,
-    integral_on_grid,
-    log_factor_matrix,
-    simpson_grid,
-)
+from .euler import integral_on_grid, log_factor_matrix, simpson_grid
 from .reporting import MomentReport
 from .rmf import (Model, SampledFunction, cumulate, partial_sum_matrix,
                   prime_value_matrix, value_matrix)
@@ -40,13 +35,10 @@ class ExperimentConfig:
     seed_base: int = 0
     trials: int = 100
     x_max: int = 100_000
-    t_param: float = 10.0
-    oracle_cap: int = 1_000_000
     #: Smallest x entering the sup statistics.  Below ~e^e the loglog
     #: normalization is tiny and the sup degenerates into a coin flip on
     #: the first few f(p); grid rows are still reported for all x.
     sup_x_min: int = 100
-    quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
         self.model = Model(self.model)
@@ -54,8 +46,6 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.t_param < 1.0:
-            raise ValueError("t_param must be >= 1")
 
     @property
     def K(self) -> float:
@@ -71,8 +61,6 @@ class TrialResult:
     m_values: np.ndarray
     v_values: np.ndarray
     normalized_sup: float
-    variance_sup: float
-    degenerate: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +131,6 @@ def run_trial(config: ExperimentConfig, seed: int, tables: PrimeTables,
             m_values=np.zeros(0, dtype=dt),
             v_values=np.zeros(0),
             normalized_sup=0.0,
-            variance_sup=0.0,
-            degenerate=True,
         )
     F = SampledFunction(config.model, seed, tables)
     m_vals, v_vals = grid_statistics(F, grid)
@@ -154,16 +140,12 @@ def run_trial(config: ExperimentConfig, seed: int, tables: PrimeTables,
     if not np.any(keep):
         keep = np.ones(grid.shape, dtype=bool)
     nsup = float(np.max(np.abs(m_vals[keep]) / scale[keep]))
-    vsup = float(
-        np.max(v_vals[keep] * np.sqrt(np.log(np.log(gx[keep]))) / gx[keep])
-    )
     return TrialResult(
         seed=seed,
         grid=grid,
         m_values=m_vals,
         v_values=v_vals,
         normalized_sup=nsup,
-        variance_sup=vsup,
     )
 
 

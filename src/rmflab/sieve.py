@@ -6,23 +6,22 @@ theoretic helpers (factorization, largest prime factor, Mobius, m-fold
 divisor functions, squarefree counts, prime reciprocal sums) are pure
 reads against it, so one instance can be shared freely between workers.
 
-Memory: 4 bytes per integer for the spf table (uint32) plus an int64
-prime list; a limit of 10^8 needs roughly 600 MB.  ``MAX_LIMIT`` refuses
-anything that would not fit comfortably.
+Memory: 4 bytes per integer for the spf table (uint32), 4 more for the
+largest-factor table once a bulk sieve asks for it, plus an int64 prime
+list; a limit of 10^8 needs about 0.85 GB.  ``MAX_LIMIT`` refuses anything
+that would not fit comfortably.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Hard cap on table size: 4 bytes/integer plus the prime list, ~1 GB total.
+#: Hard cap on table size: 8 bytes/integer (spf and largest-factor tables)
+#: plus the prime list, about 1.7 GB in total.
 MAX_LIMIT = 200_000_000
-
-_CACHE_MAGIC = b"RMFSPF01"
 
 
 @dataclass(eq=False)
@@ -231,32 +230,3 @@ def mertens_log_sum(a: int, b: int, tables: PrimeTables) -> float:
         raise ValueError(f"b={b} exceeds table limit {tables.limit}")
     ps = tables.primes_in(a, b)
     return math.fsum(math.log(p) / p for p in ps.tolist())
-
-
-def save_spf_cache(tables: PrimeTables, path: str) -> None:
-    """Write the spf table as magic + little-endian u64 limit + u32 array."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", tables.limit))
-        fh.write(tables.spf.astype("<u4").tobytes())
-
-
-def load_spf_cache(path: str) -> PrimeTables:
-    """Load a table written by :func:`save_spf_cache`, validating the header."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"bad spf cache magic {magic!r} in {path}")
-        (limit,) = struct.unpack("<Q", fh.read(8))
-        if limit < 2 or limit > MAX_LIMIT:
-            raise ValueError(f"bad spf cache limit {limit} in {path}")
-        raw = fh.read()
-    spf = np.frombuffer(raw, dtype="<u4").astype(np.uint32)
-    if spf.shape[0] != limit + 1:
-        raise ValueError(
-            f"spf cache length {spf.shape[0]} does not match limit {limit}"
-        )
-    ns = np.arange(limit + 1, dtype=np.uint32)
-    primes = np.flatnonzero(spf == ns)
-    primes = primes[primes >= 2].astype(np.int64)
-    return PrimeTables(limit=int(limit), spf=spf, primes=primes)

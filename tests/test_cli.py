@@ -1,4 +1,6 @@
+import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rmflab
-from rmflab.cli import main
+from rmflab.cli import _build_parser, main
 
 
 def _run(args):
@@ -95,6 +97,9 @@ def test_report_rejects_csv_without_required_columns(tmp_path, capsys):
     assert _run(["report", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "trial" in err and "normalized" in err
+    bad.write_text("trial,x,normalized\r\n0,100,0.5\r\n1,100\r\n")
+    assert _run(["report", str(bad)]) == 2
+    assert "bad.csv:3: too few fields" in capsys.readouterr().err
 
 
 def test_python_m_rmflab_runs_the_cli():
@@ -104,7 +109,7 @@ def test_python_m_rmflab_runs_the_cli():
 
 
 def test_oracle_check_seeds_flag(capsys):
-    assert _run(["oracle-check", "--seeds", "2", "--points", "100"]) == 0
+    assert _run(["oracle-check", "--trials", "2", "--points", "100"]) == 0
     out = capsys.readouterr().out
     assert out.count("\r\n") == 3  # header + 2 seed rows
 
@@ -133,20 +138,97 @@ def test_usage_errors():
     assert _run([]) == 2
 
 
-def test_table_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "spf.bin"
-    args = ["oracle-check", "--trials", "1", "--points", "100",
-            "--x-max", "1000", "--table-cache", str(cache)]
-    assert _run(args) == 0
-    assert cache.exists()
-    first = capsys.readouterr().out
-    assert _run(args) == 0  # second run loads the cache
-    assert capsys.readouterr().out == first
+#: The options each subcommand reads, and so accepts.
+KEPT_FLAGS = {
+    "simulate": {"--model", "--seed", "--trials", "--epsilon", "--x-max",
+                 "--threads", "--full-grid", "--out", "--format"},
+    "oracle-check": {"--model", "--seed", "--trials", "--x-max", "--points",
+                     "--out", "--format"},
+    "moments": {"--suite", "--model", "--seed", "--trials", "--epsilon",
+                "--x-max", "--points", "--lam", "--m", "--n", "--out",
+                "--format"},
+    "euler": {"--check", "--model", "--seed", "--trials", "--x-max",
+              "--t-param", "--tcut", "--quad-tol", "--points", "--out",
+              "--format"},
+    "variance": {"--model", "--seed", "--trials", "--x-max", "--points",
+                 "--out", "--format"},
+    "report": {"--out", "--format"},
+}
 
 
-def test_table_cache_env(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "env.bin"
-    monkeypatch.setenv("RMF_TABLE_CACHE", str(cache))
-    assert _run(["oracle-check", "--trials", "1", "--points", "100",
-                 "--x-max", "1000"]) == 0
-    assert cache.exists()
+def test_each_subcommand_lists_exactly_the_flags_it_reads():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(KEPT_FLAGS)
+    for name, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == KEPT_FLAGS[name], name
+
+
+@pytest.fixture
+def sim_csv(tmp_path):
+    path = tmp_path / "sim.csv"
+    path.write_text("trial,x,normalized\r\n0,100,0.5\r\n1,100,0.7\r\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "{sim}", "--model", "steinhaus"],
+    ["simulate", "--trials", "1", "--x-max", "100", "--t-param", "3"],
+    ["simulate", "--trials", "1", "--x-max", "100", "--table-cache", "{tmp}/f.bin"],
+    ["variance", "--trials", "400", "--points", "1000", "--epsilon", "0.2"],
+    ["oracle-check", "--points", "100", "--seeds", "1"],
+    ["moments", "--suite", "hypercontractive", "--trials", "1000", "--m", "1",
+     "--x-max", "20", "--tcut", "30"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_subcommand_rejects_a_flag_it_does_not_read(argv, sim_csv, tmp_path, capsys):
+    argv = [a.format(sim=sim_csv, tmp=tmp_path) for a in argv]
+    assert _run(argv) == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "steinhaus", "--seed", "3", "--trials", "2",
+     "--epsilon", "0.2", "--x-max", "500", "--threads", "2", "--full-grid"],
+    ["oracle-check", "--model", "steinhaus", "--seed", "3", "--trials", "1",
+     "--x-max", "2000", "--points", "100,1500"],
+    ["moments", "--suite", "hypercontractive", "--model", "steinhaus",
+     "--seed", "3", "--trials", "1000", "--epsilon", "0.2", "--x-max", "2000",
+     "--points", "1000", "--lam", "10", "--m", "1", "--n", "30"],
+    ["euler", "--check", "parseval", "--model", "steinhaus", "--seed", "3",
+     "--trials", "2", "--x-max", "2000", "--t-param", "5", "--tcut", "30",
+     "--quad-tol", "1e-5", "--points", "10"],
+    ["variance", "--model", "steinhaus", "--seed", "3", "--trials", "400",
+     "--x-max", "2000", "--points", "1000"],
+    ["report", "{sim}"],
+], ids=lambda argv: argv[0])
+def test_subcommand_accepts_every_flag_it_reads(argv, sim_csv, tmp_path):
+    out = tmp_path / "out.json"
+    argv = [a.format(sim=sim_csv) for a in argv]
+    assert _run(argv + ["--out", str(out), "--format", "json"]) == 0
+    assert json.loads(out.read_text())
+
+
+def test_io_errors_exit_2(tmp_path, sim_csv, capsys):
+    assert _run(["report", str(tmp_path / "missing.csv")]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert _run(["report", sim_csv, "--out", str(tmp_path / "no" / "dir.csv")]) == 2
+    assert "dir.csv" in capsys.readouterr().err
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken(F, grid):
+        raise RuntimeError("negative V")
+
+    monkeypatch.setattr("rmflab.harness.grid_statistics", broken)
+    assert _run(["simulate", "--trials", "1", "--x-max", "300"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "negative V" in err
+
+
+def test_oracle_check_flags_a_wrong_fast_path(monkeypatch, capsys):
+    monkeypatch.setattr("rmflab.cli.large_prime_sum",
+                        lambda F, x: rmflab.large_prime_sum_bruteforce(F, x) + 1)
+    assert _run(["oracle-check", "--trials", "2", "--points", "100,1000"]) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 4 and all(r["match"] == "false" for r in rows)

@@ -12,6 +12,7 @@ from rmflab import (
     block_boundaries,
     conditional_variance,
     doob_check,
+    exact_expected_variance,
     fluctuation_scale,
     hoeffding_tail_check,
     hypercontractive_check,
@@ -269,3 +270,14 @@ def test_partial_sum_second_moment(tables_small, model):
     assert not rep.violated
     if model is Model.STEINHAUS:
         assert rep.bound == 200.0
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_variance_ratio_ensemble_flags_a_wrong_target(tables_small, model, monkeypatch):
+    # 8000 trials put 3 SE near 5 % of E V(10^4); at 2000 trials it sits
+    # near 9 %, so a 10 % error would be flagged only part of the time.
+    cfg = ExperimentConfig(model=model, trials=8000, x_max=10_000)
+    assert not variance_ratio_ensemble(cfg, tables_small, xs=(10_000,))[0]["violated"]
+    monkeypatch.setattr("rmflab.harness.exact_expected_variance",
+                        lambda *a: 1.10 * exact_expected_variance(*a))
+    assert variance_ratio_ensemble(cfg, tables_small, xs=(10_000,))[0]["violated"]

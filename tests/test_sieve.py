@@ -7,10 +7,8 @@ from rmflab import build_tables, divisor_m, factorize, largest_prime_factor, mob
 from rmflab.sieve import (
     MAX_LIMIT,
     divisor_partial_sum,
-    load_spf_cache,
     mertens_log_sum,
     mertens_reciprocal_sum,
-    save_spf_cache,
     squarefree_count,
     squarefree_indicator,
 )
@@ -126,18 +124,3 @@ def test_build_tables_rejects_bad_limits():
     with pytest.raises(MemoryError):
         build_tables(MAX_LIMIT + 1)
 
-
-def test_cache_roundtrip(tmp_path, tables_small):
-    path = str(tmp_path / "spf.bin")
-    save_spf_cache(tables_small, path)
-    loaded = load_spf_cache(path)
-    assert loaded.limit == tables_small.limit
-    assert np.array_equal(loaded.spf, tables_small.spf)
-    assert np.array_equal(loaded.primes, tables_small.primes)
-
-
-def test_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTACACHE" * 4)
-    with pytest.raises(ValueError):
-        load_spf_cache(str(path))
