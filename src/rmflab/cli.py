@@ -12,8 +12,9 @@ Subcommands::
     rmflab report         aggregate rows from earlier simulate CSV output
 
 Output is byte-deterministic for a fixed argument list (including across
-``--threads`` settings): floats are printed with the shortest round-trip
-``%.17g`` format and rows are emitted in a fixed order.
+``--threads`` settings): floats are printed with ``%.17g``, 17 significant
+digits, which round-trips every float64, and rows are emitted in a fixed
+order.
 
 Exit codes: 0 all checks passed, 1 a statistical check was violated,
 2 usage or I/O error, 3 resource or quadrature failure, 4 internal error
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -48,37 +48,91 @@ from .sieve import build_tables
 from .sums import large_prime_sum, large_prime_sum_bruteforce
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+#: Rows formatted and written per chunk: the text of one chunk stays a few MB.
+_CHUNK_ROWS = 1 << 15
+
+_BOOL_TEXT = {True: "true", False: "false"}
 
 
-def _emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
-    """Write rows as RFC-4180 CSV or a JSON array, to a file or stdout."""
+def _csv_field(s: str) -> str:
+    """Quote a text field as csv.QUOTE_MINIMAL does."""
+    if any(c in s for c in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _row_template(names: list[str], kinds: list[str], fmt: str):
+    """The ``%`` template of one row, and the per-column text conversions.
+
+    ``kinds`` are numpy dtype kinds: ints print with ``%d``, floats with
+    ``%.17g`` (a JSON string), bools as ``true``/``false`` and text as is,
+    quoted for CSV or JSON.
+    """
+    specs, convs = [], []
+    for kind in kinds:
+        conv = None
+        if kind in "iu":
+            spec = "%d"
+        elif kind == "f":
+            spec = '"%.17g"' if fmt == "json" else "%.17g"
+        elif kind == "b":
+            spec = "%s"
+            conv = _BOOL_TEXT.__getitem__
+        elif kind == "U":
+            spec = "%s"
+            conv = json.dumps if fmt == "json" else _csv_field
+        else:
+            raise TypeError(f"cannot emit a column of dtype kind {kind!r}")
+        specs.append(spec)
+        convs.append(conv)
     if fmt == "json":
-        text = json.dumps(
-            [{k: (_fmt(v) if isinstance(v, float) else v) for k, v in r.items()}
-             for r in rows],
-            indent=2,
-        ) + "\n"
-    else:
-        buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(
-                buf, fieldnames=list(rows[0].keys()), lineterminator="\r\n"
-            )
-            writer.writeheader()
-            for r in rows:
-                writer.writerow({k: _fmt(v) for k, v in r.items()})
-        text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        fields = ",\n".join(
+            f"    {json.dumps(n).replace('%', '%%')}: {spec}"
+            for n, spec in zip(names, specs)
+        )
+        return "  {\n" + fields + "\n  }", convs
+    return ",".join(specs) + "\r\n", convs
+
+
+def _emit(blocks, fmt: str, out_path: str | None) -> None:
+    """Write blocks of columns as RFC-4180 CSV or a JSON array, to a file or stdout.
+
+    A block maps each field name to a column (a numpy array or a list) of
+    the block's length, with the same names in every block. A block's rows
+    are written in chunks through one ``%`` template built from its column
+    types. CSV starts with a header row unless there are no rows at all.
+    """
+    fh = open(out_path, "w", newline="") if out_path else sys.stdout
+    try:
+        started = False
+        for block in blocks:
+            names = list(block)
+            cols = [np.asarray(c) for c in block.values()]
+            template, convs = _row_template(names, [c.dtype.kind for c in cols], fmt)
+            for lo in range(0, len(cols[0]) if cols else 0, _CHUNK_ROWS):
+                chunk = []
+                for c, conv in zip(cols, convs):
+                    vals = c[lo:lo + _CHUNK_ROWS].tolist()
+                    chunk.append(vals if conv is None else list(map(conv, vals)))
+                rows = map(template.__mod__, zip(*chunk))
+                if fmt == "json":
+                    fh.write(",\n" if started else "[\n")
+                    fh.write(",\n".join(rows))
+                else:
+                    if not started:
+                        fh.write(",".join(map(_csv_field, names)) + "\r\n")
+                    fh.write("".join(rows))
+                started = True
+        if fmt == "json":
+            fh.write("\n]\n" if started else "[]\n")
+    finally:
+        if out_path:
+            fh.close()
+
+
+def _emit_rows(rows: list[dict], fmt: str, out_path: str | None) -> None:
+    """Write a few dict rows, all with the same keys, as one block."""
+    _emit([{k: [r[k] for r in rows] for k in rows[0]}] if rows else [], fmt, out_path)
 
 
 def _tables(args):
@@ -124,13 +178,18 @@ def _cmd_simulate(args) -> int:
     )
     tables = _tables(args)
     grid = harness.test_points(config.epsilon, config.x_max)
-    keep = np.arange(grid.size) if args.full_grid else _decimate(grid.size)
+    keep = slice(None) if args.full_grid else _decimate(grid.size)
+    xs = grid[keep]
+    gx = xs.astype(np.float64)
+    scale = np.sqrt(gx) * harness.fluctuation_scale(xs, config.epsilon)
+    # math.log, not np.log: they differ in the last bit at some x (first 389).
+    loglog = map(math.log, map(math.log, gx.tolist()))
+    root_loglog = np.sqrt(np.fromiter(loglog, np.float64, gx.size))
 
     def one(seed: int):
         tr = harness.run_trial(config, seed, tables, grid=grid)
         m = np.asarray(tr.m_values, dtype=np.complex128)[keep]
-        v = tr.v_values[keep]
-        return tr, m, v
+        return tr.seed, m, tr.v_values[keep], tr.normalized_sup
 
     seeds = [config.seed_base + i for i in range(config.trials)]
     if args.threads > 1:
@@ -139,45 +198,37 @@ def _cmd_simulate(args) -> int:
     else:
         results = [one(s) for s in seeds]
 
-    rows = []
-    sups = []
-    for i, (tr, m, v) in enumerate(results):
-        sups.append(tr.normalized_sup)
-        gx = grid[keep].astype(np.float64)
-        scale = np.sqrt(gx) * harness.fluctuation_scale(grid[keep], config.epsilon)
-        for j in range(len(keep)):
-            normalized = float(abs(m[j]) / scale[j])
-            rows.append(
-                {
-                    "trial": i,
-                    "seed": tr.seed,
-                    "x": int(grid[keep[j]]),
-                    "m_re": float(m[j].real),
-                    "m_im": float(m[j].imag),
-                    "v": float(v[j]),
-                    "normalized": normalized,
-                    "variance_ratio": float(
-                        v[j] * math.sqrt(math.log(math.log(gx[j]))) / gx[j]
-                    ),
-                    # reference threshold for sup exceedance studies
-                    "exceed6": int(normalized > 6.0),
-                }
-            )
-    sups_arr = np.asarray(sups)
-    rows.append(
-        {
-            "trial": -1,
-            "seed": config.seed_base,
-            "x": int(grid[-1]) if grid.size else 0,
-            "m_re": float(np.median(sups_arr)),
-            "m_im": float(np.quantile(sups_arr, 0.9)),
-            "v": float(np.max(sups_arr)),
-            "normalized": float(np.mean(sups_arr)),
-            "variance_ratio": float(np.std(sups_arr, ddof=1)) if len(sups) > 1 else 0.0,
-            "exceed6": float(np.mean(sups_arr > 6.0)),
+    def blocks():
+        for i, (seed, m, v, _) in enumerate(results):
+            # np.hypot, not np.abs: numpy's complex abs differs from the
+            # scalar abs in the last bit on many Steinhaus rows.
+            normalized = np.hypot(m.real, m.imag) / scale
+            yield {
+                "trial": np.full(xs.size, i),
+                "seed": np.full(xs.size, seed),
+                "x": xs,
+                "m_re": m.real,
+                "m_im": m.imag,
+                "v": v,
+                "normalized": normalized,
+                "variance_ratio": v * root_loglog / gx,
+                # reference threshold for sup exceedance studies
+                "exceed6": (normalized > 6.0).astype(np.int64),
+            }
+        sups = np.asarray([sup for *_, sup in results])
+        yield {
+            "trial": [-1],
+            "seed": [config.seed_base],
+            "x": [int(grid[-1]) if grid.size else 0],
+            "m_re": [float(np.median(sups))],
+            "m_im": [float(np.quantile(sups, 0.9))],
+            "v": [float(np.max(sups))],
+            "normalized": [float(np.mean(sups))],
+            "variance_ratio": [float(np.std(sups, ddof=1)) if sups.size > 1 else 0.0],
+            "exceed6": [float(np.mean(sups > 6.0))],
         }
-    )
-    _emit(rows, args.format, args.out)
+
+    _emit(blocks(), args.format, args.out)
     return 0
 
 
@@ -204,7 +255,7 @@ def _cmd_oracle_check(args) -> int:
                     "match": match,
                 }
             )
-    _emit(rows, args.format, args.out)
+    _emit_rows(rows, args.format, args.out)
     return 0 if ok else 1
 
 
@@ -251,7 +302,7 @@ def _cmd_moments(args) -> int:
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown suite {args.suite}")
-    _emit(_report_rows(reports), args.format, args.out)
+    _emit_rows(_report_rows(reports), args.format, args.out)
     return 1 if any(r.violated for r in reports) else 0
 
 
@@ -280,7 +331,7 @@ def _cmd_euler(args) -> int:
                     "match": match,
                 }
             )
-        _emit(rows, args.format, args.out)
+        _emit_rows(rows, args.format, args.out)
         return 0 if ok else 1
     if args.check == "product-expectation":
         reports = []
@@ -292,7 +343,7 @@ def _cmd_euler(args) -> int:
                     tables, seed_base=args.seed,
                 )
             )
-        _emit(_report_rows(reports), args.format, args.out)
+        _emit_rows(_report_rows(reports), args.format, args.out)
         return 1 if any(r.violated for r in reports) else 0
     if args.check == "sigma-event":
         stat = harness.sigma_event_statistic(
@@ -310,7 +361,7 @@ def _cmd_euler(args) -> int:
                 **{f"q{k}": v for k, v in stat["quantiles"].items()},
             }
         ]
-        _emit(rows, args.format, args.out)
+        _emit_rows(rows, args.format, args.out)
         return 0
     raise ValueError(f"unknown check {args.check}")  # pragma: no cover
 
@@ -323,7 +374,7 @@ def _cmd_variance(args) -> int:
     )
     xs = [int(v) for v in args.points.split(",")] if args.points else [1000, 10000]
     rows = harness.variance_ratio_ensemble(config, tables, xs=xs)
-    _emit(rows, args.format, args.out)
+    _emit_rows(rows, args.format, args.out)
     return 1 if any(r["violated"] for r in rows) else 0
 
 
@@ -353,7 +404,7 @@ def _cmd_report(args) -> int:
                 "max_normalized": float(np.max(vals)),
             }
         )
-    _emit(rows, args.format, args.out)
+    _emit_rows(rows, args.format, args.out)
     return 0
 
 
@@ -422,6 +473,10 @@ _COMMANDS = {
     "report": (_cmd_report, ["inputs", "--out", "--format"]),
 }
 
+#: Subcommand -> the defaults it sets apart from ``_OPTIONS``: every moments
+#: suite needs at least 1000 trials.
+_DEFAULTS = {"moments": {"trials": 1000}}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rmflab", description=__doc__.split("\n")[0])
@@ -430,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         for flag in flags:
             sp.add_argument(flag, **_OPTIONS[flag])
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, **_DEFAULTS.get(name, {}))
     return p
 
 

@@ -2,14 +2,17 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rmflab
+from rmflab import ExperimentConfig, build_tables, harness
 from rmflab.cli import _build_parser, main
 
 
@@ -232,3 +235,86 @@ def test_oracle_check_flags_a_wrong_fast_path(monkeypatch, capsys):
     assert _run(["oracle-check", "--trials", "2", "--points", "100,1000"]) == 1
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 4 and all(r["match"] == "false" for r in rows)
+
+
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def _reference_full_grid(model: str, trials: int, x_max: int) -> dict[str, bytes]:
+    """``simulate --full-grid`` built row by row: one dict per row, scalar
+    ``abs`` and ``math.log``, written by ``csv.DictWriter`` or ``json.dumps``."""
+    config = ExperimentConfig(model=model, trials=trials, x_max=x_max)
+    tables = build_tables(max(x_max, 1000))
+    grid = harness.test_points(config.epsilon, x_max)
+    gx = grid.astype(np.float64)
+    scale = np.sqrt(gx) * harness.fluctuation_scale(grid, config.epsilon)
+    rows, sups = [], []
+    for i in range(trials):
+        tr = harness.run_trial(config, i, tables, grid=grid)
+        sups.append(tr.normalized_sup)
+        m = np.asarray(tr.m_values, dtype=np.complex128)
+        v = tr.v_values
+        for j in range(grid.size):
+            normalized = float(abs(m[j]) / scale[j])
+            rows.append({
+                "trial": i,
+                "seed": tr.seed,
+                "x": int(grid[j]),
+                "m_re": float(m[j].real),
+                "m_im": float(m[j].imag),
+                "v": float(v[j]),
+                "normalized": normalized,
+                "variance_ratio": float(
+                    v[j] * math.sqrt(math.log(math.log(gx[j]))) / gx[j]
+                ),
+                "exceed6": int(normalized > 6.0),
+            })
+    sups = np.asarray(sups)
+    rows.append({
+        "trial": -1,
+        "seed": 0,
+        "x": int(grid[-1]),
+        "m_re": float(np.median(sups)),
+        "m_im": float(np.quantile(sups, 0.9)),
+        "v": float(np.max(sups)),
+        "normalized": float(np.mean(sups)),
+        "variance_ratio": float(np.std(sups, ddof=1)),
+        "exceed6": float(np.mean(sups > 6.0)),
+    })
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\r\n")
+    writer.writeheader()
+    for r in rows:
+        writer.writerow({k: _fmt(v) for k, v in r.items()})
+    text = json.dumps(
+        [{k: (_fmt(v) if isinstance(v, float) else v) for k, v in r.items()}
+         for r in rows],
+        indent=2,
+    ) + "\n"
+    return {"csv": buf.getvalue().encode(), "json": text.encode()}
+
+
+@pytest.mark.parametrize("model", ["rademacher", "steinhaus"])
+def test_full_grid_matches_row_by_row_reference(model, tmp_path):
+    # Every x in [3, 20000] is a grid point at the default epsilon 0.1, so
+    # this covers x = 389 and 5431, where np.log and math.log disagree.
+    expected = _reference_full_grid(model, trials=2, x_max=20_000)
+    out = tmp_path / "out"
+    for fmt in ("csv", "json"):
+        for threads in ("1", "2"):
+            assert _run(["simulate", "--full-grid", "--trials", "2",
+                         "--x-max", "20000", "--model", model, "--format", fmt,
+                         "--threads", threads, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected[fmt], (fmt, threads)
+
+
+@pytest.mark.parametrize("suite", ["hypercontractive", "hoeffding", "doob",
+                                   "submartingale-z", "submartingale-y"])
+def test_moments_suites_run_with_default_trials(suite, capsys):
+    assert _run(["moments", "--suite", suite]) in (0, 1)
+    assert "need at least" not in capsys.readouterr().err
