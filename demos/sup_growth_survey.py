@@ -29,12 +29,10 @@ grid = grid[grid >= 100]
 decades = [d for d in (1000, 10_000, 100_000, 1_000_000) if d <= x_max]
 cut = np.searchsorted(grid, decades, side="right")
 
-cfg = rl.ExperimentConfig(epsilon=eps, x_max=x_max)
+scale = np.sqrt(grid.astype(float)) * rl.fluctuation_scale(grid, eps)
 sups = np.zeros((trials, len(decades)))
 for i in range(trials):
-    tr = rl.run_trial(cfg, i, tables, grid=grid)
-    scale = np.sqrt(grid.astype(float)) * rl.fluctuation_scale(grid, eps)
-    ratio = np.abs(np.asarray(tr.m_values, dtype=complex)) / scale
+    _, _, ratio, _ = rl.run_trial(rl.Model.RADEMACHER, i, tables, grid, scale)
     running = np.maximum.accumulate(ratio)
     sups[i] = running[cut - 1]
 

@@ -17,11 +17,11 @@ trials = int(sys.argv[1]) if len(sys.argv) > 1 else 500
 
 tables = rl.build_tables(100_000)
 for model in rl.Model:
-    cfg = rl.ExperimentConfig(model=model, trials=trials, x_max=100_000)
     print(f"\n{model.value}, {trials} trials")
     print(f"{'x':>8} {'mean V':>12} {'exact E V':>12} {'ratio med':>10} "
           f"{'ratio q90':>10}")
-    for row in rl.variance_ratio_ensemble(cfg, tables, xs=(1000, 10_000, 100_000)):
+    for row in rl.variance_ratio_ensemble(model, trials, tables,
+                                          xs=(1000, 10_000, 100_000)):
         flag = "" if not row["violated"] else "  <-- outside 3 SE!"
         print(f"{row['x']:>8} {row['mean_v']:>12.1f} {row['exact_ev']:>12.1f} "
               f"{row['ratio_median']:>10.3f} {row['ratio_q90']:>10.3f}{flag}")

@@ -16,8 +16,6 @@ from .euler import (
     parseval_integral,
 )
 from .harness import (
-    ExperimentConfig,
-    TrialResult,
     block_boundaries,
     doob_check,
     fluctuation_scale,
@@ -45,7 +43,6 @@ from .sieve import (
     squarefree_count,
 )
 from .sums import (
-    SumStatistics,
     conditional_variance,
     exact_expected_variance,
     grid_statistics,
@@ -54,7 +51,6 @@ from .sums import (
     large_prime_sum,
     large_prime_sum_bruteforce,
     quotient_sums,
-    statistics_at,
 )
 
 __version__ = "0.1.0"

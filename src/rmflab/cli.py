@@ -41,7 +41,6 @@ from .euler import (
     expected_product_identity_check,
     parseval_identity_check,
 )
-from .harness import ExperimentConfig
 from .reporting import MomentReport
 from .rmf import Model, SampledFunction
 from .sieve import build_tables
@@ -172,26 +171,25 @@ def _decimate(n: int, keep: int = 30) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
-    config = ExperimentConfig(
-        model=args.model, epsilon=args.epsilon, seed_base=args.seed,
-        trials=args.trials, x_max=args.x_max,
-    )
+    if args.trials < 1:
+        raise ValueError("trials must be positive")
     tables = _tables(args)
-    grid = harness.test_points(config.epsilon, config.x_max)
+    grid = harness.test_points(args.epsilon, args.x_max)
+    scale = np.sqrt(grid.astype(np.float64)) * harness.fluctuation_scale(
+        grid, args.epsilon)
     keep = slice(None) if args.full_grid else _decimate(grid.size)
     xs = grid[keep]
     gx = xs.astype(np.float64)
-    scale = np.sqrt(gx) * harness.fluctuation_scale(xs, config.epsilon)
     # math.log, not np.log: they differ in the last bit at some x (first 389).
     loglog = map(math.log, map(math.log, gx.tolist()))
     root_loglog = np.sqrt(np.fromiter(loglog, np.float64, gx.size))
 
     def one(seed: int):
-        tr = harness.run_trial(config, seed, tables, grid=grid)
-        m = np.asarray(tr.m_values, dtype=np.complex128)[keep]
-        return tr.seed, m, tr.v_values[keep], tr.normalized_sup
+        m, v, normalized, sup = harness.run_trial(args.model, seed, tables, grid, scale)
+        m = np.asarray(m[keep], dtype=np.complex128)
+        return seed, m, v[keep], normalized[keep], sup
 
-    seeds = [config.seed_base + i for i in range(config.trials)]
+    seeds = [args.seed + i for i in range(args.trials)]
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as ex:
             results = list(ex.map(one, seeds))
@@ -199,10 +197,7 @@ def _cmd_simulate(args) -> int:
         results = [one(s) for s in seeds]
 
     def blocks():
-        for i, (seed, m, v, _) in enumerate(results):
-            # np.hypot, not np.abs: numpy's complex abs differs from the
-            # scalar abs in the last bit on many Steinhaus rows.
-            normalized = np.hypot(m.real, m.imag) / scale
+        for i, (seed, m, v, normalized, _) in enumerate(results):
             yield {
                 "trial": np.full(xs.size, i),
                 "seed": np.full(xs.size, seed),
@@ -218,7 +213,7 @@ def _cmd_simulate(args) -> int:
         sups = np.asarray([sup for *_, sup in results])
         yield {
             "trial": [-1],
-            "seed": [config.seed_base],
+            "seed": [args.seed],
             "x": [int(grid[-1]) if grid.size else 0],
             "m_re": [float(np.median(sups))],
             "m_im": [float(np.quantile(sups, 0.9))],
@@ -368,12 +363,9 @@ def _cmd_euler(args) -> int:
 
 def _cmd_variance(args) -> int:
     tables = _tables(args)
-    config = ExperimentConfig(
-        model=args.model, seed_base=args.seed, trials=args.trials,
-        x_max=args.x_max,
-    )
     xs = [int(v) for v in args.points.split(",")] if args.points else [1000, 10000]
-    rows = harness.variance_ratio_ensemble(config, tables, xs=xs)
+    rows = harness.variance_ratio_ensemble(args.model, args.trials, tables,
+                                           seed_base=args.seed, xs=xs)
     _emit_rows(rows, args.format, args.out)
     return 1 if any(r["violated"] for r in rows) else 0
 

@@ -11,7 +11,6 @@ per-resample seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,41 +25,10 @@ from .sums import exact_expected_variance, grid_statistics, quotient_sums
 RESAMPLE_STREAM = 0x5EED_0000
 
 
-@dataclass
-class ExperimentConfig:
-    """Knobs shared by the experiment drivers."""
-
-    model: Model = Model.RADEMACHER
-    epsilon: float = 0.1
-    seed_base: int = 0
-    trials: int = 100
-    x_max: int = 100_000
-    #: Smallest x entering the sup statistics.  Below ~e^e the loglog
-    #: normalization is tiny and the sup degenerates into a coin flip on
-    #: the first few f(p); grid rows are still reported for all x.
-    sup_x_min: int = 100
-
-    def __post_init__(self):
-        self.model = Model(self.model)
-        if not 0.0 < self.epsilon < 0.25:
-            raise ValueError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-
-    @property
-    def K(self) -> float:
-        return 1.0 / (4.0 * self.epsilon)
-
-
-@dataclass
-class TrialResult:
-    """Statistics of one realization over the test-point grid."""
-
-    seed: int
-    grid: np.ndarray
-    m_values: np.ndarray
-    v_values: np.ndarray
-    normalized_sup: float
+#: Smallest x entering the sup statistic.  Below ~e^e the loglog
+#: normalization is tiny and the sup degenerates into a coin flip on the
+#: first few f(p); grid rows are still reported for all x.
+SUP_X_MIN = 100
 
 
 # ---------------------------------------------------------------------------
@@ -118,35 +86,25 @@ def fluctuation_scale(x, epsilon: float):
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
-def run_trial(config: ExperimentConfig, seed: int, tables: PrimeTables,
-              grid: np.ndarray | None = None) -> TrialResult:
-    """Evaluate M_f and V on the whole test-point grid for one realization."""
-    if grid is None:
-        grid = test_points(config.epsilon, config.x_max)
-    if grid.size == 0:
-        dt = np.int64 if config.model is Model.RADEMACHER else np.complex128
-        return TrialResult(
-            seed=seed,
-            grid=grid,
-            m_values=np.zeros(0, dtype=dt),
-            v_values=np.zeros(0),
-            normalized_sup=0.0,
-        )
-    F = SampledFunction(config.model, seed, tables)
-    m_vals, v_vals = grid_statistics(F, grid)
-    gx = grid.astype(np.float64)
-    scale = np.sqrt(gx) * fluctuation_scale(grid, config.epsilon)
-    keep = grid >= config.sup_x_min
-    if not np.any(keep):
-        keep = np.ones(grid.shape, dtype=bool)
-    nsup = float(np.max(np.abs(m_vals[keep]) / scale[keep]))
-    return TrialResult(
-        seed=seed,
-        grid=grid,
-        m_values=m_vals,
-        v_values=v_vals,
-        normalized_sup=nsup,
-    )
+def run_trial(model: Model, seed: int, tables: PrimeTables, grid: np.ndarray,
+              scale: np.ndarray):
+    """M_f, V, the normalized |M_f| and its sup on the grid, for one realization.
+
+    ``scale`` is sqrt(x) * fluctuation_scale(x) on the ascending ``grid``,
+    computed once per grid by the caller.  Returns ``(m, v, normalized,
+    sup)``: ``normalized`` = |M_f(x)| / scale(x) at every grid point, and
+    ``sup`` its max over x >= SUP_X_MIN, over every point when none reaches
+    SUP_X_MIN, and 0.0 on an empty grid.
+    """
+    m, v = grid_statistics(SampledFunction(model, seed, tables), grid)
+    # np.hypot, not np.abs: numpy's complex abs differs from the scalar abs
+    # in the last bit on many Steinhaus values.
+    normalized = np.hypot(m.real, m.imag) / scale
+    start = int(np.searchsorted(grid, SUP_X_MIN))
+    if start == grid.size:
+        start = 0
+    sup = float(normalized[start:].max(initial=0.0))
+    return m, v, normalized, sup
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +520,10 @@ def sigma_event_statistic(
 
 
 def variance_ratio_ensemble(
-    config: ExperimentConfig,
+    model: Model,
+    trials: int,
     tables: PrimeTables,
+    seed_base: int = 0,
     xs=(1000, 10_000, 100_000),
 ) -> list[dict]:
     """Distribution of V(x)*sqrt(loglog x)/x across trials, per grid x.
@@ -572,23 +532,26 @@ def variance_ratio_ensemble(
     expectation (the exact oracle); the ``violated`` flag is two-sided at
     3 SE on that comparison.
     """
+    model = Model(model)
+    if trials < 1:
+        raise ValueError("trials must be positive")
     out = []
-    seeds = config.seed_base + np.arange(config.trials)
+    seeds = seed_base + np.arange(trials)
     for x in xs:
         s = math.isqrt(x)
-        vals = np.empty(config.trials)
+        vals = np.empty(trials)
         chunk = max(1, 4_000_000 // max(1, len(tables.primes_in(s, x))))
-        for j0 in range(0, config.trials, chunk):
-            A = cumulate(value_matrix(config.model, seeds[j0 : j0 + chunk], s, tables))
+        for j0 in range(0, trials, chunk):
+            A = cumulate(value_matrix(model, seeds[j0 : j0 + chunk], s, tables))
             _, Aq = quotient_sums(A, x, tables)
             vals[j0 : j0 + chunk] = (Aq.real**2 + Aq.imag**2).sum(axis=1)
         est, se = _mean_se(vals)
-        exact = exact_expected_variance(x, config.model, tables)
+        exact = exact_expected_variance(x, model, tables)
         ratio = vals * math.sqrt(math.log(math.log(x))) / x
         out.append(
             {
                 "x": x,
-                "trials": config.trials,
+                "trials": trials,
                 "mean_v": est,
                 "std_error": se,
                 "exact_ev": exact,

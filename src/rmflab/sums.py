@@ -17,7 +17,6 @@ root ever decides membership.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +25,6 @@ from .sieve import PrimeTables, squarefree_indicator
 
 #: Largest x accepted by the definition-level brute-force oracle.
 ORACLE_CAP = 1_000_000
-
-
-@dataclass(frozen=True)
-class SumStatistics:
-    """Per-x bundle: M_f(x), V(x) and the full partial sum A_f(x)."""
-
-    x: int
-    m_f: complex
-    v: float
-    a_full: complex
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -160,17 +149,6 @@ def increment_decomposition_check(F: SampledFunction, x_prev: int, x: int):
     return (t1, t2, t3)
 
 
-def statistics_at(F: SampledFunction, x: int) -> SumStatistics:
-    """M_f(x), V(x) and A_f(x) bundled for one x."""
-    a = F.prefix_sums(x)[x]
-    return SumStatistics(
-        x=x,
-        m_f=large_prime_sum(F, x),
-        v=conditional_variance(F, x),
-        a_full=a if np.iscomplexobj(np.asarray(a)) else int(a),
-    )
-
-
 def grid_statistics(F: SampledFunction, xs) -> tuple[np.ndarray, np.ndarray]:
     """M_f and V evaluated at every x in the ascending grid ``xs``.
 
@@ -206,6 +184,8 @@ def grid_statistics(F: SampledFunction, xs) -> tuple[np.ndarray, np.ndarray]:
     q[:2] = 0
     C1 = np.cumsum(F._values[lpi] * fs[q], dtype=A.dtype)
     D1 = np.cumsum(np.diff(a2, prepend=0)[q], dtype=a2.dtype)
+    # Free 2 N int64 before the final gathers, where the memory peaks.
+    del p, q
 
     # Corrections: once x passes p^2 the prime p leaves (sqrt(x), x] and its
     # accumulated contribution (all n = p*m with m <= p-1) must be removed.

@@ -77,8 +77,8 @@ def test_criterion_03_variance_oracle(tables, capsys):
           and rl.exact_expected_variance(10, rl.Model.STEINHAUS, tables) == 3.0)
     details = ["E V(10)=3 exact"]
     for model in rl.Model:
-        cfg = rl.ExperimentConfig(model=model, trials=2000, x_max=100_000)
-        rows = rl.variance_ratio_ensemble(cfg, tables, xs=(1000, 10_000, 100_000))
+        rows = rl.variance_ratio_ensemble(model, 2000, tables,
+                                          xs=(1000, 10_000, 100_000))
         for row in rows:
             ok = ok and not row["violated"]
             details.append(f"{model.value[:4]} x={row['x']}: "
@@ -205,19 +205,18 @@ def test_criterion_09_trend_report(tables, capsys):
     grid = grid_points(0.1, 1_000_000)
     ok = grid.size > 0 and grid[0] == 3 and grid[-1] == 1_000_000
 
+    scale = np.sqrt(grid.astype(np.float64)) * rl.fluctuation_scale(grid, 0.1)
+
+    def sup(seed):
+        return rl.run_trial(rl.Model.RADEMACHER, seed, tables, grid, scale)[3]
+
     def survey(seed_base):
-        cfg = rl.ExperimentConfig(x_max=1_000_000, seed_base=seed_base)
-        return np.array([
-            rl.run_trial(cfg, seed_base + i, tables, grid=grid).normalized_sup
-            for i in range(100)
-        ])
+        return np.array([sup(seed_base + i) for i in range(100)])
 
     sup_a = survey(0)
     sup_b = survey(1000)
     # determinism: re-running one trial reproduces its statistic exactly
-    cfg = rl.ExperimentConfig(x_max=1_000_000)
-    ok = ok and (rl.run_trial(cfg, 0, tables, grid=grid).normalized_sup
-                 == sup_a[0])
+    ok = ok and sup(0) == sup_a[0]
     med_a, med_b = float(np.median(sup_a)), float(np.median(sup_b))
     ok = ok and math.isfinite(med_a) and math.isfinite(med_b)
     # SE of a median ~ 1.2533 sigma/sqrt(n)

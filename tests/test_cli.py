@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rmflab
-from rmflab import ExperimentConfig, build_tables, harness
+from rmflab import SampledFunction, build_tables, grid_statistics, harness
 from rmflab.cli import _build_parser, main
 
 
@@ -219,6 +219,12 @@ def test_io_errors_exit_2(tmp_path, sim_csv, capsys):
     assert "dir.csv" in capsys.readouterr().err
 
 
+def test_trials_must_be_positive(capsys):
+    for command in ("simulate", "variance"):
+        assert _run([command, "--trials", "0"]) == 2
+        assert "trials must be positive" in capsys.readouterr().err
+
+
 def test_internal_error_exits_4(monkeypatch, capsys):
     def broken(F, grid):
         raise RuntimeError("negative V")
@@ -247,23 +253,23 @@ def _fmt(v) -> str:
 
 def _reference_full_grid(model: str, trials: int, x_max: int) -> dict[str, bytes]:
     """``simulate --full-grid`` built row by row: one dict per row, scalar
-    ``abs`` and ``math.log``, written by ``csv.DictWriter`` or ``json.dumps``."""
-    config = ExperimentConfig(model=model, trials=trials, x_max=x_max)
+    ``abs`` and ``math.log``, written by ``csv.DictWriter`` or ``json.dumps``.
+    Each trial's sup is the max of its own ``normalized`` rows over x >= 100,
+    or over every row when no x reaches 100."""
     tables = build_tables(max(x_max, 1000))
-    grid = harness.test_points(config.epsilon, x_max)
+    grid = harness.test_points(0.1, x_max)
     gx = grid.astype(np.float64)
-    scale = np.sqrt(gx) * harness.fluctuation_scale(grid, config.epsilon)
+    scale = np.sqrt(gx) * harness.fluctuation_scale(grid, 0.1)
     rows, sups = [], []
     for i in range(trials):
-        tr = harness.run_trial(config, i, tables, grid=grid)
-        sups.append(tr.normalized_sup)
-        m = np.asarray(tr.m_values, dtype=np.complex128)
-        v = tr.v_values
+        m, v = grid_statistics(SampledFunction(model, i, tables), grid)
+        m = np.asarray(m, dtype=np.complex128)
+        trial_rows = []
         for j in range(grid.size):
             normalized = float(abs(m[j]) / scale[j])
-            rows.append({
+            trial_rows.append({
                 "trial": i,
-                "seed": tr.seed,
+                "seed": i,
                 "x": int(grid[j]),
                 "m_re": float(m[j].real),
                 "m_im": float(m[j].imag),
@@ -274,6 +280,9 @@ def _reference_full_grid(model: str, trials: int, x_max: int) -> dict[str, bytes
                 ),
                 "exceed6": int(normalized > 6.0),
             })
+        tail = [r for r in trial_rows if r["x"] >= 100] or trial_rows
+        sups.append(max(r["normalized"] for r in tail))
+        rows.extend(trial_rows)
     sups = np.asarray(sups)
     rows.append({
         "trial": -1,
@@ -299,16 +308,23 @@ def _reference_full_grid(model: str, trials: int, x_max: int) -> dict[str, bytes
     return {"csv": buf.getvalue().encode(), "json": text.encode()}
 
 
-@pytest.mark.parametrize("model", ["rademacher", "steinhaus"])
-def test_full_grid_matches_row_by_row_reference(model, tmp_path):
+@pytest.mark.parametrize("model,x_max", [
+    pytest.param("rademacher", 20_000, id="rademacher"),
+    pytest.param("steinhaus", 20_000, id="steinhaus"),
+    pytest.param("rademacher", 50, id="rademacher-x_max50"),
+    pytest.param("steinhaus", 50, id="steinhaus-x_max50"),
+])
+def test_full_grid_matches_row_by_row_reference(model, x_max, tmp_path):
     # Every x in [3, 20000] is a grid point at the default epsilon 0.1, so
-    # this covers x = 389 and 5431, where np.log and math.log disagree.
-    expected = _reference_full_grid(model, trials=2, x_max=20_000)
+    # this covers x = 389 and 5431, where np.log and math.log disagree, and
+    # Steinhaus seed 1, whose sup np.abs would put 1 ulp off its column.
+    # At x_max 50 no x reaches 100, so each sup is taken over every row.
+    expected = _reference_full_grid(model, trials=2, x_max=x_max)
     out = tmp_path / "out"
     for fmt in ("csv", "json"):
         for threads in ("1", "2"):
             assert _run(["simulate", "--full-grid", "--trials", "2",
-                         "--x-max", "20000", "--model", model, "--format", fmt,
+                         "--x-max", str(x_max), "--model", model, "--format", fmt,
                          "--threads", threads, "--out", str(out)]) == 0
             assert out.read_bytes() == expected[fmt], (fmt, threads)
 

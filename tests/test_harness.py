@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmflab import (
-    ExperimentConfig,
     Model,
     SampledFunction,
     block_boundaries,
@@ -76,26 +75,24 @@ def test_fluctuation_scale():
         fluctuation_scale(2, 0.1)
 
 
-def test_experiment_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(epsilon=0.25)
-    with pytest.raises(ValueError):
-        ExperimentConfig(trials=0)
-    cfg = ExperimentConfig(epsilon=0.1)
-    assert cfg.K == pytest.approx(2.5)
-
-
 def test_run_trial_consistent_with_pointwise(tables_small):
-    cfg = ExperimentConfig(model=Model.STEINHAUS, x_max=3000)
-    tr = run_trial(cfg, 5, tables_small)
+    grid = grid_points(0.1, 3000)
+    scale = np.sqrt(grid.astype(np.float64)) * fluctuation_scale(grid, 0.1)
+    m, v, normalized, sup = run_trial(Model.STEINHAUS, 5, tables_small, grid, scale)
     F = SampledFunction(Model.STEINHAUS, 5, tables_small)
-    j = len(tr.grid) // 2
-    x = int(tr.grid[j])
-    assert tr.m_values[j] == pytest.approx(large_prime_sum(F, x), abs=1e-9)
-    assert tr.v_values[j] == pytest.approx(conditional_variance(F, x), abs=1e-6)
-    assert tr.normalized_sup >= abs(tr.m_values[j]) / (
-        math.sqrt(x) * fluctuation_scale(x, cfg.epsilon)
-    ) - 1e-12
+    j = len(grid) // 2
+    x = int(grid[j])
+    assert m[j] == pytest.approx(large_prime_sum(F, x), abs=1e-9)
+    assert v[j] == pytest.approx(conditional_variance(F, x), abs=1e-6)
+    assert normalized[j] == abs(m[j]) / scale[j]
+    assert sup == normalized[grid >= 100].max() >= normalized[j]
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_run_trial_on_an_empty_grid(tables_small, model):
+    grid = grid_points(0.1, 2)
+    m, v, normalized, sup = run_trial(model, 5, tables_small, grid, np.zeros(0))
+    assert m.size == v.size == normalized.size == 0 and sup == 0.0
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -254,8 +251,7 @@ def test_sigma_event_statistic_shape(tables_small):
 
 
 def test_variance_ratio_ensemble(tables_small):
-    cfg = ExperimentConfig(model=Model.STEINHAUS, trials=600, x_max=10_000)
-    rows = variance_ratio_ensemble(cfg, tables_small, xs=(1000,))
+    rows = variance_ratio_ensemble(Model.STEINHAUS, 600, tables_small, xs=(1000,))
     row = rows[0]
     assert not row["violated"]
     assert row["exact_ev"] == pytest.approx(
@@ -276,8 +272,11 @@ def test_partial_sum_second_moment(tables_small, model):
 def test_variance_ratio_ensemble_flags_a_wrong_target(tables_small, model, monkeypatch):
     # 8000 trials put 3 SE near 5 % of E V(10^4); at 2000 trials it sits
     # near 9 %, so a 10 % error would be flagged only part of the time.
-    cfg = ExperimentConfig(model=model, trials=8000, x_max=10_000)
-    assert not variance_ratio_ensemble(cfg, tables_small, xs=(10_000,))[0]["violated"]
+    def violated():
+        rows = variance_ratio_ensemble(model, 8000, tables_small, xs=(10_000,))
+        return rows[0]["violated"]
+
+    assert not violated()
     monkeypatch.setattr("rmflab.harness.exact_expected_variance",
                         lambda *a: 1.10 * exact_expected_variance(*a))
-    assert variance_ratio_ensemble(cfg, tables_small, xs=(10_000,))[0]["violated"]
+    assert violated()

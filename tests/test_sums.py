@@ -16,7 +16,6 @@ from rmflab import (
     large_prime_sum,
     large_prime_sum_bruteforce,
     quotient_sums,
-    statistics_at,
 )
 from rmflab.sums import ORACLE_CAP
 
@@ -123,15 +122,6 @@ def test_grid_statistics_rejects_descending(tables_small):
     F = SampledFunction(Model.RADEMACHER, 0, tables_small)
     with pytest.raises(ValueError):
         grid_statistics(F, [10, 5])
-
-
-def test_statistics_at_bundles(tables_small):
-    F = SampledFunction(Model.RADEMACHER, 3, tables_small)
-    st = statistics_at(F, 200)
-    assert st.x == 200
-    assert st.m_f == large_prime_sum(F, 200)
-    assert st.v == pytest.approx(conditional_variance(F, 200))
-    assert st.a_full == F.prefix_sums(200)[200]
 
 
 def test_out_of_range_rejected(tables_small):
