@@ -171,8 +171,6 @@ def _decimate(n: int, keep: int = 30) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError("trials must be positive")
     tables = _tables(args)
     grid = harness.test_points(args.epsilon, args.x_max)
     scale = np.sqrt(grid.astype(np.float64)) * harness.fluctuation_scale(
@@ -414,6 +412,16 @@ def _threads(value: str) -> int:
         raise argparse.ArgumentTypeError("must be an integer or 'auto'") from None
 
 
+def _trials(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("trials must be positive")
+    return n
+
+
 #: Every argument any subcommand reads; each subcommand picks its own below.
 _OPTIONS = {
     "inputs": dict(nargs="+", help="simulate CSV files"),
@@ -424,7 +432,7 @@ _OPTIONS = {
                     choices=["parseval", "product-expectation", "sigma-event"]),
     "--model": dict(choices=[m.value for m in Model], default="rademacher"),
     "--seed": dict(type=int, default=0),
-    "--trials": dict(type=int, default=100),
+    "--trials": dict(type=_trials, default=100),
     "--epsilon": dict(type=float, default=0.1),
     "--x-max": dict(type=int, default=10_000),
     "--threads": dict(type=_threads, default=1,

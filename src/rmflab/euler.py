@@ -2,10 +2,12 @@
 
 The truncated product at s = 1/2 + it runs over primes p <= x with local
 factor (1 + f(p) p^-s) in the Rademacher case and (1 - f(p) p^-s)^-1 in
-the Steinhaus case.  Products are accumulated as sums of complex logs so
-that magnitude spikes cannot overflow for any truncation this package
-supports.  Integrals over t use batched adaptive Simpson with an explicit
-analytic bound on the discarded tail.
+the Steinhaus case.  Only its modulus enters the integrals and expectation
+identities, so products are accumulated as sums of the real log-moduli of
+:func:`log_factor_matrix`, which cannot overflow for any truncation this
+package supports; :func:`euler_product` alone keeps a complex log.
+Integrals over t use batched adaptive Simpson with an explicit analytic
+bound on the discarded tail.
 """
 
 from __future__ import annotations
@@ -79,9 +81,13 @@ def euler_product(F: SampledFunction | None, x: int, t: float) -> EulerProductVa
     if x > F.tables.limit:
         raise ValueError(f"x={x} exceeds table limit {F.tables.limit}")
     k = F.tables.prime_count_upto(x)
-    logs = log_factor_matrix(F.model, F._values[:k], F.tables.primes[:k],
-                             np.array([float(t)])).sum(axis=0)
-    return EulerProductValue(x=x, t=float(t), value=complex(np.exp(logs[0])))
+    pf = F.tables.primes[:k].astype(np.float64)
+    z = F._values[:k] / np.sqrt(pf) * np.exp(-1j * float(t) * np.log(pf))
+    if F.model is Model.RADEMACHER:
+        logs = np.log1p(z)
+    else:
+        logs = -np.log1p(-z)
+    return EulerProductValue(x=x, t=float(t), value=complex(np.exp(logs.sum())))
 
 
 def product_magnitude_bound(F: SampledFunction | None, x: int) -> float:
@@ -157,7 +163,7 @@ def _euler_integrand(F: SampledFunction | None, x: int):
         for i in range(0, k, step):
             j = min(i + step, k)
             logs += log_factor_matrix(F.model, F._values[i:j], F.tables.primes[i:j],
-                                      ts).real.sum(axis=0)
+                                      ts).sum(axis=0)
         return np.exp(2.0 * logs) / (0.25 + ts * ts)
 
     return integrand
@@ -298,16 +304,12 @@ def expected_product_identity_check(
         return MomentReport(1.0, 0.0, 1.0, trials, False, label="empty-product")
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful SE")
-    seeds = seed_base + np.arange(trials)
-    fp = np.asarray(prime_value_matrix(model, seeds, ps), dtype=np.complex128)
-    z = fp * (ps.astype(np.float64) ** (-0.5)) * np.exp(
-        -1j * t * np.log(ps.astype(np.float64))
-    )
+    fp = prime_value_matrix(model, seed_base + np.arange(trials), ps)
+    logs = log_factor_matrix(model, fp, ps, np.array([float(t)]))[..., 0]
+    vals = np.exp(2.0 * logs.sum(axis=1))
     if model is Model.RADEMACHER:
-        vals = np.prod(np.abs(1.0 + z) ** 2, axis=1)
         target = float(np.prod(1.0 + 1.0 / ps))
     else:
-        vals = np.prod(np.abs(1.0 - z) ** -2, axis=1)
         target = float(np.prod(1.0 / (1.0 - 1.0 / ps)))
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(trials))
@@ -361,29 +363,55 @@ def simpson_grid(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndar
 
 def log_factor_matrix(model: Model, fp: np.ndarray, primes: np.ndarray,
                       ts: np.ndarray) -> np.ndarray:
-    """log(local factor) at 1/2 + it per (prime, t); shape fp.shape + ts.shape.
+    """log|local factor| at 1/2 + it per (prime, t); float64, shape fp.shape + ts.shape.
 
     ``fp`` holds f(p) for ``primes`` on its last axis; leading axes, such as
-    seeds, broadcast.  The local factor is 1 + f(p) p^-s for Rademacher and
-    (1 - f(p) p^-s)^-1 for Steinhaus.
+    seeds, broadcast.  The local factor is 1 + z for Rademacher and
+    (1 - z)^-1 for Steinhaus, with z = f(p) p^-s.  As |f(p)| = 1, |z|^2 = 1/p
+    and the log-modulus is +-(1/2) log1p(+-2 Re z + 1/p), where
+    Re z = (Re f(p) cos(t log p) + Im f(p) sin(t log p)) / sqrt(p).  The
+    trig matrices depend only on (prime, t) and are built once per call;
+    every per-realization operation is elementwise, so each row of a seed
+    batch is bit-identical to the single-seed call.
     """
-    pf = primes.astype(np.float64)
-    z = (np.asarray(fp, dtype=np.complex128) / np.sqrt(pf))[..., None] * np.exp(
-        -1j * np.outer(np.log(pf), ts)
-    )
-    if Model(model) is Model.RADEMACHER:
-        return np.log1p(z, out=z)
-    return np.negative(np.log1p(np.negative(z, out=z), out=z), out=z)
+    sign = 1.0 if Model(model) is Model.RADEMACHER else -1.0
+    pf = np.asarray(primes, dtype=np.float64)
+    fp = np.asarray(fp)
+    phase = np.outer(np.log(pf), ts)
+    scale = (sign * 2.0 / np.sqrt(pf))[:, None]
+    # out = +-2 Re z.  f(p) is cast to float64 first: an int8 operand makes
+    # the broadcast multiply about twice as slow.
+    out = fp.real.astype(np.float64)[..., None] * (np.cos(phase) * scale)
+    if np.iscomplexobj(fp):
+        out += fp.imag[..., None] * (np.sin(phase) * scale)
+    out += (1.0 / pf)[:, None]
+    np.log1p(out, out=out)
+    out *= 0.5 * sign
+    return out
+
+
+def grid_quadrature(logs: np.ndarray, ts: np.ndarray, weights: np.ndarray):
+    """Sum over the last axis of weights * exp(2 logs) / (1/4 + t^2).
+
+    ``logs`` holds the summed log-moduli of a product at the nodes ``ts``,
+    one realization per leading index; a single row gives a float.  Each
+    row is summed on its own by numpy's pairwise sum, so its value does not
+    depend on the batch it came in (a BLAS matrix-vector product rounds a
+    row differently with the batch size).
+    """
+    out = (np.exp(2.0 * logs) / (0.25 + ts * ts) * weights).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def integral_on_grid(model: Model, fp: np.ndarray, primes: np.ndarray,
-                     ts: np.ndarray, weights: np.ndarray) -> float:
-    """Fixed-grid quadrature of |S|^2/(1/4+t^2) for one realization.
+                     ts: np.ndarray, weights: np.ndarray):
+    """Fixed-grid quadrature of |S|^2/(1/4+t^2), one value per realization.
 
+    ``fp`` holds f(p) for ``primes`` on its last axis; leading axes (seeds)
+    give the shape of the result, and a single realization gives a float.
     Used inside Monte Carlo ensembles where every sample must share the
     identical discretization; single-shot estimates should prefer
     :func:`parseval_integral`.
     """
-    logs = log_factor_matrix(model, fp, primes, ts).real.sum(axis=0)
-    vals = np.exp(2.0 * logs) / (0.25 + ts * ts)
-    return float(weights @ vals)
+    logs = log_factor_matrix(model, fp, primes, ts).sum(axis=-2)
+    return grid_quadrature(logs, ts, weights)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .euler import integral_on_grid, log_factor_matrix, simpson_grid
+from .euler import grid_quadrature, integral_on_grid, log_factor_matrix, simpson_grid
 from .reporting import MomentReport
 from .rmf import (Model, SampledFunction, cumulate, partial_sum_matrix,
                   prime_value_matrix, value_matrix)
@@ -24,6 +24,10 @@ from .sums import exact_expected_variance, grid_statistics, quotient_sums
 #: Seed offset separating conditioning seeds from resample seed streams.
 RESAMPLE_STREAM = 0x5EED_0000
 
+
+#: Cells (seeds x primes x t-points) of one seed batch in the Euler-layer
+#: suites: each batch's float64 temporaries stay a few tens of MB.
+BATCH_CELLS = 4_000_000
 
 #: Smallest x entering the sup statistic.  Below ~e^e the loglog
 #: normalization is tiny and the sup degenerates into a coin flip on the
@@ -312,6 +316,21 @@ def _y_grid(model: Model, T: float, panels: int) -> tuple[np.ndarray, np.ndarray
     return simpson_grid(-T, T, 2 * panels)
 
 
+def _seed_batches(seeds: np.ndarray, cells_per_seed: int) -> list[np.ndarray]:
+    """``seeds`` split into consecutive batches of at most BATCH_CELLS cells."""
+    step = max(1, BATCH_CELLS // max(1, cells_per_seed))
+    return [seeds[i:i + step] for i in range(0, len(seeds), step)]
+
+
+def _y_norm(x: int, x0: int) -> float:
+    """Weight of the Parseval integral at truncation x in a y-sequence from x0.
+
+    It is (log x / log x0)^(1/(ell-1)^K) / log x at block index ell = 2,
+    where the exponent is 1 whatever K is.
+    """
+    return math.log(x) / math.log(x0) / math.log(x)
+
+
 def y_submartingale_check(
     model: Model,
     x_from: int,
@@ -319,9 +338,6 @@ def y_submartingale_check(
     resamples: int,
     seed: int,
     tables: PrimeTables,
-    ell: int = 2,
-    K: float = 2.5,
-    block_prev: int | None = None,
     T: float = 40.0,
     panels: int = 400,
 ) -> MomentReport:
@@ -336,32 +352,22 @@ def y_submartingale_check(
     model = Model(model)
     if not 3 <= x_from < x_to <= tables.limit:
         raise ValueError("need 3 <= x_from < x_to <= limit")
-    if block_prev is None:
-        block_prev = x_from
     F = SampledFunction(model, seed, tables)
     ts, wts = _y_grid(model, T, panels)
-    denom = 0.25 + ts * ts
     k0 = tables.prime_count_upto(x_from)
     k1 = tables.prime_count_upto(x_to)
-    base_re = log_factor_matrix(
-        model, F._values[:k0], tables.primes[:k0], ts
-    ).real.sum(axis=0)
-    i_prev = float(wts @ (np.exp(2.0 * base_re) / denom))
-    norm_prev = (math.log(x_from) / math.log(block_prev)) ** (1.0 / (ell - 1) ** K)
-    y_prev = norm_prev * i_prev / math.log(x_from)
+    base = log_factor_matrix(model, F._values[:k0], tables.primes[:k0], ts).sum(axis=0)
+    y_prev = _y_norm(x_from, x_from) * grid_quadrature(base, ts, wts)
 
     delta_primes = tables.primes[k0:k1]
-    norm_next = (math.log(x_to) / math.log(block_prev)) ** (1.0 / (ell - 1) ** K)
-    y_next = np.empty(resamples)
-    chunk = max(1, 4_000_000 // max(1, delta_primes.size * ts.size))
-    for j0 in range(0, resamples, chunk):
-        seeds = seed + RESAMPLE_STREAM + np.arange(j0, min(j0 + chunk, resamples))
-        fp = prime_value_matrix(model, seeds, delta_primes)
-        dre = log_factor_matrix(model, fp, delta_primes, ts).real.sum(axis=1)
-        vals = np.exp(2.0 * (base_re[None, :] + dre)) / denom[None, :]
-        y_next[j0 : j0 + len(seeds)] = (
-            norm_next / math.log(x_to)
-        ) * (vals @ wts)
+    seeds = seed + RESAMPLE_STREAM + np.arange(resamples)
+    y_next = np.concatenate([
+        grid_quadrature(
+            base + log_factor_matrix(model, prime_value_matrix(model, batch, delta_primes),
+                                     delta_primes, ts).sum(axis=1),
+            ts, wts)
+        for batch in _seed_batches(seeds, delta_primes.size * ts.size)
+    ]) * _y_norm(x_to, x_from)
     est, se = _mean_se(y_next)
     return MomentReport(
         estimate=est - y_prev,
@@ -383,27 +389,22 @@ def _z_trajectories(model: Model, seeds, x_base: int, r_hi: int,
 
 
 def _y_trajectories(model: Model, seeds, truncations, tables: PrimeTables,
-                    ell: int, K: float, T: float, panels: int) -> np.ndarray:
+                    T: float, panels: int) -> np.ndarray:
     """Matrix (trials, len(truncations)) of normalized integral statistics."""
     truncations = list(truncations)
-    x_last = truncations[-1]
     ts, wts = _y_grid(model, T, panels)
-    denom = 0.25 + ts * ts
-    k_last = tables.prime_count_upto(x_last)
     counts = [tables.prime_count_upto(x) for x in truncations]
-    norms = [
-        (math.log(x) / math.log(truncations[0])) ** (1.0 / (ell - 1) ** K)
-        / math.log(x)
-        for x in truncations
-    ]
-    pv = prime_value_matrix(model, np.asarray(seeds), tables.primes[:k_last])
+    ps = tables.primes[:counts[-1]]
+    seeds = np.asarray(seeds)
     out = np.empty((len(seeds), len(truncations)))
-    for i in range(len(seeds)):
-        lf = log_factor_matrix(model, pv[i], tables.primes[:k_last], ts).real
-        cum = np.cumsum(lf, axis=0)
-        for j, kc in enumerate(counts):
-            re = cum[kc - 1] if kc > 0 else np.zeros_like(ts)
-            out[i, j] = norms[j] * float(wts @ (np.exp(2.0 * re) / denom))
+    lo = 0
+    for batch in _seed_batches(seeds, ps.size * ts.size):
+        lf = log_factor_matrix(model, prime_value_matrix(model, batch, ps), ps, ts)
+        cum = np.cumsum(lf, axis=1, out=lf)
+        for j, (x, kc) in enumerate(zip(truncations, counts)):
+            out[lo:lo + len(batch), j] = _y_norm(x, truncations[0]) * grid_quadrature(
+                cum[:, kc - 1], ts, wts)
+        lo += len(batch)
     return out
 
 
@@ -434,8 +435,7 @@ def doob_check(
     if sequence_spec == "z":
         X = _z_trajectories(model, seeds, x_base, r_hi, tables)
     elif sequence_spec == "y":
-        ell, K = 2, 2.5
-        X = _y_trajectories(model, seeds, truncations, tables, ell, K, T, panels)
+        X = _y_trajectories(model, seeds, truncations, tables, T, panels)
     else:
         raise ValueError(f"unknown sequence_spec {sequence_spec!r}")
     if X.shape[1] == 0:
@@ -480,8 +480,6 @@ def sigma_event_statistic(
     trials: int,
     t_param: float,
     tables: PrimeTables,
-    ell: int = 2,
-    K: float = 2.5,
     seed_base: int = 0,
     T: float = 40.0,
     panels: int = 400,
@@ -489,23 +487,22 @@ def sigma_event_statistic(
     """Empirical distribution of the Parseval integral at truncation x_prev.
 
     Reports quantiles, the fraction exceeding the block-budget threshold
-    sqrt(t_param) * 2^((ell-1)^K) / sqrt((ell-1)^K), the shape budget
-    t_param^(-1/4) it is compared against, and the mean of
-    sqrt(integral) / sqrt(log x / sqrt(log log x)) as a measured (not
-    asserted) low-moment ratio.
+    sqrt(t_param) * 2^((ell-1)^K) / sqrt((ell-1)^K) at block index ell = 2,
+    i.e. 2 sqrt(t_param) for every K, the shape budget t_param^(-1/4) it is
+    compared against, and the mean of sqrt(integral) / sqrt(log x / sqrt(log
+    log x)) as a measured (not asserted) low-moment ratio.
     """
     model = Model(model)
     if not 3 <= x_prev <= tables.limit:
         raise ValueError(f"x_prev={x_prev} outside [3, {tables.limit}]")
     ts, wts = _y_grid(model, T, panels)
-    k = tables.prime_count_upto(x_prev)
-    pv = prime_value_matrix(model, seed_base + np.arange(trials), tables.primes[:k])
-    vals = np.empty(trials)
-    for i in range(trials):
-        vals[i] = integral_on_grid(model, pv[i], tables.primes[:k], ts, wts)
-    threshold = math.sqrt(t_param) * 2.0 ** ((ell - 1) ** K) / math.sqrt(
-        (ell - 1) ** K
-    )
+    ps = tables.primes[:tables.prime_count_upto(x_prev)]
+    seeds = seed_base + np.arange(trials)
+    vals = np.concatenate([
+        integral_on_grid(model, prime_value_matrix(model, batch, ps), ps, ts, wts)
+        for batch in _seed_batches(seeds, ps.size * ts.size)
+    ])
+    threshold = 2.0 * math.sqrt(t_param)
     qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
     lw = math.log(x_prev) / math.sqrt(math.log(math.log(x_prev)))
     return {

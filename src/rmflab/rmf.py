@@ -52,7 +52,7 @@ def prime_value_matrix(model: Model, seeds, primes) -> np.ndarray:
     """
     bits = _uniform_bits(seeds, primes)
     if Model(model) is Model.RADEMACHER:
-        return np.where(bits >> np.uint64(63), 1, -1).astype(np.int8)
+        return 1 - 2 * (~bits >> np.uint64(63)).astype(np.int8)
     theta = bits.astype(np.float64) * (2.0 ** -64) * (2.0 * np.pi)
     return np.cos(theta) + 1j * np.sin(theta)
 

@@ -220,9 +220,18 @@ def test_io_errors_exit_2(tmp_path, sim_csv, capsys):
 
 
 def test_trials_must_be_positive(capsys):
-    for command in ("simulate", "variance"):
-        assert _run([command, "--trials", "0"]) == 2
-        assert "trials must be positive" in capsys.readouterr().err
+    every = [["simulate"], ["variance"], ["oracle-check"]]
+    every += [["moments", "--suite", s] for s in (
+        "hypercontractive", "hoeffding", "doob", "submartingale-z", "submartingale-y")]
+    every += [["euler", "--check", c] for c in (
+        "parseval", "product-expectation", "sigma-event")]
+    for argv in every:
+        for trials in ("0", "-3"):
+            assert _run(argv + ["--trials", trials]) == 2, argv
+            err = capsys.readouterr().err
+            assert "trials must be positive" in err and "Traceback" not in err
+        assert _run(argv + ["--trials", "two"]) == 2, argv
+        assert "must be an integer" in capsys.readouterr().err
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):

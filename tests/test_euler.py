@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab import (
     Model,
@@ -113,6 +115,21 @@ def test_expected_product_identity(tables_small, model):
     assert rep.bound == pytest.approx(target)
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_expected_product_identity_flags_a_wrong_prime_value(tables_small, model,
+                                                             monkeypatch):
+    args = (model, 10, 100, 0.0, 10000, tables_small)
+    assert not expected_product_identity_check(*args).violated
+
+    def f11_is_one(model, seeds, primes):
+        fp = prime_value_matrix(model, seeds, primes)
+        fp[:, np.asarray(primes) == 11] = 1
+        return fp
+
+    monkeypatch.setattr("rmflab.euler.prime_value_matrix", f11_is_one)
+    assert expected_product_identity_check(*args).violated
+
+
 def test_expected_product_requires_trials(tables_small):
     with pytest.raises(ValueError):
         expected_product_identity_check(Model.RADEMACHER, 10, 100, 0.0, 10,
@@ -145,11 +162,11 @@ def test_log_factor_matrix_shape(tables_small):
     F = SampledFunction(Model.RADEMACHER, 0, tables_small)
     ts = np.linspace(-1, 1, 7)
     M = log_factor_matrix(Model.RADEMACHER, F._values[:5], ps, ts)
-    assert M.shape == (5, 7)
-    # exp of the column sums is the product itself
-    prod = np.exp(M.sum(axis=0))
+    assert M.shape == (5, 7) and M.dtype == np.float64
+    # exp of twice the column sums is the squared modulus of the product
+    sq = np.exp(2.0 * M.sum(axis=0))
     for j, t in enumerate(ts.tolist()):
-        assert prod[j] == pytest.approx(euler_product(F, 11, t).value, rel=1e-12)
+        assert sq[j] == pytest.approx(abs(euler_product(F, 11, t).value) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -172,3 +189,49 @@ def test_normalized_statistic_validation(tables_small):
     val = normalized_parseval_statistic(F, 200, 100, 2, 2.5,
                                         QuadratureConfig(t_cut=30.0))
     assert val > 0.0
+
+
+def _complex_log_factors(model, fp, ps, ts):
+    """The local-factor logs as complex numbers, straight from the definition."""
+    pf = ps.astype(np.float64)
+    z = (np.asarray(fp, dtype=np.complex128) / np.sqrt(pf))[..., None] * np.exp(
+        -1j * np.outer(np.log(pf), ts))
+    return np.log1p(z) if model is Model.RADEMACHER else -np.log1p(-z)
+
+
+_ts = st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Model)), st.lists(st.integers(0, 2**40), min_size=1,
+                                              max_size=4),
+       st.integers(0, 1200), st.integers(1, 30), _ts)
+def test_log_factor_matrix_is_the_real_part_of_the_complex_log(
+        tables_small, model, seeds, lo, width, ts):
+    ps = tables_small.primes[lo:lo + width]
+    ts = np.array([0.0] + ts)
+    fp = prime_value_matrix(model, seeds, ps)
+    M = log_factor_matrix(model, fp, ps, ts)
+    assert M.dtype == np.float64 and M.shape == (len(seeds), ps.size, ts.size)
+    want = _complex_log_factors(model, fp, ps, ts).real
+    assert np.max(np.abs(M - want)) <= 1e-13
+    for i in range(len(seeds)):
+        assert np.array_equal(M[i], log_factor_matrix(model, fp[i], ps, ts))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(list(Model)), st.lists(st.integers(0, 2**40), min_size=1,
+                                              max_size=5),
+       st.integers(1, 60), st.integers(5, 60))
+def test_integral_on_grid_batches_over_seeds(tables_small, model, seeds, k, panels):
+    ps = tables_small.primes[:k]
+    ts, w = simpson_grid(-20.0, 20.0, panels)
+    fp = prime_value_matrix(model, seeds, ps)
+    got = integral_on_grid(model, fp, ps, ts, w)
+    assert got.shape == (len(seeds),)
+    for i in range(len(seeds)):
+        one = integral_on_grid(model, fp[i], ps, ts, w)
+        assert isinstance(one, float) and one == got[i]
+        logs = _complex_log_factors(model, fp[i], ps, ts).sum(axis=0)
+        want = float(w @ (np.abs(np.exp(logs)) ** 2 / (0.25 + ts * ts)))
+        assert one == pytest.approx(want, rel=1e-12)

@@ -26,6 +26,7 @@ from rmflab import (
     variance_ratio_ensemble,
     y_submartingale_check,
 )
+from rmflab.euler import log_factor_matrix, simpson_grid
 from rmflab.harness import (
     RESAMPLE_STREAM,
     _revealed_prime_sums,
@@ -214,7 +215,7 @@ def test_z_trajectories_nonnegative_and_growing_mean(tables_small):
 
 def test_y_trajectories_shape(tables_small):
     X = _y_trajectories(Model.STEINHAUS, np.arange(10), (50, 100, 150),
-                        tables_small, 2, 2.5, 30.0, 200)
+                        tables_small, 30.0, 200)
     assert X.shape == (10, 3)
     assert np.all(X > 0)
 
@@ -248,6 +249,72 @@ def test_sigma_event_statistic_shape(tables_small):
     assert 0.0 <= stat["exceed_fraction"] <= 1.0
     assert stat["threshold"] == pytest.approx(2.0 * math.sqrt(10.0))
     assert stat["budget_shape"] == pytest.approx(10.0**-0.25)
+
+
+def _batched_outputs(tables_small, model):
+    """Each seed-batched Euler-layer output, at a small grid."""
+    grid = dict(T=20.0, panels=60)
+    return [
+        sigma_event_statistic(model, 300, 23, 10.0, tables_small, seed_base=5, **grid),
+        y_submartingale_check(model, 100, 160, 29, 4, tables_small, **grid),
+        _y_trajectories(model, np.arange(7, 26), (2, 50, 100, 150), tables_small,
+                        **grid).tolist(),
+    ]
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_seed_batch_size_never_changes_an_output_byte(tables_small, model,
+                                                      monkeypatch):
+    want = _batched_outputs(tables_small, model)
+    # One seed per batch, then batches of 1-4 and 2-27 seeds that split the
+    # 23, 29 and 19 seeds unevenly.
+    for cells in (1, 7_000, 40_000):
+        monkeypatch.setattr("rmflab.harness.BATCH_CELLS", cells)
+        assert _batched_outputs(tables_small, model) == want
+
+
+def _reference_integrals(model, seeds, x, ts, w, tables):
+    """Fixed-grid integrals of the squared product over p <= x, per seed,
+    from complex local factors multiplied out one seed at a time."""
+    ps = tables.primes_in(1, x).astype(np.float64)
+    out = []
+    for s in seeds:
+        F = SampledFunction(model, int(s), tables)
+        z = np.array([F.prime_value(int(p)) for p in ps])[:, None] / np.sqrt(
+            ps)[:, None] * np.exp(-1j * np.outer(np.log(ps), ts))
+        sq = np.prod(np.abs(1.0 + z) ** 2 if model is Model.RADEMACHER
+                     else np.abs(1.0 - z) ** -2.0, axis=0)
+        out.append(float(w @ (sq / (0.25 + ts * ts))))
+    return np.array(out)
+
+
+def _small_y_grid(model):
+    if model is Model.RADEMACHER:
+        ts, w = simpson_grid(0.0, 20.0, 60)
+        return ts, 2.0 * w
+    return simpson_grid(-20.0, 20.0, 120)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_sigma_event_statistic_matches_per_seed_complex_reference(tables_small,
+                                                                  model):
+    vals = _reference_integrals(model, range(5, 28), 300, *_small_y_grid(model),
+                                tables_small)
+    stat = sigma_event_statistic(model, 300, 23, 10.0, tables_small, seed_base=5,
+                                 T=20.0, panels=60)
+    for q, got in stat["quantiles"].items():
+        assert got == pytest.approx(float(np.quantile(vals, float(q))), rel=1e-12)
+    assert stat["exceed_fraction"] == float(np.mean(vals > 2.0 * math.sqrt(10.0)))
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_y_trajectories_match_per_seed_complex_reference(tables_small, model):
+    seeds, truncations = np.arange(3, 9), (2, 50, 150)
+    X = _y_trajectories(model, seeds, truncations, tables_small, 20.0, 60)
+    for j, x in enumerate(truncations):
+        want = _reference_integrals(model, seeds, x, *_small_y_grid(model),
+                                    tables_small) / math.log(2)
+        assert X[:, j] == pytest.approx(want, rel=1e-12)
 
 
 def test_variance_ratio_ensemble(tables_small):

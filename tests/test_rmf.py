@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab import Model, SampledFunction, partial_sum_matrix, prime_value_matrix, value_matrix
 
@@ -33,6 +35,47 @@ def test_counter_based_order_independence(tables_small):
     full = prime_value_matrix(Model.STEINHAUS, [5], ps)[0]
     subset = prime_value_matrix(Model.STEINHAUS, [5], ps[100:110])[0]
     assert np.array_equal(full[100:110], subset)
+
+
+_M64 = (1 << 64) - 1
+
+
+def _fmix64(x: int) -> int:
+    x ^= x >> 33
+    x = x * 0xFF51AFD7ED558CCD & _M64
+    x ^= x >> 33
+    x = x * 0xC4CEB9FE1A85EC53 & _M64
+    return x ^ x >> 33
+
+
+def _reference_prime_value(model, seed: int, p: int):
+    """f(p) from the counter hash, one (seed, prime) pair in Python integers."""
+    u = _fmix64(_fmix64((p * 0x9E3779B97F4A7C15 + 0x85EBCA6B27D4EB4F) & _M64)
+                ^ (seed & _M64))
+    if model is Model.RADEMACHER:
+        return 1 if u >> 63 else -1
+    theta = float(u) * 2.0 ** -64 * (2.0 * math.pi)
+    return complex(math.cos(theta), math.sin(theta))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(Model)),
+       st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=4),
+       st.integers(0, 1200), st.integers(1, 25))
+def test_prime_value_matrix_matches_scalar_reference(tables_small, model, seeds, lo,
+                                                     width):
+    ps = tables_small.primes[lo:lo + width]
+    got = prime_value_matrix(model, seeds, ps)
+    assert got.shape == (len(seeds), ps.size)
+    assert got.dtype == (np.int8 if model is Model.RADEMACHER else np.complex128)
+    for i, s in enumerate(seeds):
+        for j, p in enumerate(ps.tolist()):
+            want = _reference_prime_value(model, s, p)
+            if model is Model.RADEMACHER:
+                assert got[i, j] == want
+            else:
+                # numpy's vectorized cos/sin may differ from libm's in the last bit.
+                assert abs(got[i, j] - want) <= 4e-16
 
 
 def test_prime_value_rejects_composites(tables_small):
