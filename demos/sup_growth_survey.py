@@ -30,9 +30,10 @@ decades = [d for d in (1000, 10_000, 100_000, 1_000_000) if d <= x_max]
 cut = np.searchsorted(grid, decades, side="right")
 
 scale = np.sqrt(grid.astype(float)) * rl.fluctuation_scale(grid, eps)
+plan = rl.grid_plan(tables, grid)
 sups = np.zeros((trials, len(decades)))
 for i in range(trials):
-    _, _, ratio, _ = rl.run_trial(rl.Model.RADEMACHER, i, tables, grid, scale)
+    _, _, ratio, _ = rl.run_trial(rl.Model.RADEMACHER, i, tables, plan, scale)
     running = np.maximum.accumulate(ratio)
     sups[i] = running[cut - 1]
 

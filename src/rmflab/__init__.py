@@ -16,7 +16,6 @@ from .euler import (
     parseval_integral,
 )
 from .harness import (
-    block_boundaries,
     doob_check,
     fluctuation_scale,
     hoeffding_tail_check,
@@ -45,6 +44,7 @@ from .sieve import (
 from .sums import (
     conditional_variance,
     exact_expected_variance,
+    grid_plan,
     grid_statistics,
     increment_decomposition_check,
     interval_sum_pconstraint,

@@ -19,7 +19,7 @@ from .reporting import MomentReport
 from .rmf import (Model, SampledFunction, cumulate, partial_sum_matrix,
                   prime_value_matrix, value_matrix)
 from .sieve import PrimeTables, divisor_m, squarefree_count
-from .sums import exact_expected_variance, grid_statistics, quotient_sums
+from .sums import GridPlan, exact_expected_variance, grid_statistics, quotient_sums
 
 #: Seed offset separating conditioning seeds from resample seed streams.
 RESAMPLE_STREAM = 0x5EED_0000
@@ -52,33 +52,10 @@ def test_points(epsilon: float, x_max: int) -> np.ndarray:
     if x_max < 3:
         return np.zeros(0, dtype=np.int64)
     xs = np.arange(3, x_max + 1, dtype=np.int64)
-    inv = 1.0 / epsilon
-    lo = np.log(xs.astype(np.float64)) ** inv
-    hi = np.log((xs + 1).astype(np.float64)) ** inv
+    L = np.log(np.arange(3, x_max + 2, dtype=np.float64)) ** (1.0 / epsilon)
+    lo, hi = L[:-1], L[1:]
     first = np.maximum(np.ceil(lo), 1.0)
     return xs[first < hi]
-
-
-def block_boundaries(epsilon: float, x_max: int) -> list[int]:
-    """The doubly exponential block endpoints floor(exp(2^(l^K))) <= x_max.
-
-    Computed in log space so that overflowing endpoints simply terminate the
-    list; at desk scale only one or two survive.
-    """
-    if not 0.0 < epsilon < 0.25:
-        raise ValueError(f"epsilon must lie in (0, 1/4), got {epsilon}")
-    K = 1.0 / (4.0 * epsilon)
-    out: list[int] = []
-    for ell in range(1, 200):
-        logx = 2.0 ** (ell**K)
-        if logx > math.log(x_max + 1):
-            break
-        val = math.floor(math.exp(logx))
-        if val > x_max:
-            break
-        if val >= 2:
-            out.append(val)
-    return out
 
 
 def fluctuation_scale(x, epsilon: float):
@@ -90,22 +67,22 @@ def fluctuation_scale(x, epsilon: float):
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
-def run_trial(model: Model, seed: int, tables: PrimeTables, grid: np.ndarray,
+def run_trial(model: Model, seed: int, tables: PrimeTables, plan: GridPlan,
               scale: np.ndarray):
     """M_f, V, the normalized |M_f| and its sup on the grid, for one realization.
 
-    ``scale`` is sqrt(x) * fluctuation_scale(x) on the ascending ``grid``,
+    ``plan`` and ``scale`` = sqrt(x) * fluctuation_scale(x) on ``plan.xs`` are
     computed once per grid by the caller.  Returns ``(m, v, normalized,
     sup)``: ``normalized`` = |M_f(x)| / scale(x) at every grid point, and
     ``sup`` its max over x >= SUP_X_MIN, over every point when none reaches
     SUP_X_MIN, and 0.0 on an empty grid.
     """
-    m, v = grid_statistics(SampledFunction(model, seed, tables), grid)
+    m, v = grid_statistics(SampledFunction(model, seed, tables), plan)
     # np.hypot, not np.abs: numpy's complex abs differs from the scalar abs
     # in the last bit on many Steinhaus values.
     normalized = np.hypot(m.real, m.imag) / scale
-    start = int(np.searchsorted(grid, SUP_X_MIN))
-    if start == grid.size:
+    start = int(np.searchsorted(plan.xs, SUP_X_MIN))
+    if start == plan.xs.size:
         start = 0
     sup = float(normalized[start:].max(initial=0.0))
     return m, v, normalized, sup

@@ -27,8 +27,7 @@ _OFFSET = np.uint64(0x85EBCA6B27D4EB4F)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """murmur3 fmix64 finalizer, vectorized over uint64 (wrapping arithmetic)."""
-    x = x.astype(np.uint64, copy=True)
+    """murmur3 fmix64 finalizer, in place on uint64 ``x`` (wrapping arithmetic)."""
     x ^= x >> np.uint64(33)
     x *= np.uint64(0xFF51AFD7ED558CCD)
     x ^= x >> np.uint64(33)
@@ -50,11 +49,14 @@ def prime_value_matrix(model: Model, seeds, primes) -> np.ndarray:
     The Steinhaus angle is 2*pi*u/2^64 for the 64 hashed bits u, i.e. exactly
     uniform on the circle up to the 2^-64 discretization.
     """
-    bits = _uniform_bits(seeds, primes)
     if Model(model) is Model.RADEMACHER:
-        return 1 - 2 * (~bits >> np.uint64(63)).astype(np.int8)
-    theta = bits.astype(np.float64) * (2.0 ** -64) * (2.0 * np.pi)
-    return np.cos(theta) + 1j * np.sin(theta)
+        return 1 - 2 * (~_uniform_bits(seeds, primes) >> np.uint64(63)).astype(np.int8)
+    theta = _uniform_bits(seeds, primes).astype(np.float64)
+    theta *= 2.0 ** -64 * (2.0 * np.pi)
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 class SampledFunction:

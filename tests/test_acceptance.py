@@ -206,9 +206,10 @@ def test_criterion_09_trend_report(tables, capsys):
     ok = grid.size > 0 and grid[0] == 3 and grid[-1] == 1_000_000
 
     scale = np.sqrt(grid.astype(np.float64)) * rl.fluctuation_scale(grid, 0.1)
+    plan = rl.grid_plan(tables, grid)
 
     def sup(seed):
-        return rl.run_trial(rl.Model.RADEMACHER, seed, tables, grid, scale)[3]
+        return rl.run_trial(rl.Model.RADEMACHER, seed, tables, plan, scale)[3]
 
     def survey(seed_base):
         return np.array([sup(seed_base + i) for i in range(100)])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rmflab
-from rmflab import SampledFunction, build_tables, grid_statistics, harness
+from rmflab import SampledFunction, build_tables, grid_plan, grid_statistics, harness
 from rmflab.cli import _build_parser, main
 
 
@@ -235,7 +235,7 @@ def test_trials_must_be_positive(capsys):
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    def broken(F, grid):
+    def broken(F, plan):
         raise RuntimeError("negative V")
 
     monkeypatch.setattr("rmflab.harness.grid_statistics", broken)
@@ -269,9 +269,10 @@ def _reference_full_grid(model: str, trials: int, x_max: int) -> dict[str, bytes
     grid = harness.test_points(0.1, x_max)
     gx = grid.astype(np.float64)
     scale = np.sqrt(gx) * harness.fluctuation_scale(grid, 0.1)
+    plan = grid_plan(tables, grid)
     rows, sups = [], []
     for i in range(trials):
-        m, v = grid_statistics(SampledFunction(model, i, tables), grid)
+        m, v = grid_statistics(SampledFunction(model, i, tables), plan)
         m = np.asarray(m, dtype=np.complex128)
         trial_rows = []
         for j in range(grid.size):

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from rmflab import (
     Model,
     SampledFunction,
-    block_boundaries,
     conditional_variance,
     doob_check,
     exact_expected_variance,
     fluctuation_scale,
+    grid_plan,
     hoeffding_tail_check,
     hypercontractive_check,
     interval_sum_pconstraint,
@@ -48,7 +48,8 @@ def _brute_test_points(epsilon, x_max):
     return sorted(set(seen))
 
 
-@pytest.mark.parametrize("epsilon,x_max", [(0.2, 2000), (0.24, 500), (0.1, 40)])
+@pytest.mark.parametrize("epsilon,x_max",
+                         [(0.2, 2000), (0.24, 500), (0.1, 40), (0.1, 3), (0.2, 4)])
 def test_test_points_match_direct_enumeration(epsilon, x_max):
     assert grid_points(epsilon, x_max).tolist() == _brute_test_points(epsilon, x_max)
 
@@ -57,15 +58,6 @@ def test_test_points_validation():
     with pytest.raises(ValueError):
         grid_points(0.3, 100)
     assert grid_points(0.1, 2).size == 0
-
-
-def test_block_boundaries():
-    # K = 2.5 at epsilon 0.1: exp(2) = 7.38 -> 7; the next endpoint is
-    # exp(2^(2^2.5)) ~ exp(90), far beyond any table.
-    assert block_boundaries(0.1, 1_000_000) == [7]
-    assert block_boundaries(0.1, 6) == []
-    out = block_boundaries(0.2, 10**7)
-    assert out and all(b <= 10**7 for b in out)
 
 
 def test_fluctuation_scale():
@@ -79,7 +71,8 @@ def test_fluctuation_scale():
 def test_run_trial_consistent_with_pointwise(tables_small):
     grid = grid_points(0.1, 3000)
     scale = np.sqrt(grid.astype(np.float64)) * fluctuation_scale(grid, 0.1)
-    m, v, normalized, sup = run_trial(Model.STEINHAUS, 5, tables_small, grid, scale)
+    plan = grid_plan(tables_small, grid)
+    m, v, normalized, sup = run_trial(Model.STEINHAUS, 5, tables_small, plan, scale)
     F = SampledFunction(Model.STEINHAUS, 5, tables_small)
     j = len(grid) // 2
     x = int(grid[j])
@@ -92,7 +85,8 @@ def test_run_trial_consistent_with_pointwise(tables_small):
 @pytest.mark.parametrize("model", list(Model))
 def test_run_trial_on_an_empty_grid(tables_small, model):
     grid = grid_points(0.1, 2)
-    m, v, normalized, sup = run_trial(model, 5, tables_small, grid, np.zeros(0))
+    m, v, normalized, sup = run_trial(model, 5, tables_small,
+                                      grid_plan(tables_small, grid), np.zeros(0))
     assert m.size == v.size == normalized.size == 0 and sup == 0.0
 
 

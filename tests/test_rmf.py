@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ def test_prime_value_matrix_matches_scalar_reference(tables_small, model, seeds,
             else:
                 # numpy's vectorized cos/sin may differ from libm's in the last bit.
                 assert abs(got[i, j] - want) <= 4e-16
+
+
+def test_steinhaus_prime_values_peak_below_twice_the_result(tables_small):
+    tracemalloc.start()
+    try:
+        got = prime_value_matrix(Model.STEINHAUS, np.arange(300), tables_small.primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * got.nbytes
 
 
 def test_prime_value_rejects_composites(tables_small):

@@ -10,6 +10,7 @@ from rmflab import (
     SampledFunction,
     conditional_variance,
     exact_expected_variance,
+    grid_plan,
     grid_statistics,
     increment_decomposition_check,
     interval_sum_pconstraint,
@@ -104,7 +105,7 @@ def test_increment_decomposition_sums_exactly(tables_small, model):
 def test_grid_statistics_match_pointwise(tables_small, model):
     F = SampledFunction(model, 6, tables_small)
     xs = np.array([3, 4, 5, 9, 10, 25, 26, 100, 121, 500, 1000, 4999])
-    m_vals, v_vals = grid_statistics(F, xs)
+    m_vals, v_vals = grid_statistics(F, grid_plan(tables_small, xs))
     for j, x in enumerate(xs.tolist()):
         assert m_vals[j] == pytest.approx(large_prime_sum(F, x), abs=1e-9)
         assert v_vals[j] == pytest.approx(conditional_variance(F, x), abs=1e-6)
@@ -113,15 +114,46 @@ def test_grid_statistics_match_pointwise(tables_small, model):
 def test_grid_statistics_tolerates_duplicates(tables_small):
     F = SampledFunction(Model.RADEMACHER, 6, tables_small)
     xs = np.array([10, 100, 100, 500])
-    m_vals, v_vals = grid_statistics(F, xs)
+    m_vals, v_vals = grid_statistics(F, grid_plan(tables_small, xs))
     assert m_vals[1] == m_vals[2]
     assert v_vals[1] == v_vals[2]
 
 
 def test_grid_statistics_rejects_descending(tables_small):
-    F = SampledFunction(Model.RADEMACHER, 0, tables_small)
     with pytest.raises(ValueError):
-        grid_statistics(F, [10, 5])
+        grid_plan(tables_small, [10, 5])
+
+
+@pytest.mark.parametrize("xs", [[0, 5], [5, 10_001]])
+def test_grid_plan_rejects_x_outside_the_tables(tables_small, xs):
+    with pytest.raises(ValueError):
+        grid_plan(tables_small, xs)
+
+
+def test_grid_statistics_rejects_a_plan_beyond_its_tables(tables, tables_small):
+    plan = grid_plan(tables, [100, 20_000])
+    with pytest.raises(ValueError):
+        grid_statistics(SampledFunction(Model.RADEMACHER, 0, tables_small), plan)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_grid_statistics_on_an_empty_grid(tables_small, model):
+    m_vals, v_vals = grid_statistics(SampledFunction(model, 0, tables_small),
+                                     grid_plan(tables_small, []))
+    assert m_vals.size == v_vals.size == 0
+    assert m_vals.dtype == (np.int64 if model is Model.RADEMACHER else np.complex128)
+    assert v_vals.dtype == np.float64
+
+
+def test_one_plan_serves_every_trial(tables_small):
+    xs = np.unique(np.geomspace(1, tables_small.limit, 300).astype(np.int64))
+    plan = grid_plan(tables_small, xs)
+    for model in Model:
+        for seed in range(5):
+            F = SampledFunction(model, seed, tables_small)
+            got = grid_statistics(F, plan)
+            fresh = grid_statistics(F, grid_plan(tables_small, xs))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh]
 
 
 def test_out_of_range_rejected(tables_small):
@@ -147,7 +179,7 @@ def _model_seed_grid(draw):
 def test_grid_statistics_match_oracles(tables_small, case):
     model, seed, xs = case
     F = SampledFunction(model, seed, tables_small)
-    m_vals, v_vals = grid_statistics(F, xs)
+    m_vals, v_vals = grid_statistics(F, grid_plan(tables_small, xs))
     for x, m, v in zip(xs, m_vals.tolist(), v_vals.tolist()):
         brute = large_prime_sum_bruteforce(F, x)
         cv = conditional_variance(F, x)
