@@ -18,7 +18,7 @@ tables = rl.build_tables(10_000)
 print("1) truncated product at x = 500, Rademacher seed 1")
 F = rl.SampledFunction(rl.Model.RADEMACHER, 1, tables)
 for t in (0.0, 1.0, 5.0):
-    v = rl.euler_product(F, 500, t).value
+    v = rl.euler_product(F, 500, t)
     print(f"   t = {t:4.1f}: S = {v.real:+.4f} {v.imag:+.4f}i, |S| = {abs(v):.4f}")
 
 print("\n2) expectation identity over primes in (2, 200], 5000 trials")

@@ -4,14 +4,12 @@ sums and their conditional variances, truncated Euler products with L2
 integrals, and Monte Carlo suites for the supporting inequalities."""
 
 from .euler import (
-    EulerProductValue,
     IntegralEstimate,
     ParsevalCheckResult,
     QuadratureConfig,
     QuadratureError,
     euler_product,
     expected_product_identity_check,
-    normalized_parseval_statistic,
     parseval_identity_check,
     parseval_integral,
 )
@@ -31,14 +29,11 @@ from .harness import (
 from .reporting import MomentReport
 from .rmf import Model, SampledFunction, partial_sum_matrix, prime_value_matrix, value_matrix
 from .sieve import (
-    Factorization,
     PrimeTables,
     build_tables,
     divisor_m,
-    divisor_partial_sum,
     factorize,
     largest_prime_factor,
-    mobius,
     squarefree_count,
 )
 from .sums import (

@@ -180,8 +180,13 @@ def _cmd_simulate(args) -> int:
     xs = grid[keep]
     gx = xs.astype(np.float64)
     # math.log, not np.log: they differ in the last bit at some x (first 389).
-    loglog = map(math.log, map(math.log, gx.tolist()))
-    root_loglog = np.sqrt(np.fromiter(loglog, np.float64, gx.size))
+    # Filled a chunk at a time, so --full-grid never holds a float per x.
+    root_loglog = np.empty(gx.size)
+    for lo in range(0, gx.size, _CHUNK_ROWS):
+        part = gx[lo:lo + _CHUNK_ROWS].tolist()
+        root_loglog[lo:lo + len(part)] = np.fromiter(
+            map(math.log, map(math.log, part)), np.float64, len(part))
+    np.sqrt(root_loglog, out=root_loglog)
 
     def one(seed: int):
         m, v, normalized, sup = harness.run_trial(args.model, seed, tables, plan, scale)

@@ -21,6 +21,9 @@ from .reporting import MomentReport
 from .rmf import Model, SampledFunction, prime_value_matrix
 from .sieve import PrimeTables
 
+#: Halvings after which adaptive Simpson gives up on a panel.
+MAX_DEPTH = 40
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -33,15 +36,6 @@ class QuadratureConfig:
 
     t_cut: float | None = None
     rel_tol: float = 1e-6
-    max_depth: int = 40
-    initial_panels: int | None = None
-
-
-@dataclass(frozen=True)
-class EulerProductValue:
-    x: int
-    t: float
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -74,10 +68,10 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def euler_product(F: SampledFunction | None, x: int, t: float) -> EulerProductValue:
+def euler_product(F: SampledFunction | None, x: int, t: float) -> complex:
     """The truncated product at 1/2 + it, for one t; 1 in the F = None (f = 0) mode."""
     if F is None:
-        return EulerProductValue(x=x, t=float(t), value=1.0 + 0.0j)
+        return 1.0 + 0.0j
     if x > F.tables.limit:
         raise ValueError(f"x={x} exceeds table limit {F.tables.limit}")
     k = F.tables.prime_count_upto(x)
@@ -87,7 +81,7 @@ def euler_product(F: SampledFunction | None, x: int, t: float) -> EulerProductVa
         logs = np.log1p(z)
     else:
         logs = -np.log1p(-z)
-    return EulerProductValue(x=x, t=float(t), value=complex(np.exp(logs.sum())))
+    return complex(np.exp(logs.sum()))
 
 
 def product_magnitude_bound(F: SampledFunction | None, x: int) -> float:
@@ -187,16 +181,16 @@ def parseval_integral(
     if T <= 0:
         raise ValueError(f"t_cut must be positive, got {T}")
     # |S|^2 fluctuates on scale ~1/log x; seed the panels finer than that.
-    panels = quad.initial_panels or max(64, int(T * math.log(max(x, 3)) / 2.0))
+    panels = max(64, int(T * math.log(max(x, 3)) / 2.0))
     integrand = _euler_integrand(F, x)
     abs_tol = quad.rel_tol * 2.0 * math.pi  # refined below against the value
     even = F is None or F.model is Model.RADEMACHER
     if even:
-        val, err = _adaptive_simpson(integrand, 0.0, T, abs_tol, quad.max_depth, panels)
+        val, err = _adaptive_simpson(integrand, 0.0, T, abs_tol, MAX_DEPTH, panels)
         val, err = 2.0 * val, 2.0 * err
     else:
-        v1, e1 = _adaptive_simpson(integrand, 0.0, T, abs_tol, quad.max_depth, panels)
-        v2, e2 = _adaptive_simpson(integrand, -T, 0.0, abs_tol, quad.max_depth, panels)
+        v1, e1 = _adaptive_simpson(integrand, 0.0, T, abs_tol, MAX_DEPTH, panels)
+        v2, e2 = _adaptive_simpson(integrand, -T, 0.0, abs_tol, MAX_DEPTH, panels)
         val, err = v1 + v2, e1 + e2
     bound = product_magnitude_bound(F, x)
     tail = bound * bound * 2.0 * (math.pi - 2.0 * math.atan(2.0 * T))
@@ -249,10 +243,10 @@ def parseval_identity_check(
 
     T = quad.t_cut if quad.t_cut is not None else 500.0
     # Oscillation period ~ 2*pi/log(N); keep initial panels below half of it.
-    panels = quad.initial_panels or max(64, int(T * math.log(N + 1.0)))
+    panels = max(64, int(T * math.log(N + 1.0)))
     abs_tol = quad.rel_tol * max(lhs, 1e-12) * 2.0 * math.pi
-    v1, e1 = _adaptive_simpson(integrand, 0.0, T, abs_tol, quad.max_depth, panels)
-    v2, e2 = _adaptive_simpson(integrand, -T, 0.0, abs_tol, quad.max_depth, panels)
+    v1, e1 = _adaptive_simpson(integrand, 0.0, T, abs_tol, MAX_DEPTH, panels)
+    v2, e2 = _adaptive_simpson(integrand, -T, 0.0, abs_tol, MAX_DEPTH, panels)
 
     # Exact diagonal tail: the m = n terms do not oscillate.
     diag = float(
@@ -277,7 +271,7 @@ def parseval_identity_check(
 
 
 # ---------------------------------------------------------------------------
-# Expectation identities and the normalized integral statistic
+# Expectation identity
 # ---------------------------------------------------------------------------
 
 
@@ -321,29 +315,6 @@ def expected_product_identity_check(
         violated=abs(est - target) > 3.0 * se,
         label=f"product-expectation x={x} y={y} t={t} {model.value}",
     )
-
-
-def normalized_parseval_statistic(
-    F: SampledFunction,
-    x_i: int,
-    x_prev: int,
-    ell: int,
-    K: float,
-    quad: QuadratureConfig | None = None,
-) -> float:
-    """The normalized integral statistic used in the submartingale suite.
-
-    (1/log x_i) * (log x_i / log x_prev)^(1/(ell-1)^K) times the bare
-    Parseval integral at truncation x_i.  The normalization factor is >= 1
-    whenever x_prev <= x_i.
-    """
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    if not 3 <= x_prev <= x_i:
-        raise ValueError(f"need 3 <= x_prev <= x_i, got {x_prev}, {x_i}")
-    integral = parseval_integral(F, x_i, quad).value
-    factor = (math.log(x_i) / math.log(x_prev)) ** (1.0 / (ell - 1) ** K)
-    return factor * integral / math.log(x_i)
 
 
 # ---------------------------------------------------------------------------

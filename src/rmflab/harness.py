@@ -25,8 +25,8 @@ from .sums import GridPlan, exact_expected_variance, grid_statistics, quotient_s
 RESAMPLE_STREAM = 0x5EED_0000
 
 
-#: Cells (seeds x primes x t-points) of one seed batch in the Euler-layer
-#: suites: each batch's float64 temporaries stay a few tens of MB.
+#: Cells (seeds x primes x t-points, or seeds x integers) of one seed batch:
+#: each batch's temporaries stay a few tens of MB.
 BATCH_CELLS = 4_000_000
 
 #: Smallest x entering the sup statistic.  Below ~e^e the loglog
@@ -91,6 +91,12 @@ def run_trial(model: Model, seed: int, tables: PrimeTables, plan: GridPlan,
 # ---------------------------------------------------------------------------
 # Moment and tail suites
 # ---------------------------------------------------------------------------
+
+
+def _seed_batches(seeds: np.ndarray, cells_per_seed: int) -> list[np.ndarray]:
+    """``seeds`` split into consecutive batches of at most BATCH_CELLS cells."""
+    step = max(1, BATCH_CELLS // max(1, cells_per_seed))
+    return [seeds[i:i + step] for i in range(0, len(seeds), step)]
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
@@ -291,12 +297,6 @@ def _y_grid(model: Model, T: float, panels: int) -> tuple[np.ndarray, np.ndarray
         ts, w = simpson_grid(0.0, T, panels)
         return ts, 2.0 * w
     return simpson_grid(-T, T, 2 * panels)
-
-
-def _seed_batches(seeds: np.ndarray, cells_per_seed: int) -> list[np.ndarray]:
-    """``seeds`` split into consecutive batches of at most BATCH_CELLS cells."""
-    step = max(1, BATCH_CELLS // max(1, cells_per_seed))
-    return [seeds[i:i + step] for i in range(0, len(seeds), step)]
 
 
 def _y_norm(x: int, x0: int) -> float:
@@ -514,11 +514,18 @@ def variance_ratio_ensemble(
     for x in xs:
         s = math.isqrt(x)
         vals = np.empty(trials)
-        chunk = max(1, 4_000_000 // max(1, len(tables.primes_in(s, x))))
-        for j0 in range(0, trials, chunk):
-            A = cumulate(value_matrix(model, seeds[j0 : j0 + chunk], s, tables))
-            _, Aq = quotient_sums(A, x, tables)
-            vals[j0 : j0 + chunk] = (Aq.real**2 + Aq.imag**2).sum(axis=1)
+        lo = 0
+        for batch in _seed_batches(seeds, len(tables.primes_in(s, x))):
+            _, Aq = quotient_sums(cumulate(value_matrix(model, batch, s, tables)), x, tables)
+            # Summed prime by prime, not by .sum(axis=1): on this column-major
+            # gather numpy adds a batch of rows in order but a lone row
+            # pairwise, so a row's value would depend on its batch.
+            q = Aq.real**2 + Aq.imag**2
+            v = np.zeros(len(batch), dtype=q.dtype)
+            for col in q.T:
+                v += col
+            vals[lo:lo + len(batch)] = v
+            lo += len(batch)
         est, se = _mean_se(vals)
         exact = exact_expected_variance(x, model, tables)
         ratio = vals * math.sqrt(math.log(math.log(x))) / x
@@ -552,10 +559,11 @@ def partial_sum_second_moment_check(
     model = Model(model)
     seeds = seed_base + np.arange(trials)
     vals = np.empty(trials)
-    chunk = max(1, 8_000_000 // max(2, y))
-    for j0 in range(0, trials, chunk):
-        A = partial_sum_matrix(model, seeds[j0 : j0 + chunk], y, tables)
-        vals[j0 : j0 + chunk] = A.real**2 + A.imag**2
+    lo = 0
+    for batch in _seed_batches(seeds, y + 1):
+        A = partial_sum_matrix(model, batch, y, tables)
+        vals[lo:lo + len(batch)] = A.real**2 + A.imag**2
+        lo += len(batch)
     est, se = _mean_se(vals)
     target = float(y if model is Model.STEINHAUS else squarefree_count(y, tables))
     return MomentReport(

@@ -67,27 +67,11 @@ class SampledFunction:
     and the instance is immutable afterwards; concurrent reads are safe.
     """
 
-    def __init__(self, model, seed: int, tables: PrimeTables, _values=None):
+    def __init__(self, model, seed: int, tables: PrimeTables):
         self.model = Model(model)
         self.seed = int(seed)
         self.tables = tables
-        if _values is None:
-            _values = prime_value_matrix(self.model, [self.seed], tables.primes)[0]
-        self._values = _values
-
-    # -- conditioning support ------------------------------------------------
-
-    def resampled_above(self, y: int, seed2: int) -> "SampledFunction":
-        """Copy of this realization with f(p) redrawn (from seed2) for p > y.
-
-        Values at primes <= y are kept bit-identical, which realizes
-        conditioning on the small-prime sigma-algebra exactly.
-        """
-        k = self.tables.prime_count_upto(y)
-        fresh = prime_value_matrix(self.model, [int(seed2)], self.tables.primes[k:])[0]
-        vals = self._values.copy()
-        vals[k:] = fresh
-        return SampledFunction(self.model, self.seed, self.tables, _values=vals)
+        self._values = prime_value_matrix(self.model, [self.seed], tables.primes)[0]
 
     # -- point evaluation ----------------------------------------------------
 

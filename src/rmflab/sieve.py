@@ -2,9 +2,9 @@
 
 The central object is :class:`PrimeTables`: a smallest-prime-factor (spf)
 table up to a fixed limit plus the ascending prime list.  All the number
-theoretic helpers (factorization, largest prime factor, Mobius, m-fold
-divisor functions, squarefree counts, prime reciprocal sums) are pure
-reads against it, so one instance can be shared freely between workers.
+theoretic helpers (factorization, largest prime factor, m-fold divisor
+functions, squarefree counts) are pure reads against it, so one instance
+can be shared freely between workers.
 
 Memory: 4 bytes per integer for the spf table (uint32), 4 more for the
 largest-factor table once a bulk sieve asks for it, plus an int64 prime
@@ -72,14 +72,6 @@ class PrimeTables:
         return self.primes[i0:i1]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization ``n = prod p^e`` with primes strictly increasing."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
 def build_tables(limit: int) -> PrimeTables:
     """Sieve the smallest prime factor of every integer up to ``limit``."""
     if limit < 2:
@@ -109,8 +101,11 @@ def _check_range(n: int, tables: PrimeTables, lo: int = 1) -> None:
         raise ValueError(f"n={n} outside [{lo}, {tables.limit}]")
 
 
-def factorize(n: int, tables: PrimeTables) -> Factorization:
-    """Factor n by walking the spf table; ``factorize(1)`` is the empty product."""
+def factorize(n: int, tables: PrimeTables) -> tuple[tuple[int, int], ...]:
+    """The ``(p, e)`` pairs of ``n = prod p^e``, primes strictly increasing.
+
+    Walks the spf table; ``factorize(1)`` is the empty product ``()``.
+    """
     _check_range(n, tables)
     m = n
     out: list[tuple[int, int]] = []
@@ -122,7 +117,7 @@ def factorize(n: int, tables: PrimeTables) -> Factorization:
             m //= p
             e += 1
         out.append((p, e))
-    return Factorization(n=n, factors=tuple(out))
+    return tuple(out)
 
 
 def largest_prime_factor(n: int, tables: PrimeTables) -> int:
@@ -138,21 +133,6 @@ def largest_prime_factor(n: int, tables: PrimeTables) -> int:
     return p
 
 
-def mobius(n: int, tables: PrimeTables) -> int:
-    """Mobius function: 0 on non-squarefree n, else (-1)^(#prime factors)."""
-    _check_range(n, tables)
-    m = n
-    spf = tables.spf
-    sign = 1
-    while m > 1:
-        p = int(spf[m])
-        m //= p
-        if m % p == 0:
-            return 0
-        sign = -sign
-    return sign
-
-
 def divisor_m(n: int, m: int, tables: PrimeTables) -> int:
     """m-fold divisor function: number of ordered m-tuples with product n.
 
@@ -162,37 +142,10 @@ def divisor_m(n: int, m: int, tables: PrimeTables) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    fac = factorize(n, tables)
     out = 1
-    for _, e in fac.factors:
+    for _, e in factorize(n, tables):
         out *= math.comb(e + m - 1, m - 1)
     return out
-
-
-def divisor_partial_sum(x: int, m: int, tables: PrimeTables) -> int:
-    """Exact sum of the m-fold divisor function over n <= x.
-
-    One spf walk per integer, memoized on the cofactor, so the cost is
-    O(x log log x) integer operations.  Exact (unbounded integers).
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    _check_range(x, tables)
-    spf = tables.spf
-    vals = [0] * (x + 1)
-    vals[1] = 1
-    total = 1
-    for n in range(2, x + 1):
-        p = int(spf[n])
-        rest = n // p
-        e = 1
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        v = vals[rest] * math.comb(e + m - 1, m - 1)
-        vals[n] = v
-        total += v
-    return total
 
 
 def squarefree_indicator(x: int, tables: PrimeTables) -> np.ndarray:
@@ -214,19 +167,3 @@ def squarefree_indicator(x: int, tables: PrimeTables) -> np.ndarray:
 def squarefree_count(x: int, tables: PrimeTables) -> int:
     """Number of squarefree integers n <= x (counting n = 1)."""
     return int(np.count_nonzero(squarefree_indicator(x, tables)))
-
-
-def mertens_reciprocal_sum(a: int, b: int, tables: PrimeTables) -> float:
-    """Sum of 1/p over primes a < p <= b, exactly rounded (math.fsum)."""
-    if b > tables.limit:
-        raise ValueError(f"b={b} exceeds table limit {tables.limit}")
-    ps = tables.primes_in(a, b)
-    return math.fsum(1.0 / p for p in ps.tolist())
-
-
-def mertens_log_sum(a: int, b: int, tables: PrimeTables) -> float:
-    """Sum of log(p)/p over primes a < p <= b, exactly rounded."""
-    if b > tables.limit:
-        raise ValueError(f"b={b} exceeds table limit {tables.limit}")
-    ps = tables.primes_in(a, b)
-    return math.fsum(math.log(p) / p for p in ps.tolist())

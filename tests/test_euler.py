@@ -12,7 +12,6 @@ from rmflab import (
     SampledFunction,
     euler_product,
     expected_product_identity_check,
-    normalized_parseval_statistic,
     parseval_identity_check,
     parseval_integral,
     prime_value_matrix,
@@ -38,19 +37,19 @@ def test_euler_product_matches_direct(tables_small, model, t):
             direct *= 1 + z
         else:
             direct /= 1 - z
-    got = euler_product(F, x, t).value
+    got = euler_product(F, x, t)
     assert got == pytest.approx(direct, rel=1e-12)
 
 
 def test_euler_product_diagnostic_mode():
-    assert euler_product(None, 1000, 3.7).value == pytest.approx(1.0)
+    assert euler_product(None, 1000, 3.7) == pytest.approx(1.0)
 
 
 def test_product_magnitude_bound_holds(tables_small):
     F = SampledFunction(Model.STEINHAUS, 8, tables_small)
     bound = product_magnitude_bound(F, 200)
     for t in np.linspace(-30, 30, 41):
-        assert abs(euler_product(F, 200, float(t)).value) <= bound * (1 + 1e-12)
+        assert abs(euler_product(F, 200, float(t))) <= bound * (1 + 1e-12)
 
 
 def test_adaptive_simpson_known_integrals():
@@ -166,7 +165,7 @@ def test_log_factor_matrix_shape(tables_small):
     # exp of twice the column sums is the squared modulus of the product
     sq = np.exp(2.0 * M.sum(axis=0))
     for j, t in enumerate(ts.tolist()):
-        assert sq[j] == pytest.approx(abs(euler_product(F, 11, t).value) ** 2, rel=1e-12)
+        assert sq[j] == pytest.approx(abs(euler_product(F, 11, t)) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -178,17 +177,6 @@ def test_log_factor_matrix_broadcasts_over_seeds(tables_small, model):
     assert M.shape == (3, 10, 11)
     for i in range(3):
         assert np.array_equal(M[i], log_factor_matrix(model, fp[i], ps, ts))
-
-
-def test_normalized_statistic_validation(tables_small):
-    F = SampledFunction(Model.RADEMACHER, 0, tables_small)
-    with pytest.raises(ValueError):
-        normalized_parseval_statistic(F, 100, 200, 2, 2.5)
-    with pytest.raises(ValueError):
-        normalized_parseval_statistic(F, 200, 100, 1, 2.5)
-    val = normalized_parseval_statistic(F, 200, 100, 2, 2.5,
-                                        QuadratureConfig(t_cut=30.0))
-    assert val > 0.0
 
 
 def _complex_log_factors(model, fp, ps, ts):

@@ -246,13 +246,15 @@ def test_sigma_event_statistic_shape(tables_small):
 
 
 def _batched_outputs(tables_small, model):
-    """Each seed-batched Euler-layer output, at a small grid."""
+    """Each seed-batched output, the Euler-layer ones at a small grid."""
     grid = dict(T=20.0, panels=60)
     return [
         sigma_event_statistic(model, 300, 23, 10.0, tables_small, seed_base=5, **grid),
         y_submartingale_check(model, 100, 160, 29, 4, tables_small, **grid),
         _y_trajectories(model, np.arange(7, 26), (2, 50, 100, 150), tables_small,
                         **grid).tolist(),
+        variance_ratio_ensemble(model, 40, tables_small, seed_base=3, xs=(1000, 10_000)),
+        partial_sum_second_moment_check(model, 1000, 50, tables_small, seed_base=11),
     ]
 
 
@@ -260,8 +262,8 @@ def _batched_outputs(tables_small, model):
 def test_seed_batch_size_never_changes_an_output_byte(tables_small, model,
                                                       monkeypatch):
     want = _batched_outputs(tables_small, model)
-    # One seed per batch, then batches of 1-4 and 2-27 seeds that split the
-    # 23, 29 and 19 seeds unevenly.
+    # One seed per batch, then batches of 1-44 and 2-254 seeds, which split
+    # the 23, 29, 19, 40 and 50 seeds unevenly (all but the 40 at x = 1000).
     for cells in (1, 7_000, 40_000):
         monkeypatch.setattr("rmflab.harness.BATCH_CELLS", cells)
         assert _batched_outputs(tables_small, model) == want

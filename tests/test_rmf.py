@@ -135,17 +135,6 @@ def test_prefix_sums(tables_small, model):
         assert A[n] == pytest.approx(acc)
 
 
-def test_resampled_above_splits_at_y(tables_small):
-    F = SampledFunction(Model.STEINHAUS, 1, tables_small)
-    F2 = F.resampled_above(100, 999)
-    k = tables_small.prime_count_upto(100)
-    assert np.array_equal(F._values[:k], F2._values[:k])
-    assert not np.array_equal(F._values[k:], F2._values[k:])
-    # Redrawing with the same auxiliary seed reproduces the same tail.
-    F3 = F.resampled_above(100, 999)
-    assert np.array_equal(F2._values, F3._values)
-
-
 @pytest.mark.parametrize("model", list(Model))
 def test_value_matrix_rows_match_single_sampler(tables_small, model):
     seeds = [0, 5, 17]

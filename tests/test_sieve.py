@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rmflab import build_tables, divisor_m, factorize, largest_prime_factor, mobius
-from rmflab.sieve import (
-    MAX_LIMIT,
-    divisor_partial_sum,
-    mertens_log_sum,
-    mertens_reciprocal_sum,
-    squarefree_count,
-    squarefree_indicator,
-)
+from rmflab import build_tables, divisor_m, factorize, largest_prime_factor
+from rmflab.sieve import MAX_LIMIT, squarefree_count, squarefree_indicator
 
 
 def _trial_division_primes(n):
@@ -37,10 +30,9 @@ def test_spf_is_smallest_factor(tables_small):
 
 def test_factorize_recomposes(tables_small):
     for n in range(1, 400):
-        fac = factorize(n, tables_small)
         prod = 1
         prev = 0
-        for p, e in fac.factors:
+        for p, e in factorize(n, tables_small):
             assert p > prev  # strictly increasing primes
             prev = p
             prod *= p**e
@@ -59,19 +51,6 @@ def test_largest_prime_factor(tables_small):
         largest_prime_factor(1, tables_small)
 
 
-def test_mobius_small_values(tables_small):
-    expected = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0,
-                10: 1, 30: -1, 12: 0}
-    for n, mu in expected.items():
-        assert mobius(n, tables_small) == mu
-
-
-def test_mobius_sum_is_one(tables_small):
-    # sum_{n<=x} mu(n) * floor(x/n) == 1 for every x
-    for x in (10, 100, 999):
-        assert sum(mobius(n, tables_small) * (x // n) for n in range(1, x + 1)) == 1
-
-
 def _brute_divisor_m(n, m):
     if m == 1:
         return 1
@@ -84,12 +63,6 @@ def test_divisor_m_counts_tuples(tables_small, m):
         assert divisor_m(n, m, tables_small) == _brute_divisor_m(n, m)
 
 
-def test_divisor_partial_sum_matches_pointwise(tables_small):
-    for m in (1, 2, 3):
-        direct = sum(divisor_m(n, m, tables_small) for n in range(1, 201))
-        assert divisor_partial_sum(200, m, tables_small) == direct
-
-
 def test_squarefree_count(tables_small):
     sq = squarefree_indicator(100, tables_small)
     brute = [n for n in range(1, 101)
@@ -98,16 +71,6 @@ def test_squarefree_count(tables_small):
     assert squarefree_count(100, tables_small) == len(brute)
     # density approaches 6/pi^2
     assert abs(squarefree_count(10_000, tables_small) / 10_000 - 6 / math.pi**2) < 0.01
-
-
-def test_mertens_sums(tables_small):
-    ps = _trial_division_primes(1000)
-    assert mertens_reciprocal_sum(0, 1000, tables_small) == pytest.approx(
-        sum(1 / p for p in ps), rel=1e-14
-    )
-    assert mertens_log_sum(10, 1000, tables_small) == pytest.approx(
-        sum(math.log(p) / p for p in ps if p > 10), rel=1e-14
-    )
 
 
 def test_primes_in_boundaries(tables_small):
