@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reporting import MomentReport
-from .rmf import Model, SampledFunction, prime_value_matrix
+from .rmf import Model, SampledFunction, abs2, over_seeds, prime_value_matrix
 from .sieve import PrimeTables
 
 #: Halvings after which adaptive Simpson gives up on a panel.
@@ -226,7 +226,7 @@ def parseval_identity_check(
 
     # Closed-form lhs: step function constant on [k, k+1).
     S = np.cumsum(a)
-    s2 = (S.real**2 + S.imag**2)
+    s2 = abs2(S)
     pw = n ** (-2.0 * sigma)
     lhs = float(
         np.sum(s2[:-1] * (pw[:-1] - pw[1:])) / (2.0 * sigma)
@@ -239,7 +239,7 @@ def parseval_identity_check(
     def integrand(ts: np.ndarray) -> np.ndarray:
         ph = np.exp(-1j * np.outer(ts, logn))
         A = ph @ (a * nsig)
-        return (A.real**2 + A.imag**2) / (sigma * sigma + ts * ts)
+        return abs2(A) / (sigma * sigma + ts * ts)
 
     T = quad.t_cut if quad.t_cut is not None else 500.0
     # Oscillation period ~ 2*pi/log(N); keep initial panels below half of it.
@@ -298,9 +298,11 @@ def expected_product_identity_check(
         return MomentReport(1.0, 0.0, 1.0, trials, False, label="empty-product")
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful SE")
-    fp = prime_value_matrix(model, seed_base + np.arange(trials), ps)
-    logs = log_factor_matrix(model, fp, ps, np.array([float(t)]))[..., 0]
-    vals = np.exp(2.0 * logs.sum(axis=1))
+    logs = over_seeds(
+        lambda batch: log_factor_matrix(model, prime_value_matrix(model, batch, ps), ps,
+                                        np.array([float(t)]))[..., 0].sum(axis=1),
+        seed_base + np.arange(trials), ps.size)
+    vals = np.exp(2.0 * logs)
     if model is Model.RADEMACHER:
         target = float(np.prod(1.0 + 1.0 / ps))
     else:

@@ -16,18 +16,14 @@ import numpy as np
 
 from .euler import grid_quadrature, integral_on_grid, log_factor_matrix, simpson_grid
 from .reporting import MomentReport
-from .rmf import (Model, SampledFunction, cumulate, partial_sum_matrix,
+from .rmf import (Model, SampledFunction, abs2, cumulate, over_seeds, partial_sum_matrix,
                   prime_value_matrix, value_matrix)
 from .sieve import PrimeTables, divisor_m, squarefree_count
-from .sums import GridPlan, exact_expected_variance, grid_statistics, quotient_sums
+from .sums import (GridPlan, exact_expected_variance, grid_statistics, quotient_sums,
+                   variance_sum)
 
 #: Seed offset separating conditioning seeds from resample seed streams.
 RESAMPLE_STREAM = 0x5EED_0000
-
-
-#: Cells (seeds x primes x t-points, or seeds x integers) of one seed batch:
-#: each batch's temporaries stay a few tens of MB.
-BATCH_CELLS = 4_000_000
 
 #: Smallest x entering the sup statistic.  Below ~e^e the loglog
 #: normalization is tiny and the sup degenerates into a coin flip on the
@@ -93,16 +89,10 @@ def run_trial(model: Model, seed: int, tables: PrimeTables, plan: GridPlan,
 # ---------------------------------------------------------------------------
 
 
-def _seed_batches(seeds: np.ndarray, cells_per_seed: int) -> list[np.ndarray]:
-    """``seeds`` split into consecutive batches of at most BATCH_CELLS cells."""
-    step = max(1, BATCH_CELLS // max(1, cells_per_seed))
-    return [seeds[i:i + step] for i in range(0, len(seeds), step)]
-
-
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return est, se
+    if len(vals) < 2:  # one value has no standard error
+        raise ValueError("need at least 2 trials")
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
 
 
 def _proportion_se(p: float, n: int) -> float:
@@ -129,12 +119,13 @@ def hypercontractive_check(
     ns = np.array(sorted(weights), dtype=np.int64)
     if ns.size == 0 or ns[0] < 1:
         raise ValueError("weights must be supported on positive integers")
-    a = np.array([weights[int(n)] for n in ns], dtype=np.complex128)
+    a = np.array([weights[int(n)] for n in ns]) + 0.0  # real stays real, int turns float
     N = int(ns[-1])
-    seeds = seed_base + np.arange(trials)
-    fv = value_matrix(model, seeds, N, tables)
-    sums = np.asarray(fv, dtype=np.complex128)[:, ns] @ a
-    vals = (sums.real**2 + sums.imag**2) ** m
+    # take() keeps each seed's row contiguous, so it is summed on its own.
+    vals = over_seeds(
+        lambda batch: abs2((value_matrix(model, batch, N, tables).take(ns, axis=1) * a)
+                           .sum(axis=1)) ** m,
+        seed_base + np.arange(trials), N + 1)
     est, se = _mean_se(vals)
     bound = float(
         sum(abs(weights[int(n)]) ** 2 * divisor_m(int(n), 2 * m - 1, tables) for n in ns)
@@ -178,16 +169,16 @@ def hoeffding_tail_check(
         resample_seed_base = small_prime_seed + RESAMPLE_STREAM
     F0 = SampledFunction(model, small_prime_seed, tables)
     ks, w = quotient_sums(F0.prefix_sums(math.isqrt(x)), x, tables)
-    w = np.asarray(w, dtype=np.complex128)
-    v0 = float(np.sum(w.real**2 + w.imag**2))
+    v0 = variance_sum(w)
     t = 2.0 * math.sqrt(x) * fluctuation_scale(x, epsilon)
     label = f"hoeffding x={x} seed={small_prime_seed} {model.value}"
     if v0 == 0.0:
         return MomentReport(0.0, 0.0, 0.0, trials, False, label=label,
                             aux={"v0": 0.0, "threshold": t, "literature_bound": 0.0})
-    seeds = resample_seed_base + np.arange(trials)
-    fp = np.asarray(prime_value_matrix(model, seeds, tables.primes[ks]), dtype=np.complex128)
-    M = fp @ w
+    ps = tables.primes[ks]
+    # Each seed's M is summed on its own row, exactly for Rademacher.
+    M = over_seeds(lambda batch: (prime_value_matrix(model, batch, ps) * w).sum(axis=1),
+                   resample_seed_base + np.arange(trials), ps.size)
     hits = np.abs(M) >= t
     est = float(np.mean(hits))
     se = _proportion_se(est, trials)
@@ -218,14 +209,13 @@ def _revealed_prime_sums(model: Model, seeds, x_base: int, p_hi: int,
 
     Covers the primes sqrt(x_base) < p <= p_hi, where each such n = p*m has
     m < p, so G_p = f(p) * A_f(floor(x_base/p)).  Returns (primes, matrix of
-    shape (trials, len(primes))).
+    shape (trials, len(primes))), int64 for Rademacher.
     """
     A = cumulate(value_matrix(model, seeds, math.isqrt(x_base), tables))
     ks, Aq = quotient_sums(A, x_base, tables)
     ps = tables.primes[ks]
     n = np.searchsorted(ps, p_hi, side="right")
-    G = prime_value_matrix(model, seeds, ps[:n]) * Aq[:, :n]
-    return ps[:n], np.asarray(G, dtype=np.complex128)
+    return ps[:n], prime_value_matrix(model, seeds, ps[:n]) * Aq[:, :n]
 
 
 def submartingale_z_check(
@@ -268,15 +258,9 @@ def submartingale_z_check(
             continue
         p = int(newp[0])
         j = int(np.searchsorted(tables.primes[ks], p))
-        S = complex(frozen[j])
-        c = complex(Aq[j])
-        fp = np.asarray(
-            prime_value_matrix(model, seed + RESAMPLE_STREAM + np.arange(resamples), [p]),
-            dtype=np.complex128,
-        )[:, 0]
-        z_now = abs(S) ** 2
-        z_next = np.abs(S + fp * c) ** 2
-        est, se = _mean_se(z_next - z_now)
+        S, c = frozen[j], Aq[j]
+        fp = prime_value_matrix(model, seed + RESAMPLE_STREAM + np.arange(resamples), [p])[:, 0]
+        est, se = _mean_se(np.abs(S + fp * c) ** 2 - abs(S) ** 2)
         out.append(
             MomentReport(
                 estimate=est,
@@ -285,7 +269,7 @@ def submartingale_z_check(
                 trials=resamples,
                 violated=est < -3.0 * se,
                 label=label,
-                aux={"target": abs(c) ** 2, "new_prime": p},
+                aux={"target": float(abs(c) ** 2), "new_prime": p},
             )
         )
     return out
@@ -337,14 +321,13 @@ def y_submartingale_check(
     y_prev = _y_norm(x_from, x_from) * grid_quadrature(base, ts, wts)
 
     delta_primes = tables.primes[k0:k1]
-    seeds = seed + RESAMPLE_STREAM + np.arange(resamples)
-    y_next = np.concatenate([
-        grid_quadrature(
+    y_next = over_seeds(
+        lambda batch: grid_quadrature(
             base + log_factor_matrix(model, prime_value_matrix(model, batch, delta_primes),
                                      delta_primes, ts).sum(axis=1),
-            ts, wts)
-        for batch in _seed_batches(seeds, delta_primes.size * ts.size)
-    ]) * _y_norm(x_to, x_from)
+            ts, wts),
+        seed + RESAMPLE_STREAM + np.arange(resamples), delta_primes.size * ts.size,
+    ) * _y_norm(x_to, x_from)
     est, se = _mean_se(y_next)
     return MomentReport(
         estimate=est - y_prev,
@@ -359,10 +342,13 @@ def y_submartingale_check(
 
 def _z_trajectories(model: Model, seeds, x_base: int, r_hi: int,
                     tables: PrimeTables) -> np.ndarray:
-    """Matrix (trials, steps) of the prime-reveal squared sums."""
-    _, G = _revealed_prime_sums(model, seeds, x_base, r_hi, tables)
-    cum = np.cumsum(G, axis=1)
-    return cum.real**2 + cum.imag**2
+    """Matrix (trials, steps) of the prime-reveal squared sums, in float64,
+    which doob_check squares again; Rademacher stays exact up to here."""
+    return over_seeds(
+        lambda batch: abs2(np.cumsum(_revealed_prime_sums(model, batch, x_base, r_hi,
+                                                          tables)[1], axis=1)
+                           ).astype(np.float64),
+        seeds, len(tables.primes_in(math.isqrt(x_base), x_base)))
 
 
 def _y_trajectories(model: Model, seeds, truncations, tables: PrimeTables,
@@ -372,17 +358,14 @@ def _y_trajectories(model: Model, seeds, truncations, tables: PrimeTables,
     ts, wts = _y_grid(model, T, panels)
     counts = [tables.prime_count_upto(x) for x in truncations]
     ps = tables.primes[:counts[-1]]
-    seeds = np.asarray(seeds)
-    out = np.empty((len(seeds), len(truncations)))
-    lo = 0
-    for batch in _seed_batches(seeds, ps.size * ts.size):
+
+    def rows(batch):
         lf = log_factor_matrix(model, prime_value_matrix(model, batch, ps), ps, ts)
         cum = np.cumsum(lf, axis=1, out=lf)
-        for j, (x, kc) in enumerate(zip(truncations, counts)):
-            out[lo:lo + len(batch), j] = _y_norm(x, truncations[0]) * grid_quadrature(
-                cum[:, kc - 1], ts, wts)
-        lo += len(batch)
-    return out
+        return np.stack([_y_norm(x, truncations[0]) * grid_quadrature(cum[:, kc - 1], ts, wts)
+                         for x, kc in zip(truncations, counts)], axis=1)
+
+    return over_seeds(rows, seeds, ps.size * ts.size)
 
 
 def doob_check(
@@ -427,9 +410,7 @@ def doob_check(
         label = f"doob-max {sequence_spec} lambda={lam} {model.value}"
     elif p_exponent == 2:
         est, se_l = _mean_se(mx**2)
-        per_k = [(float(np.mean(X[:, j] ** 2)),
-                  float(np.std(X[:, j] ** 2, ddof=1) / math.sqrt(trials)))
-                 for j in range(X.shape[1])]
+        per_k = [_mean_se(X[:, j] ** 2) for j in range(X.shape[1])]
         j_star = int(np.argmax([m for m, _ in per_k]))
         rhs, se_r = 4.0 * per_k[j_star][0], 4.0 * per_k[j_star][1]
         label = f"doob-l2 {sequence_spec} {model.value}"
@@ -474,11 +455,9 @@ def sigma_event_statistic(
         raise ValueError(f"x_prev={x_prev} outside [3, {tables.limit}]")
     ts, wts = _y_grid(model, T, panels)
     ps = tables.primes[:tables.prime_count_upto(x_prev)]
-    seeds = seed_base + np.arange(trials)
-    vals = np.concatenate([
-        integral_on_grid(model, prime_value_matrix(model, batch, ps), ps, ts, wts)
-        for batch in _seed_batches(seeds, ps.size * ts.size)
-    ])
+    vals = over_seeds(
+        lambda batch: integral_on_grid(model, prime_value_matrix(model, batch, ps), ps, ts, wts),
+        seed_base + np.arange(trials), ps.size * ts.size)
     threshold = 2.0 * math.sqrt(t_param)
     qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
     lw = math.log(x_prev) / math.sqrt(math.log(math.log(x_prev)))
@@ -507,25 +486,14 @@ def variance_ratio_ensemble(
     3 SE on that comparison.
     """
     model = Model(model)
-    if trials < 1:
-        raise ValueError("trials must be positive")
     out = []
     seeds = seed_base + np.arange(trials)
     for x in xs:
         s = math.isqrt(x)
-        vals = np.empty(trials)
-        lo = 0
-        for batch in _seed_batches(seeds, len(tables.primes_in(s, x))):
-            _, Aq = quotient_sums(cumulate(value_matrix(model, batch, s, tables)), x, tables)
-            # Summed prime by prime, not by .sum(axis=1): on this column-major
-            # gather numpy adds a batch of rows in order but a lone row
-            # pairwise, so a row's value would depend on its batch.
-            q = Aq.real**2 + Aq.imag**2
-            v = np.zeros(len(batch), dtype=q.dtype)
-            for col in q.T:
-                v += col
-            vals[lo:lo + len(batch)] = v
-            lo += len(batch)
+        vals = over_seeds(
+            lambda batch: variance_sum(
+                quotient_sums(cumulate(value_matrix(model, batch, s, tables)), x, tables)[1]),
+            seeds, len(tables.primes_in(s, x)))
         est, se = _mean_se(vals)
         exact = exact_expected_variance(x, model, tables)
         ratio = vals * math.sqrt(math.log(math.log(x))) / x
@@ -557,13 +525,8 @@ def partial_sum_second_moment_check(
     Rademacher.  Two-sided at 3 SE.
     """
     model = Model(model)
-    seeds = seed_base + np.arange(trials)
-    vals = np.empty(trials)
-    lo = 0
-    for batch in _seed_batches(seeds, y + 1):
-        A = partial_sum_matrix(model, batch, y, tables)
-        vals[lo:lo + len(batch)] = A.real**2 + A.imag**2
-        lo += len(batch)
+    vals = over_seeds(lambda batch: abs2(partial_sum_matrix(model, batch, y, tables)),
+                      seed_base + np.arange(trials), y + 1)
     est, se = _mean_se(vals)
     target = float(y if model is Model.STEINHAUS else squarefree_count(y, tables))
     return MomentReport(

@@ -22,6 +22,10 @@ class Model(str, Enum):
     STEINHAUS = "steinhaus"
 
 
+#: Cells (seeds x primes x t-points, or seeds x integers) of one seed batch
+#: of :func:`over_seeds`: each batch's temporaries stay a few tens of MB.
+BATCH_CELLS = 4_000_000
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _OFFSET = np.uint64(0x85EBCA6B27D4EB4F)
 
@@ -57,6 +61,17 @@ def prime_value_matrix(model: Model, seeds, primes) -> np.ndarray:
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
+
+
+def over_seeds(fn, seeds, cells_per_seed: int) -> np.ndarray:
+    """``fn(batch)`` over consecutive batches of ``seeds``, joined on the first axis.
+
+    A batch holds at most BATCH_CELLS cells (and one seed at least), so peak
+    memory follows the batch, not the seed count.  ``fn`` gives one row per
+    seed, which must not depend on the batch it falls in.
+    """
+    step = max(1, BATCH_CELLS // max(1, cells_per_seed))
+    return np.concatenate([fn(seeds[i:i + step]) for i in range(0, len(seeds), step)])
 
 
 class SampledFunction:
@@ -202,6 +217,13 @@ def cumulate(fv: np.ndarray) -> np.ndarray:
     A = np.zeros(fv.shape, dtype=np.int64 if fv.dtype.kind in "iu" else fv.dtype)
     np.cumsum(fv[..., 1:], axis=-1, dtype=A.dtype, out=A[..., 1:])
     return A
+
+
+def abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 elementwise; integer (Rademacher) input stays exact in its dtype."""
+    if np.iscomplexobj(z):
+        return z.real * z.real + z.imag * z.imag
+    return z * z
 
 
 def value_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray:

@@ -25,17 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rmf import Model, SampledFunction, cumulate
+from .rmf import Model, SampledFunction, abs2, cumulate
 from .sieve import PrimeTables, squarefree_indicator
 
 #: Largest x accepted by the definition-level brute-force oracle.
 ORACLE_CAP = 1_000_000
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(z):
-        return z.real * z.real + z.imag * z.imag
-    return z * z
 
 
 def _check_x(tables: PrimeTables, x: int) -> None:
@@ -53,6 +47,24 @@ def quotient_sums(A: np.ndarray, x: int, tables: PrimeTables) -> tuple[slice, np
     """
     ks = slice(tables.prime_count_upto(math.isqrt(x)), tables.prime_count_upto(x))
     return ks, A[..., x // tables.primes[ks]]
+
+
+def variance_sum(Aq: np.ndarray):
+    """V = sum of |Aq|^2 over the last (prime) axis: a float for one
+    realization, float64 per seed for a batch.
+
+    Every path adds the primes one at a time in ascending order, so a seed's
+    V does not depend on its batch; numpy's own sum adds a lone row pairwise
+    but the rows of a batch gather in order.  Only the grid kernel's running
+    sums take another order.
+    """
+    q = abs2(Aq)
+    if q.ndim == 1:  # cumsum adds in the same order, without a Python step per prime
+        return float(np.cumsum(q)[-1]) if q.size else 0.0
+    v = np.zeros(q.shape[:-1], dtype=q.dtype)
+    for col in np.moveaxis(q, -1, 0):
+        v += col
+    return v.astype(np.float64)
 
 
 def large_prime_sum(F: SampledFunction, x: int):
@@ -87,7 +99,7 @@ def conditional_variance(F: SampledFunction, x: int) -> float:
     """V(x) = sum over primes sqrt(x) < p <= x of |A_f(floor(x/p))|^2."""
     _check_x(F.tables, x)
     _, Aq = quotient_sums(F.prefix_sums(math.isqrt(x)), x, F.tables)
-    return float(np.sum(_abs2(Aq)))
+    return variance_sum(Aq)
 
 
 def exact_expected_variance(x: int, model: Model, tables: PrimeTables) -> float:
@@ -201,7 +213,7 @@ def grid_statistics(F: SampledFunction, plan: GridPlan) -> tuple[np.ndarray, np.
     _check_x(F.tables, int(plan.xs.max(initial=1)))
     fs = F.values_up_to(plan.s_max)
     A = cumulate(fs)
-    a2 = _abs2(A)
+    a2 = abs2(A)
     # Corrections: once x passes p^2 the prime p leaves (sqrt(x), x] and its
     # accumulated contribution (all n = p*m with m <= p-1) must be removed.
     ps = F.tables.primes[: F.tables.prime_count_upto(plan.s_max)]

@@ -234,6 +234,19 @@ def test_trials_must_be_positive(capsys):
         assert "must be an integer" in capsys.readouterr().err
 
 
+def test_a_3se_check_on_one_trial_is_a_usage_error(capsys):
+    # One value has no standard error: these used to exit 1 (variance) or
+    # exit 1 with a NaN std_error and RuntimeWarnings (doob).
+    for argv in (["variance", "--trials", "1"],
+                 ["moments", "--suite", "doob", "--trials", "1"]):
+        assert _run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "need at least 2 trials" in err and "Traceback" not in err
+    # Subcommands without a 3-SE rule still take one trial.
+    assert _run(["simulate", "--trials", "1", "--x-max", "300"]) == 0
+    assert _run(["euler", "--check", "sigma-event", "--trials", "1"]) == 0
+
+
 def test_internal_error_exits_4(monkeypatch, capsys):
     def broken(F, plan):
         raise RuntimeError("negative V")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rmflab import (
     conditional_variance,
     doob_check,
     exact_expected_variance,
+    expected_product_identity_check,
     fluctuation_scale,
     grid_plan,
     hoeffding_tail_check,
@@ -255,6 +257,12 @@ def _batched_outputs(tables_small, model):
                         **grid).tolist(),
         variance_ratio_ensemble(model, 40, tables_small, seed_base=3, xs=(1000, 10_000)),
         partial_sum_second_moment_check(model, 1000, 50, tables_small, seed_base=11),
+        hoeffding_tail_check(model, 1000, 0.1, 3, 1003, tables_small),
+        hypercontractive_check({n: 1.0 / n for n in range(1, 121)}, 3, 1001, model,
+                               tables_small, seed_base=2),
+        expected_product_identity_check(model, 10, 1000, 0.5, 107, tables_small,
+                                        seed_base=4),
+        doob_check("z", 30.0, 2, 33, model, tables_small, seed_base=6),
     ]
 
 
@@ -262,11 +270,47 @@ def _batched_outputs(tables_small, model):
 def test_seed_batch_size_never_changes_an_output_byte(tables_small, model,
                                                       monkeypatch):
     want = _batched_outputs(tables_small, model)
-    # One seed per batch, then batches of 1-44 and 2-254 seeds, which split
-    # the 23, 29, 19, 40 and 50 seeds unevenly (all but the 40 at x = 1000).
+    # One seed per batch, then batch sizes that split the seed counts above
+    # unevenly.
     for cells in (1, 7_000, 40_000):
-        monkeypatch.setattr("rmflab.harness.BATCH_CELLS", cells)
+        monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", cells)
         assert _batched_outputs(tables_small, model) == want
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_seed_batches_bound_the_peak(tables_small, model, monkeypatch):
+    # Four times the seeds must not mean four times the memory: with small
+    # batches the peak is a batch's temporaries plus one value per seed.
+    monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 50_000)
+    suites = [
+        lambda n: hoeffding_tail_check(model, 10_000, 0.1, 3, n, tables_small),
+        lambda n: hypercontractive_check({k: 1.0 / k for k in range(1, 201)}, 2, n,
+                                         model, tables_small),
+        lambda n: expected_product_identity_check(model, 10, 1000, 0.5, n, tables_small),
+    ]
+    tables_small.largest_factor_table()  # cached on first use; keep it out of the peaks
+    for run in suites:
+        peaks = []
+        for n in (2000, 8000):
+            tracemalloc.start()
+            run(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("x", [10_000, 100_000])
+def test_every_path_sums_v_in_one_order(tables, x):
+    # Steinhaus seeds 0-2: V(x) of one realization, v0 of the tail check
+    # frozen at that seed and the ensemble's per-seed V are the same floats.
+    model = Model.STEINHAUS
+    vs = [conditional_variance(SampledFunction(model, s, tables), x) for s in range(3)]
+    for s, v in enumerate(vs):
+        assert hoeffding_tail_check(model, x, 0.1, s, 1000, tables).aux["v0"] == v
+    row = variance_ratio_ensemble(model, 3, tables, seed_base=0, xs=(x,))[0]
+    assert row["mean_v"] == float(np.mean(vs))
+    ratios = np.array(vs) * math.sqrt(math.log(math.log(x))) / x
+    assert row["ratio_median"] == float(np.median(ratios))
 
 
 def _reference_integrals(model, seeds, x, ts, w, tables):
