@@ -259,7 +259,9 @@ def submartingale_z_check(
         p = int(newp[0])
         j = int(np.searchsorted(tables.primes[ks], p))
         S, c = frozen[j], Aq[j]
-        fp = prime_value_matrix(model, seed + RESAMPLE_STREAM + np.arange(resamples), [p])[:, 0]
+        # In the sum's dtype: numpy 1.x would keep int8 * scalar in int8 and wrap.
+        seeds = seed + RESAMPLE_STREAM + np.arange(resamples)
+        fp = prime_value_matrix(model, seeds, [p])[:, 0].astype(Aq.dtype)
         est, se = _mean_se(np.abs(S + fp * c) ** 2 - abs(S) ** 2)
         out.append(
             MomentReport(

@@ -53,18 +53,14 @@ def variance_sum(Aq: np.ndarray):
     """V = sum of |Aq|^2 over the last (prime) axis: a float for one
     realization, float64 per seed for a batch.
 
-    Every path adds the primes one at a time in ascending order, so a seed's
-    V does not depend on its batch; numpy's own sum adds a lone row pairwise
-    but the rows of a batch gather in order.  Only the grid kernel's running
-    sums take another order.
+    A left fold over the primes in ascending order, so a seed's V does not
+    depend on its batch (numpy's own sum adds a lone row pairwise).  Each
+    step is a vector add over seeds: on the column-major gather of
+    :func:`quotient_sums` that is about 3x faster than a cumsum along primes.
     """
     q = abs2(Aq)
-    if q.ndim == 1:  # cumsum adds in the same order, without a Python step per prime
-        return float(np.cumsum(q)[-1]) if q.size else 0.0
-    v = np.zeros(q.shape[:-1], dtype=q.dtype)
-    for col in np.moveaxis(q, -1, 0):
-        v += col
-    return v.astype(np.float64)
+    v = sum(np.moveaxis(q, -1, 0), np.zeros(q.shape[:-1], q.dtype)).astype(np.float64)
+    return float(v) if v.ndim == 0 else v
 
 
 def large_prime_sum(F: SampledFunction, x: int):

@@ -186,6 +186,24 @@ def test_submartingale_z_frozen_sums_match_definition(tables_small, model, seed,
         assert rep.estimate == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+def test_submartingale_z_rademacher_large_frozen_sum_matches_complex_form(tables_small):
+    # Seed 0 at x_base = 10^4 has frozen sum S = -198 before p = 7687, so
+    # (S +- c)^2 fits neither int8 nor int16; the integer path must not wrap.
+    x_base, p, seed, R = 10_000, 7687, 0, 301
+    rep = submartingale_z_check(Model.RADEMACHER, x_base, p * p - 1, p * p, R, seed,
+                                tables_small)[0]
+    assert rep.aux["new_prime"] == p
+    F = SampledFunction(Model.RADEMACHER, seed, tables_small)
+    S = complex(interval_sum_pconstraint(F, 0, x_base, math.isqrt(x_base), p - 1))
+    c = complex(interval_sum_pconstraint(F, 0, x_base, p - 1, p)) / F.prime_value(p)
+    assert abs(S) > 181
+    fp = prime_value_matrix(Model.RADEMACHER, seed + RESAMPLE_STREAM + np.arange(R),
+                            [p])[:, 0].astype(np.complex128)
+    d = np.abs(S + fp * c) ** 2 - abs(S) ** 2
+    assert rep.estimate == float(np.mean(d))
+    assert rep.std_error == float(np.std(d, ddof=1) / math.sqrt(R))
+
+
 def test_submartingale_z_no_prime_step(tables_small):
     reps = submartingale_z_check(Model.STEINHAUS, 1000, 1370, 1372, 500, 2,
                                  tables_small)
