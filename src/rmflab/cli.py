@@ -266,19 +266,13 @@ def _cmd_moments(args) -> int:
     if args.suite == "hypercontractive":
         n_max = args.n if args.n is not None else args.x_max
         weights = {n: 1.0 / n for n in range(1, n_max + 1)}
-        for m in ((args.m,) if args.m is not None else (1, 2, 3)):
-            reports.append(
-                harness.hypercontractive_check(
-                    weights, m, args.trials, model, tables, seed_base=args.seed
-                )
-            )
+        reports = harness.hypercontractive_check(
+            weights, (args.m,) if args.m is not None else (1, 2, 3), args.trials, model,
+            tables, seed_base=args.seed)
     elif args.suite == "hoeffding":
-        for x in [int(v) for v in args.points.split(",")] if args.points else [1000]:
-            reports.append(
-                harness.hoeffding_tail_check(
-                    model, x, args.epsilon, args.seed, args.trials, tables
-                )
-            )
+        reports = harness.hoeffding_tail_check(
+            model, [int(v) for v in args.points.split(",")] if args.points else [1000],
+            args.epsilon, args.seed, args.trials, tables)
     elif args.suite == "doob":
         reports.append(
             harness.doob_check("z", args.lam, None, args.trials, model, tables,

@@ -363,6 +363,26 @@ def log_factor_matrix(model: Model, fp: np.ndarray, primes: np.ndarray,
     return out
 
 
+def log_factor_sum(model: Model, fp: np.ndarray, primes: np.ndarray, ts: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``log_factor_matrix(model, fp, primes, ts).sum(axis=-2)`` without the cube.
+
+    Adds one slab of shape fp.shape[:-1] + ts.shape per prime, in ascending
+    order, which is the order of numpy's reduction over that axis when ts
+    has more than one point, so the result is bit-identical.  (For a single
+    t numpy sums the primes pairwise instead.)  With ``out``, the slabs are
+    added into it in place: a running total over consecutive prime ranges.
+    The working set is the sum, one prime's slab and the slab's temporary:
+    three float64 cells per (seed, t).
+    """
+    fp = np.asarray(fp)
+    if out is None:
+        out = np.zeros(fp.shape[:-1] + np.shape(ts))
+    for i in range(len(primes)):
+        out += log_factor_matrix(model, fp[..., i:i + 1], primes[i:i + 1], ts)[..., 0, :]
+    return out
+
+
 def grid_quadrature(logs: np.ndarray, ts: np.ndarray, weights: np.ndarray):
     """Sum over the last axis of weights * exp(2 logs) / (1/4 + t^2).
 
@@ -386,5 +406,4 @@ def integral_on_grid(model: Model, fp: np.ndarray, primes: np.ndarray,
     identical discretization; single-shot estimates should prefer
     :func:`parseval_integral`.
     """
-    logs = log_factor_matrix(model, fp, primes, ts).sum(axis=-2)
-    return grid_quadrature(logs, ts, weights)
+    return grid_quadrature(log_factor_sum(model, fp, primes, ts), ts, weights)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .euler import grid_quadrature, integral_on_grid, log_factor_matrix, simpson_grid
+from .euler import grid_quadrature, integral_on_grid, log_factor_sum, simpson_grid
 from .reporting import MomentReport
 from .rmf import (Model, SampledFunction, abs2, cumulate, over_seeds, partial_sum_matrix,
                   prime_value_matrix, value_matrix)
@@ -101,18 +101,23 @@ def _proportion_se(p: float, n: int) -> float:
 
 def hypercontractive_check(
     weights: dict[int, complex],
-    m: int,
+    ms,
     trials: int,
     model: Model,
     tables: PrimeTables,
     seed_base: int = 0,
-) -> MomentReport:
+) -> list[MomentReport]:
     """E|sum a_n f(n)|^(2m) against the exact bound (sum |a_n|^2 d_{2m-1}(n))^m.
 
-    The bound is computed exactly through the sieve; the moment by Monte
-    Carlo.  One-sided: a theorem, so ``violated`` should always be False.
+    One report per m in ``ms``, in order.  Every m takes its moment of the
+    same Monte Carlo sample |sum a_n f(n)|^2, one value per seed.  The bound
+    is computed exactly through the sieve.  One-sided: a theorem, so
+    ``violated`` should always be False.
     """
-    if not 1 <= m <= 3:
+    ms = list(ms)
+    if not ms:
+        raise ValueError("need at least one m")
+    if not all(1 <= m <= 3 for m in ms):
         raise ValueError("m must be in 1..3 (higher MC moments are too noisy)")
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
@@ -121,36 +126,41 @@ def hypercontractive_check(
         raise ValueError("weights must be supported on positive integers")
     a = np.array([weights[int(n)] for n in ns]) + 0.0  # real stays real, int turns float
     N = int(ns[-1])
-    # take() keeps each seed's row contiguous, so it is summed on its own.
-    vals = over_seeds(
+    # take() keeps each seed's row contiguous, so it is summed on its own.  A
+    # batch holds the sieve planes and the sieved values per integer, and the
+    # gather and the weighted product per weight.
+    s2 = over_seeds(
         lambda batch: abs2((value_matrix(model, batch, N, tables).take(ns, axis=1) * a)
-                           .sum(axis=1)) ** m,
-        seed_base + np.arange(trials), N + 1)
-    est, se = _mean_se(vals)
-    bound = float(
-        sum(abs(weights[int(n)]) ** 2 * divisor_m(int(n), 2 * m - 1, tables) for n in ns)
-        ** m
-    )
-    return MomentReport(
-        estimate=est,
-        std_error=se,
-        bound=bound,
-        trials=trials,
-        violated=est - 3.0 * se > bound,
-        label=f"hypercontractive m={m} N={N} {Model(model).value}",
-    )
+                           .sum(axis=1)),
+        seed_base + np.arange(trials), 2 * (N + 1 + ns.size))
+    out = []
+    for m in ms:
+        est, se = _mean_se(s2 ** m)
+        bound = float(
+            sum(abs(weights[int(n)]) ** 2 * divisor_m(int(n), 2 * m - 1, tables) for n in ns)
+            ** m
+        )
+        out.append(MomentReport(
+            estimate=est,
+            std_error=se,
+            bound=bound,
+            trials=trials,
+            violated=est - 3.0 * se > bound,
+            label=f"hypercontractive m={m} N={N} {Model(model).value}",
+        ))
+    return out
 
 
 def hoeffding_tail_check(
     model: Model,
-    x: int,
+    xs,
     epsilon: float,
     small_prime_seed: int,
     trials: int,
     tables: PrimeTables,
     resample_seed_base: int | None = None,
-) -> MomentReport:
-    """Conditional tail of M_f(x) at the threshold 2*sqrt(x)*scale(x).
+) -> list[MomentReport]:
+    """Conditional tail of M_f(x) at the threshold 2*sqrt(x)*scale(x), per x in ``xs``.
 
     The small primes (p <= sqrt(x)) are frozen from ``small_prime_seed``, so
     each summand f(p)*A_f(floor(x/p)) lies in a known interval and the
@@ -159,43 +169,67 @@ def hoeffding_tail_check(
     and 4*exp(-t^2/(4 V0)) for |M| in the Steinhaus case (real and imaginary
     parts each bounded at threshold t/sqrt(2)).  The looser literature-shaped
     form exp(-4 x scale^2 / V0) is reported in ``aux``, not asserted.
+
+    One report per x, in order.  Every x shares the resample seeds: each
+    seed's prime values are hashed once, over the union of the points'
+    prime ranges, and each M is summed over its own range.  An x with
+    V0 = 0 gets a zero report and adds no primes.  Primes above
+    ``tables.limit`` are not in the table and do not enter M.
     """
     model = Model(model)
-    if x < 16:
+    xs = [int(x) for x in xs]
+    if not xs:
+        raise ValueError("need at least one x")
+    if min(xs) < 16:
         raise ValueError("x must be >= 16")
     if trials < 1000:
         raise ValueError("need at least 1000 resamples")
     if resample_seed_base is None:
         resample_seed_base = small_prime_seed + RESAMPLE_STREAM
     F0 = SampledFunction(model, small_prime_seed, tables)
-    ks, w = quotient_sums(F0.prefix_sums(math.isqrt(x)), x, tables)
-    v0 = variance_sum(w)
-    t = 2.0 * math.sqrt(x) * fluctuation_scale(x, epsilon)
-    label = f"hoeffding x={x} seed={small_prime_seed} {model.value}"
-    if v0 == 0.0:
-        return MomentReport(0.0, 0.0, 0.0, trials, False, label=label,
-                            aux={"v0": 0.0, "threshold": t, "literature_bound": 0.0})
-    ps = tables.primes[ks]
-    # Each seed's M is summed on its own row, exactly for Rademacher.
-    M = over_seeds(lambda batch: (prime_value_matrix(model, batch, ps) * w).sum(axis=1),
-                   resample_seed_base + np.arange(trials), ps.size)
-    hits = np.abs(M) >= t
-    est = float(np.mean(hits))
-    se = _proportion_se(est, trials)
-    if model is Model.RADEMACHER:
-        bound = 2.0 * math.exp(-t * t / (2.0 * v0))
-    else:
-        bound = 4.0 * math.exp(-t * t / (4.0 * v0))
-    literature_bound = math.exp(-4.0 * x * fluctuation_scale(x, epsilon) ** 2 / v0)
-    return MomentReport(
-        estimate=est,
-        std_error=se,
-        bound=min(bound, 1.0),
-        trials=trials,
-        violated=est - 3.0 * se > bound,
-        label=label,
-        aux={"v0": v0, "threshold": t, "literature_bound": literature_bound},
-    )
+    sums = [quotient_sums(F0.prefix_sums(math.isqrt(x)), x, tables) for x in xs]
+    v0s = [variance_sum(w) for _, w in sums]
+    live = [j for j, v0 in enumerate(v0s) if v0 != 0.0]
+    M = {}  # point index -> M per resample seed
+    if live:
+        lo = min(sums[j][0].start for j in live)
+        hi = max(sums[j][0].stop for j in live)
+
+        # Each seed's M is summed on its own row, exactly for Rademacher.
+        def rows(batch):
+            pv = prime_value_matrix(model, batch, tables.primes[lo:hi])
+            return np.stack([(pv[:, ks.start - lo:ks.stop - lo] * w).sum(axis=1)
+                             for ks, w in (sums[j] for j in live)], axis=1)
+
+        M = dict(zip(live, over_seeds(rows, resample_seed_base + np.arange(trials),
+                                      hi - lo).T))
+    out = []
+    for j, (x, v0) in enumerate(zip(xs, v0s)):
+        t = 2.0 * math.sqrt(x) * fluctuation_scale(x, epsilon)
+        label = f"hoeffding x={x} seed={small_prime_seed} {model.value}"
+        if v0 == 0.0:
+            out.append(MomentReport(0.0, 0.0, 0.0, trials, False, label=label,
+                                    aux={"v0": 0.0, "threshold": t,
+                                         "literature_bound": 0.0}))
+            continue
+        hits = np.abs(M[j]) >= t
+        est = float(np.mean(hits))
+        se = _proportion_se(est, trials)
+        if model is Model.RADEMACHER:
+            bound = 2.0 * math.exp(-t * t / (2.0 * v0))
+        else:
+            bound = 4.0 * math.exp(-t * t / (4.0 * v0))
+        literature_bound = math.exp(-4.0 * x * fluctuation_scale(x, epsilon) ** 2 / v0)
+        out.append(MomentReport(
+            estimate=est,
+            std_error=se,
+            bound=min(bound, 1.0),
+            trials=trials,
+            violated=est - 3.0 * se > bound,
+            label=label,
+            aux={"v0": v0, "threshold": t, "literature_bound": literature_bound},
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +353,16 @@ def y_submartingale_check(
     ts, wts = _y_grid(model, T, panels)
     k0 = tables.prime_count_upto(x_from)
     k1 = tables.prime_count_upto(x_to)
-    base = log_factor_matrix(model, F._values[:k0], tables.primes[:k0], ts).sum(axis=0)
+    base = log_factor_sum(model, F._values[:k0], tables.primes[:k0], ts)
     y_prev = _y_norm(x_from, x_from) * grid_quadrature(base, ts, wts)
 
     delta_primes = tables.primes[k0:k1]
     y_next = over_seeds(
         lambda batch: grid_quadrature(
-            base + log_factor_matrix(model, prime_value_matrix(model, batch, delta_primes),
-                                     delta_primes, ts).sum(axis=1),
+            base + log_factor_sum(model, prime_value_matrix(model, batch, delta_primes),
+                                  delta_primes, ts),
             ts, wts),
-        seed + RESAMPLE_STREAM + np.arange(resamples), delta_primes.size * ts.size,
+        seed + RESAMPLE_STREAM + np.arange(resamples), 3 * ts.size,
     ) * _y_norm(x_to, x_from)
     est, se = _mean_se(y_next)
     return MomentReport(
@@ -357,17 +391,23 @@ def _y_trajectories(model: Model, seeds, truncations, tables: PrimeTables,
                     T: float, panels: int) -> np.ndarray:
     """Matrix (trials, len(truncations)) of normalized integral statistics."""
     truncations = list(truncations)
+    if truncations != sorted(truncations):
+        raise ValueError("truncations must ascend")
     ts, wts = _y_grid(model, T, panels)
     counts = [tables.prime_count_upto(x) for x in truncations]
     ps = tables.primes[:counts[-1]]
 
     def rows(batch):
-        lf = log_factor_matrix(model, prime_value_matrix(model, batch, ps), ps, ts)
-        cum = np.cumsum(lf, axis=1, out=lf)
-        return np.stack([_y_norm(x, truncations[0]) * grid_quadrature(cum[:, kc - 1], ts, wts)
-                         for x, kc in zip(truncations, counts)], axis=1)
+        pv = prime_value_matrix(model, batch, ps)
+        logs = np.zeros((len(batch), ts.size))
+        cols = []
+        for x, lo, hi in zip(truncations, [0] + counts, counts):
+            # The running sum over the primes <= x, one prime at a time.
+            log_factor_sum(model, pv[:, lo:hi], ps[lo:hi], ts, out=logs)
+            cols.append(_y_norm(x, truncations[0]) * grid_quadrature(logs, ts, wts))
+        return np.stack(cols, axis=1)
 
-    return over_seeds(rows, seeds, ps.size * ts.size)
+    return over_seeds(rows, seeds, 3 * ts.size)
 
 
 def doob_check(
@@ -459,7 +499,7 @@ def sigma_event_statistic(
     ps = tables.primes[:tables.prime_count_upto(x_prev)]
     vals = over_seeds(
         lambda batch: integral_on_grid(model, prime_value_matrix(model, batch, ps), ps, ts, wts),
-        seed_base + np.arange(trials), ps.size * ts.size)
+        seed_base + np.arange(trials), 3 * ts.size)
     threshold = 2.0 * math.sqrt(t_param)
     qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
     lw = math.log(x_prev) / math.sqrt(math.log(math.log(x_prev)))

@@ -147,8 +147,8 @@ def test_criterion_06_hypercontractive(tables, capsys):
     for model in rl.Model:
         for w in weight_sets:
             for m in (1, 2, 3):
-                rep = rl.hypercontractive_check(w, m, 5000, model, tables,
-                                                seed_base=100 * m)
+                (rep,) = rl.hypercontractive_check(w, (m,), 5000, model, tables,
+                                                   seed_base=100 * m)
                 ok = ok and not rep.violated
                 checks += 1
     elapsed = time.monotonic() - t0
@@ -163,10 +163,9 @@ def test_criterion_07_hoeffding_tails(tables, capsys):
     ok = True
     worst = 0.0
     for model in rl.Model:
-        for x in (1000, 10_000):
-            for seed in range(10):
-                rep = rl.hoeffding_tail_check(model, x, 0.1, seed, 10_000,
-                                              tables)
+        for seed in range(10):
+            for rep in rl.hoeffding_tail_check(model, (1000, 10_000), 0.1, seed,
+                                               10_000, tables):
                 ok = ok and not rep.violated
                 worst = max(worst, rep.estimate)
     elapsed = time.monotonic() - t0

@@ -125,6 +125,16 @@ def test_moments_m_and_n_flags(capsys):
     assert "m=2 N=50" in lines[1]
 
 
+def test_moments_hoeffding_points_keep_their_order_and_repeats(capsys):
+    assert _run(["moments", "--suite", "hoeffding", "--points", "3000,1000,3000"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["label"].split()[1] for r in rows] == ["x=3000", "x=1000", "x=3000"]
+    assert rows[0] == rows[2]
+    assert _run(["moments", "--suite", "hoeffding", "--points", "1000"]) == 0
+    (alone,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert alone == rows[1]
+
+
 def test_threads_auto(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert _run(["simulate", "--trials", "2", "--x-max", "500",

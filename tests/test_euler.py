@@ -20,6 +20,7 @@ from rmflab.euler import (
     _adaptive_simpson,
     integral_on_grid,
     log_factor_matrix,
+    log_factor_sum,
     product_magnitude_bound,
     simpson_grid,
 )
@@ -223,3 +224,24 @@ def test_integral_on_grid_batches_over_seeds(tables_small, model, seeds, k, pane
         logs = _complex_log_factors(model, fp[i], ps, ts).sum(axis=0)
         want = float(w @ (np.abs(np.exp(logs)) ** 2 / (0.25 + ts * ts)))
         assert one == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Model)), st.integers(0, 2**40), st.integers(0, 6),
+       st.integers(0, 1100), st.integers(0, 120), st.integers(1, 40), st.data())
+def test_log_factor_sum_is_the_summed_cube_bit_for_bit(tables_small, model, seed, seeds,
+                                                       lo, k, panels, data):
+    # seeds == 0 stands for a single realization, a 1-D fp.
+    ps = tables_small.primes[lo:lo + k]
+    ts, _ = simpson_grid(-20.0, 20.0, panels)
+    fp = prime_value_matrix(model, seed + np.arange(max(seeds, 1)), ps)
+    if seeds == 0:
+        fp = fp[0]
+    want = log_factor_matrix(model, fp, ps, ts).sum(axis=-2)
+    got = log_factor_sum(model, fp, ps, ts)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    # A running total over two consecutive prime ranges is the same sum.
+    j = data.draw(st.integers(0, ps.size))
+    part = log_factor_sum(model, fp[..., :j], ps[:j], ts)
+    assert log_factor_sum(model, fp[..., j:], ps[j:], ts, out=part) is part
+    assert np.array_equal(part, want)

@@ -95,8 +95,9 @@ def test_run_trial_on_an_empty_grid(tables_small, model):
 @pytest.mark.parametrize("model", list(Model))
 def test_hypercontractive_never_violated_here(tables_small, model):
     w = {n: 1.0 / n for n in range(1, 201)}
-    for m in (1, 2, 3):
-        rep = hypercontractive_check(w, m, 2000, model, tables_small)
+    reps = hypercontractive_check(w, (1, 2, 3), 2000, model, tables_small)
+    assert [r.label.split()[1] for r in reps] == ["m=1", "m=2", "m=3"]
+    for rep in reps:
         assert not rep.violated
         assert rep.bound > 0
 
@@ -104,21 +105,21 @@ def test_hypercontractive_never_violated_here(tables_small, model):
 def test_hypercontractive_m1_matches_orthogonality(tables_small):
     # m = 1 the bound is an identity: E|sum|^2 == sum |a_n|^2 over squarefree n.
     w = {1: 1.0, 2: 2.0, 3: -1.0, 4: 1.0, 6: 0.5}
-    rep = hypercontractive_check(w, 1, 4000, Model.RADEMACHER, tables_small)
+    (rep,) = hypercontractive_check(w, (1,), 4000, Model.RADEMACHER, tables_small)
     sq_target = 1 + 4 + 1 + 0.25  # n = 4 contributes 0: f(4) = 0
     assert rep.estimate == pytest.approx(sq_target, abs=4 * rep.std_error)
 
 
 def test_hypercontractive_validation(tables_small):
     with pytest.raises(ValueError):
-        hypercontractive_check({1: 1.0}, 4, 2000, Model.RADEMACHER, tables_small)
+        hypercontractive_check({1: 1.0}, (4,), 2000, Model.RADEMACHER, tables_small)
     with pytest.raises(ValueError):
-        hypercontractive_check({1: 1.0}, 1, 10, Model.RADEMACHER, tables_small)
+        hypercontractive_check({1: 1.0}, (1,), 10, Model.RADEMACHER, tables_small)
 
 
 @pytest.mark.parametrize("model", list(Model))
 def test_hoeffding_tail(tables_small, model):
-    rep = hoeffding_tail_check(model, 1000, 0.1, 3, 2000, tables_small)
+    (rep,) = hoeffding_tail_check(model, [1000], 0.1, 3, 2000, tables_small)
     assert not rep.violated
     # v0 must equal the conditional variance of the frozen realization.
     F = SampledFunction(model, 3, tables_small)
@@ -127,6 +128,80 @@ def test_hoeffding_tail(tables_small, model):
         2.0 * math.sqrt(1000) * fluctuation_scale(1000, 0.1)
     )
     assert "literature_bound" in rep.aux
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_hoeffding_points_share_one_hashing_and_report_as_single_calls(tables_small,
+                                                                        model):
+    # Unsorted and repeated points, over overlapping prime ranges.
+    xs = [10_000, 1000, 3000, 1000]
+    reps = hoeffding_tail_check(model, xs, 0.1, 5, 1000, tables_small)
+    assert [r.label for r in reps] == [
+        f"hoeffding x={x} seed=5 {model.value}" for x in xs]
+    for x, rep in zip(xs, reps):
+        assert rep == hoeffding_tail_check(model, [x], 0.1, 5, 1000, tables_small)[0]
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_hypercontractive_moments_report_as_single_calls(tables_small, model):
+    w = {int(n): complex(c) for n, c in zip(range(3, 400, 7), np.linspace(-1, 2, 57))}
+    ms = (3, 1, 2, 1)
+    reps = hypercontractive_check(w, ms, 1000, model, tables_small, seed_base=9)
+    assert [r.label.split()[1] for r in reps] == [f"m={m}" for m in ms]
+    for m, rep in zip(ms, reps):
+        assert rep == hypercontractive_check(w, (m,), 1000, model, tables_small,
+                                             seed_base=9)[0]
+
+
+def _hashed_primes(monkeypatch):
+    """Record the primes of every prime-value hash made from here on."""
+    import rmflab.rmf
+
+    seen = []
+
+    def spy(model, seeds, primes):
+        seen.append(np.asarray(primes).tolist())
+        return prime_value_matrix(model, seeds, primes)
+
+    monkeypatch.setattr(rmflab.rmf, "prime_value_matrix", spy)
+    monkeypatch.setattr("rmflab.harness.prime_value_matrix", spy)
+    return seen
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_list_apis_reject_bad_input_before_any_hashing(tables_small, model, monkeypatch):
+    seen = _hashed_primes(monkeypatch)
+    w = {n: 1.0 for n in range(1, 50)}
+    for call in (
+        lambda: hoeffding_tail_check(model, [], 0.1, 3, 1000, tables_small),
+        lambda: hoeffding_tail_check(model, [1000, 15], 0.1, 3, 1000, tables_small),
+        lambda: hoeffding_tail_check(model, [1000], 0.1, 3, 999, tables_small),
+        lambda: hypercontractive_check(w, (), 1000, model, tables_small),
+        lambda: hypercontractive_check(w, (1, 4), 1000, model, tables_small),
+        lambda: hypercontractive_check(w, (0, 2), 1000, model, tables_small),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert seen == []
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_hoeffding_point_without_primes_adds_none_to_the_hash(tables_small, model,
+                                                              monkeypatch):
+    # isqrt(10^8) = 10^4 is the table limit: no prime of the table lies in
+    # (sqrt(x), x], so V0 = 0 and the point gets its zero report.
+    seen = _hashed_primes(monkeypatch)
+    zero, rep = hoeffding_tail_check(model, [10**8, 1000], 0.1, 3, 1000, tables_small)
+    assert (zero.estimate, zero.std_error, zero.bound, zero.violated) == (0.0, 0.0, 0.0,
+                                                                          False)
+    assert zero.aux["v0"] == 0.0 and zero.label.startswith("hoeffding x=100000000 ")
+    resampled = [p for p in seen if len(p) < tables_small.primes.size]
+    assert resampled == [tables_small.primes_in(31, 1000).tolist()]
+    assert rep == hoeffding_tail_check(model, [1000], 0.1, 3, 1000, tables_small)[0]
+    seen.clear()
+    (alone,) = hoeffding_tail_check(model, [10**8], 0.1, 3, 1000, tables_small)
+    assert alone == zero
+    assert [p for p in seen if len(p) < tables_small.primes.size] == []
 
 
 def test_submartingale_z_targets(tables_small):
@@ -253,6 +328,9 @@ def test_doob_rejects_unknown_spec(tables_small):
         doob_check("w", 1.0, None, 100, Model.RADEMACHER, tables_small)
     with pytest.raises(ValueError):
         doob_check("z", 1.0, 3, 100, Model.RADEMACHER, tables_small)
+    with pytest.raises(ValueError, match="ascend"):
+        doob_check("y", 1.0, None, 100, Model.RADEMACHER, tables_small,
+                   truncations=(100, 50, 150))
 
 
 def test_sigma_event_statistic_shape(tables_small):
@@ -275,9 +353,9 @@ def _batched_outputs(tables_small, model):
                         **grid).tolist(),
         variance_ratio_ensemble(model, 40, tables_small, seed_base=3, xs=(1000, 10_000)),
         partial_sum_second_moment_check(model, 1000, 50, tables_small, seed_base=11),
-        hoeffding_tail_check(model, 1000, 0.1, 3, 1003, tables_small),
-        hypercontractive_check({n: 1.0 / n for n in range(1, 121)}, 3, 1001, model,
-                               tables_small, seed_base=2),
+        hoeffding_tail_check(model, [10_000, 1000, 1000], 0.1, 3, 1003, tables_small),
+        hypercontractive_check({n: 1.0 / n for n in range(1, 121)}, (3, 1, 2), 1001,
+                               model, tables_small, seed_base=2),
         expected_product_identity_check(model, 10, 1000, 0.5, 107, tables_small,
                                         seed_base=4),
         doob_check("z", 30.0, 2, 33, model, tables_small, seed_base=6),
@@ -298,18 +376,23 @@ def test_seed_batch_size_never_changes_an_output_byte(tables_small, model,
 @pytest.mark.parametrize("model", list(Model))
 def test_seed_batches_bound_the_peak(tables_small, model, monkeypatch):
     # Four times the seeds must not mean four times the memory: with small
-    # batches the peak is a batch's temporaries plus one value per seed.
+    # batches the peak is a batch's temporaries plus one value per seed.  At
+    # 1000 seeds every suite here already spans several batches.
     monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 50_000)
     suites = [
-        lambda n: hoeffding_tail_check(model, 10_000, 0.1, 3, n, tables_small),
-        lambda n: hypercontractive_check({k: 1.0 / k for k in range(1, 201)}, 2, n,
+        lambda n: hoeffding_tail_check(model, [10_000, 1000], 0.1, 3, n, tables_small),
+        lambda n: hypercontractive_check({k: 1.0 / k for k in range(1, 201)}, (1, 2), n,
                                          model, tables_small),
         lambda n: expected_product_identity_check(model, 10, 1000, 0.5, n, tables_small),
+        lambda n: sigma_event_statistic(model, 300, n, 10.0, tables_small,
+                                        T=20.0, panels=60),
+        lambda n: y_submartingale_check(model, 100, 160, n, 4, tables_small,
+                                        T=20.0, panels=60),
     ]
     tables_small.largest_factor_table()  # cached on first use; keep it out of the peaks
     for run in suites:
         peaks = []
-        for n in (2000, 8000):
+        for n in (1000, 4000):
             tracemalloc.start()
             run(n)
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -324,7 +407,7 @@ def test_every_path_sums_v_in_one_order(tables, x):
     model = Model.STEINHAUS
     vs = [conditional_variance(SampledFunction(model, s, tables), x) for s in range(3)]
     for s, v in enumerate(vs):
-        assert hoeffding_tail_check(model, x, 0.1, s, 1000, tables).aux["v0"] == v
+        assert hoeffding_tail_check(model, [x], 0.1, s, 1000, tables)[0].aux["v0"] == v
     row = variance_ratio_ensemble(model, 3, tables, seed_base=0, xs=(x,))[0]
     assert row["mean_v"] == float(np.mean(vs))
     ratios = np.array(vs) * math.sqrt(math.log(math.log(x))) / x
