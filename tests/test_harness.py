@@ -155,15 +155,13 @@ def test_hypercontractive_moments_report_as_single_calls(tables_small, model):
 
 def _hashed_primes(monkeypatch):
     """Record the primes of every prime-value hash made from here on."""
-    import rmflab.rmf
-
     seen = []
 
     def spy(model, seeds, primes):
         seen.append(np.asarray(primes).tolist())
         return prime_value_matrix(model, seeds, primes)
 
-    monkeypatch.setattr(rmflab.rmf, "prime_value_matrix", spy)
+    monkeypatch.setattr("rmflab.rmf.prime_value_matrix", spy)
     monkeypatch.setattr("rmflab.harness.prime_value_matrix", spy)
     return seen
 
