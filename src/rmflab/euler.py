@@ -301,7 +301,7 @@ def expected_product_identity_check(
     logs = over_seeds(
         lambda batch: log_factor_matrix(model, prime_value_matrix(model, batch, ps), ps,
                                         np.array([float(t)]))[..., 0].sum(axis=1),
-        seed_base + np.arange(trials), ps.size)
+        range(seed_base, seed_base + trials), ps.size)
     vals = np.exp(2.0 * logs)
     if model is Model.RADEMACHER:
         target = float(np.prod(1.0 + 1.0 / ps))
@@ -372,8 +372,7 @@ def log_factor_sum(model: Model, fp: np.ndarray, primes: np.ndarray, ts: np.ndar
     has more than one point, so the result is bit-identical.  (For a single
     t numpy sums the primes pairwise instead.)  With ``out``, the slabs are
     added into it in place: a running total over consecutive prime ranges.
-    The working set is the sum, one prime's slab and the slab's temporary:
-    three float64 cells per (seed, t).
+    :func:`log_sum_cells` counts its working set.
     """
     fp = np.asarray(fp)
     if out is None:
@@ -381,6 +380,16 @@ def log_factor_sum(model: Model, fp: np.ndarray, primes: np.ndarray, ts: np.ndar
     for i in range(len(primes)):
         out += log_factor_matrix(model, fp[..., i:i + 1], primes[i:i + 1], ts)[..., 0, :]
     return out
+
+
+def log_sum_cells(n_primes: int, n_ts: int) -> int:
+    """Cells per seed of a batch that hashes ``n_primes`` prime values and
+    reduces them with :func:`log_factor_sum` and :func:`grid_quadrature` on
+    ``n_ts`` nodes, as :func:`rmf.over_seeds` counts them: the prime values,
+    and per t the sum, one prime's slab and the slab's temporary (the
+    quadrature's two temporaries come after the slab is freed).
+    """
+    return n_primes + 3 * n_ts
 
 
 def grid_quadrature(logs: np.ndarray, ts: np.ndarray, weights: np.ndarray):

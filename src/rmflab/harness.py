@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .euler import grid_quadrature, integral_on_grid, log_factor_sum, simpson_grid
+from .euler import (grid_quadrature, integral_on_grid, log_factor_sum, log_sum_cells,
+                    simpson_grid)
 from .reporting import MomentReport
 from .rmf import (Model, SampledFunction, abs2, cumulate, over_seeds, partial_sum_matrix,
                   prime_value_matrix, value_matrix)
@@ -132,7 +133,7 @@ def hypercontractive_check(
     s2 = over_seeds(
         lambda batch: abs2((value_matrix(model, batch, N, tables).take(ns, axis=1) * a)
                            .sum(axis=1)),
-        seed_base + np.arange(trials), 2 * (N + 1 + ns.size))
+        range(seed_base, seed_base + trials), 2 * (N + 1 + ns.size))
     out = []
     for m in ms:
         est, se = _mean_se(s2 ** m)
@@ -201,8 +202,8 @@ def hoeffding_tail_check(
             return np.stack([(pv[:, ks.start - lo:ks.stop - lo] * w).sum(axis=1)
                              for ks, w in (sums[j] for j in live)], axis=1)
 
-        M = dict(zip(live, over_seeds(rows, resample_seed_base + np.arange(trials),
-                                      hi - lo).T))
+        seeds = range(resample_seed_base, resample_seed_base + trials)
+        M = dict(zip(live, over_seeds(rows, seeds, hi - lo).T))
     out = []
     for j, (x, v0) in enumerate(zip(xs, v0s)):
         t = 2.0 * math.sqrt(x) * fluctuation_scale(x, epsilon)
@@ -362,7 +363,8 @@ def y_submartingale_check(
             base + log_factor_sum(model, prime_value_matrix(model, batch, delta_primes),
                                   delta_primes, ts),
             ts, wts),
-        seed + RESAMPLE_STREAM + np.arange(resamples), 3 * ts.size,
+        range(seed + RESAMPLE_STREAM, seed + RESAMPLE_STREAM + resamples),
+        log_sum_cells(delta_primes.size, ts.size),
     ) * _y_norm(x_to, x_from)
     est, se = _mean_se(y_next)
     return MomentReport(
@@ -407,7 +409,7 @@ def _y_trajectories(model: Model, seeds, truncations, tables: PrimeTables,
             cols.append(_y_norm(x, truncations[0]) * grid_quadrature(logs, ts, wts))
         return np.stack(cols, axis=1)
 
-    return over_seeds(rows, seeds, 3 * ts.size)
+    return over_seeds(rows, seeds, log_sum_cells(ps.size, ts.size))
 
 
 def doob_check(
@@ -433,7 +435,7 @@ def doob_check(
     flagged beyond 3 joint standard errors.
     """
     model = Model(model)
-    seeds = seed_base + np.arange(trials)
+    seeds = range(seed_base, seed_base + trials)
     if sequence_spec == "z":
         X = _z_trajectories(model, seeds, x_base, r_hi, tables)
     elif sequence_spec == "y":
@@ -499,7 +501,7 @@ def sigma_event_statistic(
     ps = tables.primes[:tables.prime_count_upto(x_prev)]
     vals = over_seeds(
         lambda batch: integral_on_grid(model, prime_value_matrix(model, batch, ps), ps, ts, wts),
-        seed_base + np.arange(trials), 3 * ts.size)
+        range(seed_base, seed_base + trials), log_sum_cells(ps.size, ts.size))
     threshold = 2.0 * math.sqrt(t_param)
     qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
     lw = math.log(x_prev) / math.sqrt(math.log(math.log(x_prev)))
@@ -529,7 +531,7 @@ def variance_ratio_ensemble(
     """
     model = Model(model)
     out = []
-    seeds = seed_base + np.arange(trials)
+    seeds = range(seed_base, seed_base + trials)
     for x in xs:
         s = math.isqrt(x)
         vals = over_seeds(
@@ -568,7 +570,7 @@ def partial_sum_second_moment_check(
     """
     model = Model(model)
     vals = over_seeds(lambda batch: abs2(partial_sum_matrix(model, batch, y, tables)),
-                      seed_base + np.arange(trials), y + 1)
+                      range(seed_base, seed_base + trials), y + 1)
     est, se = _mean_se(vals)
     target = float(y if model is Model.STEINHAUS else squarefree_count(y, tables))
     return MomentReport(

@@ -67,11 +67,23 @@ def over_seeds(fn, seeds, cells_per_seed: int) -> np.ndarray:
     """``fn(batch)`` over consecutive batches of ``seeds``, joined on the first axis.
 
     A batch holds at most BATCH_CELLS cells (and one seed at least), so peak
-    memory follows the batch, not the seed count.  ``fn`` gives one row per
-    seed, which must not depend on the batch it falls in.
+    memory follows the batch, not the seed count.  ``cells_per_seed`` is the
+    caller's estimate of its largest arrays per seed, not an exact bound.
+    ``fn`` gives one row per seed, in the first batch's shape and dtype,
+    which must not depend on the batch it falls in.  The rows are written
+    into one array as they come, and a ``range`` of seeds is never
+    materialized whole, so the seeds and the result add 8 B per seed and
+    the result's row.
     """
+    if len(seeds) == 0:
+        raise ValueError("need at least one seed")
     step = max(1, BATCH_CELLS // max(1, cells_per_seed))
-    return np.concatenate([fn(seeds[i:i + step]) for i in range(0, len(seeds), step)])
+    first = fn(seeds[:step])
+    out = np.empty((len(seeds),) + first.shape[1:], dtype=first.dtype)
+    out[:step] = first
+    for i in range(step, len(seeds), step):
+        out[i:i + step] = fn(seeds[i:i + step])
+    return out
 
 
 class SampledFunction:

@@ -374,8 +374,7 @@ def test_seed_batch_size_never_changes_an_output_byte(tables_small, model,
 @pytest.mark.parametrize("model", list(Model))
 def test_seed_batches_bound_the_peak(tables_small, model, monkeypatch):
     # Four times the seeds must not mean four times the memory: with small
-    # batches the peak is a batch's temporaries plus one value per seed.  At
-    # 1000 seeds every suite here already spans several batches.
+    # batches the peak is a batch's temporaries plus one value per seed.
     monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 50_000)
     suites = [
         lambda n: hoeffding_tail_check(model, [10_000, 1000], 0.1, 3, n, tables_small),
@@ -389,8 +388,9 @@ def test_seed_batches_bound_the_peak(tables_small, model, monkeypatch):
     ]
     tables_small.largest_factor_table()  # cached on first use; keep it out of the peaks
     for run in suites:
+        run(1000)  # first calls import lazily (np.quantile loads numpy.ma); keep it out
         peaks = []
-        for n in (1000, 4000):
+        for n in (2000, 8000):
             tracemalloc.start()
             run(n)
             peaks.append(tracemalloc.get_traced_memory()[1])

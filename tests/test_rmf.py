@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmflab import Model, SampledFunction, partial_sum_matrix, prime_value_matrix, value_matrix
+from rmflab.rmf import over_seeds
 
 
 def test_rademacher_values_are_signs(tables_small):
@@ -160,3 +161,19 @@ def test_prime_values_look_balanced(tables_small):
     assert abs(vals.mean()) < 4.0 / math.sqrt(n)
     G = SampledFunction(Model.STEINHAUS, 123, tables_small)
     assert abs(np.mean(G._values)) < 4.0 / math.sqrt(n)
+
+
+def test_over_seeds_fills_rows_batch_by_batch(monkeypatch):
+    # 7 seeds at 3 a batch: the batches are ranges, the rows land in order.
+    monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 30)
+    batches = []
+
+    def rows(batch):
+        batches.append(batch)
+        return np.array([[s, -s] for s in batch], dtype=np.int16)
+
+    out = over_seeds(rows, range(5, 12), 10)
+    assert batches == [range(5, 8), range(8, 11), range(11, 12)]
+    assert out.dtype == np.int16 and out.tolist() == [[s, -s] for s in range(5, 12)]
+    with pytest.raises(ValueError, match="at least one seed"):
+        over_seeds(rows, range(0), 10)
