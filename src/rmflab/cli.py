@@ -423,6 +423,16 @@ def _trials(value: str) -> int:
     return n
 
 
+def _positive(value: str) -> float:
+    try:
+        x = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a number") from None
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return x
+
+
 #: Every argument any subcommand reads; each subcommand picks its own below.
 _OPTIONS = {
     "inputs": dict(nargs="+", help="simulate CSV files"),
@@ -446,8 +456,8 @@ _OPTIONS = {
     "--n": dict(type=int, default=None,
                 help="weight support size for hypercontractive (default --x-max)"),
     "--t-param": dict(type=float, default=10.0),
-    "--tcut": dict(type=float, default=None),
-    "--quad-tol": dict(type=float, default=1e-6),
+    "--tcut": dict(type=_positive, default=None),
+    "--quad-tol": dict(type=_positive, default=1e-6),
     "--out": dict(default=None),
     "--format": dict(choices=["csv", "json"], default="csv"),
 }

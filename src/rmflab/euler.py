@@ -17,12 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reporting import MomentReport
+from .reporting import MomentReport, mean_se
 from .rmf import Model, SampledFunction, abs2, over_seeds, prime_value_matrix
 from .sieve import PrimeTables
 
 #: Halvings after which adaptive Simpson gives up on a panel.
 MAX_DEPTH = 40
+
+#: Unresolved panels per initial panel at which adaptive Simpson gives up:
+#: each level's evaluation grows with its unresolved panels, so a tolerance
+#: no panel can meet (0, or below float64 resolution) fails in bounded time
+#: and memory instead of doubling the work each level.  Converging
+#: integrals in this package peak near 14.
+MAX_PANEL_GROWTH = 64
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,9 @@ def _adaptive_simpson(func, a: float, b: float, abs_tol: float,
     """Integrate vectorized ``func`` on [a, b]; returns (value, error_bound).
 
     Classic halving with the |S2 - S1|/15 acceptance test, run breadth-first
-    so every refinement level is a single vectorized evaluation.
+    so every refinement level is a single vectorized evaluation.  Raises
+    :class:`QuadratureError` after ``max_depth`` levels, or once a level holds
+    more than MAX_PANEL_GROWTH * ``initial_panels`` unresolved panels.
     """
     edges = np.linspace(a, b, initial_panels + 1)
     lo, hi = edges[:-1], edges[1:]
@@ -138,10 +147,13 @@ def _adaptive_simpson(func, a: float, b: float, abs_tol: float,
         mid = np.concatenate((lm[keep], mh[keep]))
         f_mid = np.concatenate((f_lm[keep], f_mh[keep]))
         coarse = np.concatenate((left[keep], right[keep]))
+        if lo.size > MAX_PANEL_GROWTH * initial_panels:
+            break
     partial = value + float(np.sum(coarse))
     raise QuadratureError(
-        f"adaptive refinement did not converge within depth {max_depth} "
-        f"(unresolved panels: {lo.size}, target {abs_tol:g}, total ~{total:g})",
+        f"adaptive refinement did not converge within depth {max_depth} and "
+        f"{MAX_PANEL_GROWTH * initial_panels} panels (unresolved panels: {lo.size}, "
+        f"target {abs_tol:g}, total ~{total:g})",
         partial=partial,
     )
 
@@ -151,13 +163,8 @@ def _euler_integrand(F: SampledFunction | None, x: int):
     k = 0 if F is None else F.tables.prime_count_upto(x)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        logs = np.zeros(ts.shape)
-        # Chunk over primes to keep the (primes x ts) intermediate small.
-        step = max(1, 2_000_000 // max(1, ts.size))
-        for i in range(0, k, step):
-            j = min(i + step, k)
-            logs += log_factor_matrix(F.model, F._values[i:j], F.tables.primes[i:j],
-                                      ts).sum(axis=0)
+        logs = 0.0 if F is None else log_factor_sum(F.model, F._values[:k],
+                                                      F.tables.primes[:k], ts)
         return np.exp(2.0 * logs) / (0.25 + ts * ts)
 
     return integrand
@@ -242,6 +249,8 @@ def parseval_identity_check(
         return abs2(A) / (sigma * sigma + ts * ts)
 
     T = quad.t_cut if quad.t_cut is not None else 500.0
+    if T <= 0:
+        raise ValueError(f"t_cut must be positive, got {T}")
     # Oscillation period ~ 2*pi/log(N); keep initial panels below half of it.
     panels = max(64, int(T * math.log(N + 1.0)))
     abs_tol = quad.rel_tol * max(lhs, 1e-12) * 2.0 * math.pi
@@ -287,15 +296,14 @@ def expected_product_identity_check(
     """Monte Carlo mean of the squared local-factor product over x < p <= y.
 
     The exact expectation is prod(1 + 1/p) in the Rademacher case and
-    prod(1 - 1/p)^-1 in the Steinhaus case, independent of t.  Flagged
-    two-sided: violated iff |estimate - target| > 3 SE.
+    prod(1 - 1/p)^-1 in the Steinhaus case, independent of t.
     """
     model = Model(model)
     if not 2 <= x <= y <= tables.limit:
         raise ValueError(f"bad range 2 <= {x} <= {y} <= {tables.limit}")
     ps = tables.primes_in(x, y)
     if len(ps) == 0 or x == y:
-        return MomentReport(1.0, 0.0, 1.0, trials, False, label="empty-product")
+        return MomentReport(1.0, 0.0, 1.0, trials, "equal", label="empty-product")
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful SE")
     logs = over_seeds(
@@ -307,14 +315,13 @@ def expected_product_identity_check(
         target = float(np.prod(1.0 + 1.0 / ps))
     else:
         target = float(np.prod(1.0 / (1.0 - 1.0 / ps)))
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(trials))
+    est, se = mean_se(vals)
     return MomentReport(
         estimate=est,
         std_error=se,
         bound=target,
         trials=trials,
-        violated=abs(est - target) > 3.0 * se,
+        kind="equal",
         label=f"product-expectation x={x} y={y} t={t} {model.value}",
     )
 

@@ -1,8 +1,9 @@
 """Experiment driver: grids, trial statistics, and the inequality suites.
 
 Every suite here checks a theorem by Monte Carlo: estimates are compared
-to exact bounds or closed-form targets with a 3-standard-error rule, so a
-stable violation indicates an implementation bug, never new mathematics.
+to exact bounds or closed-form targets by :func:`rmflab.reporting.flagged`,
+so a stable violation indicates an implementation bug, never new
+mathematics.
 Conditioning is realized exactly by seed-splitting: small primes keep the
 values of the conditioning seed, resampled primes are redrawn from
 per-resample seeds.
@@ -16,7 +17,7 @@ import numpy as np
 
 from .euler import (grid_quadrature, integral_on_grid, log_factor_sum, log_sum_cells,
                     simpson_grid)
-from .reporting import MomentReport
+from .reporting import MomentReport, flagged, mean_se
 from .rmf import (Model, SampledFunction, abs2, cumulate, over_seeds, partial_sum_matrix,
                   prime_value_matrix, value_matrix)
 from .sieve import PrimeTables, divisor_m, squarefree_count
@@ -90,12 +91,6 @@ def run_trial(model: Model, seed: int, tables: PrimeTables, plan: GridPlan,
 # ---------------------------------------------------------------------------
 
 
-def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    if len(vals) < 2:  # one value has no standard error
-        raise ValueError("need at least 2 trials")
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-
-
 def _proportion_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
@@ -112,8 +107,7 @@ def hypercontractive_check(
 
     One report per m in ``ms``, in order.  Every m takes its moment of the
     same Monte Carlo sample |sum a_n f(n)|^2, one value per seed.  The bound
-    is computed exactly through the sieve.  One-sided: a theorem, so
-    ``violated`` should always be False.
+    is computed exactly through the sieve.
     """
     ms = list(ms)
     if not ms:
@@ -136,7 +130,7 @@ def hypercontractive_check(
         range(seed_base, seed_base + trials), 2 * (N + 1 + ns.size))
     out = []
     for m in ms:
-        est, se = _mean_se(s2 ** m)
+        est, se = mean_se(s2 ** m)
         bound = float(
             sum(abs(weights[int(n)]) ** 2 * divisor_m(int(n), 2 * m - 1, tables) for n in ns)
             ** m
@@ -146,7 +140,7 @@ def hypercontractive_check(
             std_error=se,
             bound=bound,
             trials=trials,
-            violated=est - 3.0 * se > bound,
+            kind="upper",
             label=f"hypercontractive m={m} N={N} {Model(model).value}",
         ))
     return out
@@ -187,8 +181,8 @@ def hoeffding_tail_check(
         raise ValueError("need at least 1000 resamples")
     if resample_seed_base is None:
         resample_seed_base = small_prime_seed + RESAMPLE_STREAM
-    F0 = SampledFunction(model, small_prime_seed, tables)
-    sums = [quotient_sums(F0.prefix_sums(math.isqrt(x)), x, tables) for x in xs]
+    A0 = cumulate(value_matrix(model, [small_prime_seed], math.isqrt(max(xs)), tables)[0])
+    sums = [quotient_sums(A0[:math.isqrt(x) + 1], x, tables) for x in xs]
     v0s = [variance_sum(w) for _, w in sums]
     live = [j for j, v0 in enumerate(v0s) if v0 != 0.0]
     M = {}  # point index -> M per resample seed
@@ -209,7 +203,7 @@ def hoeffding_tail_check(
         t = 2.0 * math.sqrt(x) * fluctuation_scale(x, epsilon)
         label = f"hoeffding x={x} seed={small_prime_seed} {model.value}"
         if v0 == 0.0:
-            out.append(MomentReport(0.0, 0.0, 0.0, trials, False, label=label,
+            out.append(MomentReport(0.0, 0.0, 0.0, trials, "upper", label=label,
                                     aux={"v0": 0.0, "threshold": t,
                                          "literature_bound": 0.0}))
             continue
@@ -226,7 +220,7 @@ def hoeffding_tail_check(
             std_error=se,
             bound=min(bound, 1.0),
             trials=trials,
-            violated=est - 3.0 * se > bound,
+            kind="upper",
             label=label,
             aux={"v0": v0, "threshold": t, "literature_bound": literature_bound},
         ))
@@ -269,26 +263,26 @@ def submartingale_z_check(
     one new prime; with everything below frozen, the conditional mean
     increment is exactly |A_f(floor(x_base/p))|^2 >= 0 (the cross term has
     mean zero).  A prime above x_base divides no n <= x_base and reveals
-    nothing.  One report per step; ``violated`` iff the Monte Carlo mean
-    dips below -3 SE.
+    nothing.  One report per step, asserting a mean increment >= 0.
     """
     model = Model(model)
     if x_base > 1_000_000:
         raise ValueError("x_base above the oracle cap")
     if not 2 <= k_lo < k_hi:
         raise ValueError("need 2 <= k_lo < k_hi")
-    F = SampledFunction(model, seed, tables)
     s0 = math.isqrt(x_base)
-    ks, Aq = quotient_sums(F.prefix_sums(s0), x_base, tables)
+    ks, Aq = quotient_sums(cumulate(value_matrix(model, [seed], s0, tables)[0]), x_base,
+                           tables)
     # frozen[j]: the sum over the first j revealed primes of f(q) * A(x_base // q).
-    frozen = np.concatenate(([0], np.cumsum(F._values[ks] * Aq)))
+    fq = prime_value_matrix(model, [seed], tables.primes[ks])[0]
+    frozen = np.concatenate(([0], np.cumsum(fq * Aq)))
     out: list[MomentReport] = []
     for k in range(k_lo, k_hi):
         r, r2 = math.isqrt(k), math.isqrt(k + 1)
         label = f"z-step x_base={x_base} k={k} {model.value}"
         newp = tables.primes_in(max(r, s0), min(r2, x_base))
         if r2 == r or len(newp) == 0:
-            out.append(MomentReport(0.0, 0.0, 0.0, resamples, False, label=label,
+            out.append(MomentReport(0.0, 0.0, 0.0, resamples, "lower", label=label,
                                     aux={"target": 0.0, "new_prime": 0}))
             continue
         p = int(newp[0])
@@ -297,14 +291,14 @@ def submartingale_z_check(
         # In the sum's dtype: numpy 1.x would keep int8 * scalar in int8 and wrap.
         seeds = seed + RESAMPLE_STREAM + np.arange(resamples)
         fp = prime_value_matrix(model, seeds, [p])[:, 0].astype(Aq.dtype)
-        est, se = _mean_se(np.abs(S + fp * c) ** 2 - abs(S) ** 2)
+        est, se = mean_se(np.abs(S + fp * c) ** 2 - abs(S) ** 2)
         out.append(
             MomentReport(
                 estimate=est,
                 std_error=se,
                 bound=0.0,
                 trials=resamples,
-                violated=est < -3.0 * se,
+                kind="lower",
                 label=label,
                 aux={"target": float(abs(c) ** 2), "new_prime": p},
             )
@@ -345,16 +339,16 @@ def y_submartingale_check(
     (x_from, x_to] are resampled; the Monte Carlo mean of the statistic at
     ``x_to`` is compared to its frozen value at ``x_from``.  A shared fixed
     Simpson grid is used for every sample so the discretized statistic is
-    itself a submartingale.  ``violated`` iff mean < previous - 3 SE.
+    itself a submartingale.  The report asserts a mean increment >= 0.
     """
     model = Model(model)
     if not 3 <= x_from < x_to <= tables.limit:
         raise ValueError("need 3 <= x_from < x_to <= limit")
-    F = SampledFunction(model, seed, tables)
     ts, wts = _y_grid(model, T, panels)
     k0 = tables.prime_count_upto(x_from)
     k1 = tables.prime_count_upto(x_to)
-    base = log_factor_sum(model, F._values[:k0], tables.primes[:k0], ts)
+    base = log_factor_sum(model, prime_value_matrix(model, [seed], tables.primes[:k0])[0],
+                          tables.primes[:k0], ts)
     y_prev = _y_norm(x_from, x_from) * grid_quadrature(base, ts, wts)
 
     delta_primes = tables.primes[k0:k1]
@@ -366,13 +360,13 @@ def y_submartingale_check(
         range(seed + RESAMPLE_STREAM, seed + RESAMPLE_STREAM + resamples),
         log_sum_cells(delta_primes.size, ts.size),
     ) * _y_norm(x_to, x_from)
-    est, se = _mean_se(y_next)
+    est, se = mean_se(y_next)
     return MomentReport(
         estimate=est - y_prev,
         std_error=se,
         bound=0.0,
         trials=resamples,
-        violated=(est - y_prev) < -3.0 * se,
+        kind="lower",
         label=f"y-step {x_from}->{x_to} seed={seed} {model.value}",
         aux={"y_prev": y_prev, "y_next_mean": est},
     )
@@ -431,8 +425,8 @@ def doob_check(
     ``sequence_spec`` is "z" (prime-reveal squared sums at ``x_base``) or "y"
     (normalized integral statistics on ``truncations``).  Maximal form
     (``p_exponent`` None): lambda * P(max > lambda) <= E[X_n].  L^2 form
-    (``p_exponent`` == 2): E[max^2] <= 4 * max_k E[X_k^2].  Violations are
-    flagged beyond 3 joint standard errors.
+    (``p_exponent`` == 2): E[max^2] <= 4 * max_k E[X_k^2].  The standard
+    error is the joint one of both sides.
     """
     model = Model(model)
     seeds = range(seed_base, seed_base + trials)
@@ -443,30 +437,29 @@ def doob_check(
     else:
         raise ValueError(f"unknown sequence_spec {sequence_spec!r}")
     if X.shape[1] == 0:
-        return MomentReport(0.0, 0.0, 0.0, trials, False,
+        return MomentReport(0.0, 0.0, 0.0, trials, "upper",
                             label=f"doob {sequence_spec} (empty sequence)")
     mx = X.max(axis=1)
     if p_exponent is None:
         hit = mx > lam
         est = lam * float(np.mean(hit))
         se_l = lam * _proportion_se(float(np.mean(hit)), trials)
-        rhs, se_r = _mean_se(X[:, -1])
+        rhs, se_r = mean_se(X[:, -1])
         label = f"doob-max {sequence_spec} lambda={lam} {model.value}"
     elif p_exponent == 2:
-        est, se_l = _mean_se(mx**2)
-        per_k = [_mean_se(X[:, j] ** 2) for j in range(X.shape[1])]
+        est, se_l = mean_se(mx**2)
+        per_k = [mean_se(X[:, j] ** 2) for j in range(X.shape[1])]
         j_star = int(np.argmax([m for m, _ in per_k]))
         rhs, se_r = 4.0 * per_k[j_star][0], 4.0 * per_k[j_star][1]
         label = f"doob-l2 {sequence_spec} {model.value}"
     else:
         raise ValueError("p_exponent must be None (maximal form) or 2")
-    joint = math.sqrt(se_l * se_l + se_r * se_r)
     return MomentReport(
         estimate=est,
-        std_error=joint,
+        std_error=math.sqrt(se_l * se_l + se_r * se_r),
         bound=rhs,
         trials=trials,
-        violated=est - rhs > 3.0 * joint,
+        kind="upper",
         label=label,
     )
 
@@ -526,8 +519,7 @@ def variance_ratio_ensemble(
     """Distribution of V(x)*sqrt(loglog x)/x across trials, per grid x.
 
     Also compares the Monte Carlo mean of V(x) against the closed-form
-    expectation (the exact oracle); the ``violated`` flag is two-sided at
-    3 SE on that comparison.
+    expectation (the exact oracle), as an ``"equal"`` check.
     """
     model = Model(model)
     out = []
@@ -538,7 +530,7 @@ def variance_ratio_ensemble(
             lambda batch: variance_sum(
                 quotient_sums(cumulate(value_matrix(model, batch, s, tables)), x, tables)[1]),
             seeds, len(tables.primes_in(s, x)))
-        est, se = _mean_se(vals)
+        est, se = mean_se(vals)
         exact = exact_expected_variance(x, model, tables)
         ratio = vals * math.sqrt(math.log(math.log(x))) / x
         out.append(
@@ -548,7 +540,7 @@ def variance_ratio_ensemble(
                 "mean_v": est,
                 "std_error": se,
                 "exact_ev": exact,
-                "violated": abs(est - exact) > 3.0 * se,
+                "violated": flagged("equal", est, se, exact),
                 "ratio_median": float(np.median(ratio)),
                 "ratio_q90": float(np.quantile(ratio, 0.9)),
             }
@@ -566,18 +558,18 @@ def partial_sum_second_moment_check(
     """Monte Carlo E|A_f(y)|^2 against the orthogonality target.
 
     Target: floor(y) for Steinhaus, the squarefree count up to y for
-    Rademacher.  Two-sided at 3 SE.
+    Rademacher.
     """
     model = Model(model)
     vals = over_seeds(lambda batch: abs2(partial_sum_matrix(model, batch, y, tables)),
                       range(seed_base, seed_base + trials), y + 1)
-    est, se = _mean_se(vals)
+    est, se = mean_se(vals)
     target = float(y if model is Model.STEINHAUS else squarefree_count(y, tables))
     return MomentReport(
         estimate=est,
         std_error=se,
         bound=target,
         trials=trials,
-        violated=abs(est - target) > 3.0 * se,
+        kind="equal",
         label=f"second-moment y={y} {model.value}",
     )

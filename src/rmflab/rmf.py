@@ -148,10 +148,7 @@ class SampledFunction:
 
         Rademacher output is int8 (exact), Steinhaus complex128.
         """
-        if not 1 <= y <= self.tables.limit:
-            raise ValueError(f"y={y} outside [1, {self.tables.limit}]")
-        k = self.tables.prime_count_upto(y)
-        return _sieve(self.model, self._values[None, :k], y, self.tables)[0]
+        return _sieve(self.model, lambda k: self._values[None, :k], y, self.tables)[0]
 
     def prefix_sums(self, y: int) -> np.ndarray:
         """A[k] = sum of f(m) for m <= k, 0 <= k <= y, with A[0] = 0.
@@ -162,8 +159,10 @@ class SampledFunction:
         return cumulate(self.values_up_to(y))
 
 
-def _sieve(model: Model, pv: np.ndarray, y: int, tables: PrimeTables) -> np.ndarray:
-    """f(n) for n = 0..y, one row per row of prime values ``pv`` (rows, pi(y)).
+def _sieve(model: Model, prime_values, y: int, tables: PrimeTables) -> np.ndarray:
+    """f(n) for n = 0..y, one row per row of ``prime_values(pi(y))``, the
+    values of the first pi(y) primes, called once y is checked against the
+    table.
 
     The primes p <= sqrt(y) are sieved with one strided operation per prime
     power: Rademacher zeroes the multiples of p^2 (f lives on the squarefree
@@ -172,6 +171,9 @@ def _sieve(model: Model, pv: np.ndarray, y: int, tables: PrimeTables) -> np.ndar
     is applied to all those n in one gather.  The work runs on (n, row)
     planes, so every operation spans contiguous rows.
     """
+    if not 1 <= y <= tables.limit:
+        raise ValueError(f"y={y} outside [1, {tables.limit}]")
+    pv = prime_values(tables.prime_count_upto(y))
     rows = pv.shape[0]
     if model is Model.RADEMACHER:
         planes = [np.ones((y + 1, rows), dtype=np.int8)]
@@ -245,9 +247,9 @@ def value_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray
     bit-identical to that seed's single-realization values.
     """
     model = Model(model)
-    k = tables.prime_count_upto(y)
-    pv = prime_value_matrix(model, np.asarray(seeds, dtype=np.int64), tables.primes[:k])
-    return _sieve(model, pv, y, tables)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    return _sieve(model, lambda k: prime_value_matrix(model, seeds, tables.primes[:k]),
+                  y, tables)
 
 
 def partial_sum_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray:

@@ -244,6 +244,17 @@ def test_trials_must_be_positive(capsys):
         assert "must be an integer" in capsys.readouterr().err
 
 
+def test_quadrature_settings_must_be_positive_and_finite(capsys):
+    parseval = ["euler", "--check", "parseval", "--trials", "1"]
+    for flag, value in (("--quad-tol", "0"), ("--quad-tol", "-1"), ("--quad-tol", "nan"),
+                        ("--tcut", "0"), ("--tcut", "-5"), ("--tcut", "inf")):
+        assert _run(parseval + [flag, value]) == 2, (flag, value)
+        assert "must be positive and finite" in capsys.readouterr().err
+    # Positive, but below float64 resolution: the quadrature gives up (exit 3).
+    assert _run(parseval + ["--quad-tol", "1e-300"]) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_a_3se_check_on_one_trial_is_a_usage_error(capsys):
     # One value has no standard error: these used to exit 1 (variance) or
     # exit 1 with a NaN std_error and RuntimeWarnings (doob).

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rmflab import (
     Model,
     QuadratureConfig,
+    QuadratureError,
     SampledFunction,
     euler_product,
     expected_product_identity_check,
@@ -17,6 +18,7 @@ from rmflab import (
     prime_value_matrix,
 )
 from rmflab.euler import (
+    MAX_PANEL_GROWTH,
     _adaptive_simpson,
     integral_on_grid,
     log_factor_matrix,
@@ -62,6 +64,21 @@ def test_adaptive_simpson_known_integrals():
     assert abs(val - exact) < 1e-7
 
 
+@pytest.mark.parametrize("abs_tol", [0.0, -1.0, 1e-300])
+def test_adaptive_simpson_gives_up_at_the_panel_cap(abs_tol):
+    # No panel meets these tolerances, so each level would double the work.
+    sizes = []
+
+    def func(t):
+        sizes.append(t.size)
+        return np.sin(t)
+
+    with pytest.raises(QuadratureError) as info:
+        _adaptive_simpson(func, 0.0, math.pi, abs_tol, 40, 8)
+    assert max(sizes) <= MAX_PANEL_GROWTH * 8
+    assert info.value.partial == pytest.approx(2.0)
+
+
 def test_parseval_integral_diagnostic_is_2pi():
     est = parseval_integral(None, 100)
     # The f = 0 product is identically 1; the missing tail is exactly the
@@ -96,6 +113,12 @@ def test_parseval_identity_random_sequences(sigma):
 def test_parseval_identity_rejects_bad_sigma():
     with pytest.raises(ValueError):
         parseval_identity_check([1.0], 0.0)
+
+
+@pytest.mark.parametrize("t_cut", [0.0, -5.0])
+def test_parseval_identity_rejects_a_nonpositive_t_cut(t_cut):
+    with pytest.raises(ValueError, match="t_cut"):
+        parseval_identity_check([1.0, 2.0], 0.5, QuadratureConfig(t_cut=t_cut))
 
 
 def test_parseval_identity_zero_sequence():

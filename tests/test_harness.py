@@ -10,6 +10,7 @@ from rmflab import (
     Model,
     SampledFunction,
     conditional_variance,
+    divisor_m,
     doob_check,
     exact_expected_variance,
     expected_product_identity_check,
@@ -25,6 +26,7 @@ from rmflab import (
     sigma_event_statistic,
     submartingale_z_check,
     test_points as grid_points,
+    value_matrix,
     variance_ratio_ensemble,
     y_submartingale_check,
 )
@@ -32,9 +34,11 @@ from rmflab.euler import log_factor_matrix, simpson_grid
 from rmflab.harness import (
     RESAMPLE_STREAM,
     _revealed_prime_sums,
+    _y_norm,
     _y_trajectories,
     _z_trajectories,
 )
+from rmflab.rmf import abs2
 
 
 def _brute_test_points(epsilon, x_max):
@@ -110,6 +114,24 @@ def test_hypercontractive_m1_matches_orthogonality(tables_small):
     assert rep.estimate == pytest.approx(sq_target, abs=4 * rep.std_error)
 
 
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("m", [1, 2])
+def test_hypercontractive_flags_a_halved_divisor_bound(tables_small, model, m,
+                                                       monkeypatch):
+    # m = 3 is left out: its bound sits about 20x above the estimate, so
+    # halving d_5 (the bound / 8) still leaves it above.
+    w = {n: 1.0 / n for n in range(1, 201)}
+
+    def violated():
+        (rep,) = hypercontractive_check(w, (m,), 2000, model, tables_small)
+        return rep.violated
+
+    assert not violated()
+    monkeypatch.setattr("rmflab.harness.divisor_m",
+                        lambda n, k, tables: 0.5 * divisor_m(n, k, tables))
+    assert violated()
+
+
 def test_hypercontractive_validation(tables_small):
     with pytest.raises(ValueError):
         hypercontractive_check({1: 1.0}, (4,), 2000, Model.RADEMACHER, tables_small)
@@ -154,11 +176,13 @@ def test_hypercontractive_moments_report_as_single_calls(tables_small, model):
 
 
 def _hashed_primes(monkeypatch):
-    """Record the primes of every prime-value hash made from here on."""
+    """Record the primes of every prime-value hash made from here on, keyed
+    by whether its first seed lies in the resample stream."""
     seen = []
 
     def spy(model, seeds, primes):
-        seen.append(np.asarray(primes).tolist())
+        seen.append((int(np.asarray(seeds)[0]) >= RESAMPLE_STREAM,
+                     np.asarray(primes).tolist()))
         return prime_value_matrix(model, seeds, primes)
 
     monkeypatch.setattr("rmflab.rmf.prime_value_matrix", spy)
@@ -184,6 +208,21 @@ def test_list_apis_reject_bad_input_before_any_hashing(tables_small, model, monk
 
 
 @pytest.mark.parametrize("model", list(Model))
+def test_sieve_rejects_y_past_the_table_before_any_hashing(tables_small, model,
+                                                           monkeypatch):
+    # Past the limit the table holds no primes, so every f(p) there would read 1.
+    seen = _hashed_primes(monkeypatch)
+    y = tables_small.limit + 1
+    for call in (
+        lambda: value_matrix(model, [0], y, tables_small),
+        lambda: partial_sum_second_moment_check(model, y, 100, tables_small),
+    ):
+        with pytest.raises(ValueError, match="outside"):
+            call()
+    assert seen == []
+
+
+@pytest.mark.parametrize("model", list(Model))
 def test_hoeffding_point_without_primes_adds_none_to_the_hash(tables_small, model,
                                                               monkeypatch):
     # isqrt(10^8) = 10^4 is the table limit: no prime of the table lies in
@@ -193,13 +232,13 @@ def test_hoeffding_point_without_primes_adds_none_to_the_hash(tables_small, mode
     assert (zero.estimate, zero.std_error, zero.bound, zero.violated) == (0.0, 0.0, 0.0,
                                                                           False)
     assert zero.aux["v0"] == 0.0 and zero.label.startswith("hoeffding x=100000000 ")
-    resampled = [p for p in seen if len(p) < tables_small.primes.size]
+    resampled = [p for drawn, p in seen if drawn]
     assert resampled == [tables_small.primes_in(31, 1000).tolist()]
     assert rep == hoeffding_tail_check(model, [1000], 0.1, 3, 1000, tables_small)[0]
     seen.clear()
     (alone,) = hoeffding_tail_check(model, [10**8], 0.1, 3, 1000, tables_small)
     assert alone == zero
-    assert [p for p in seen if len(p) < tables_small.primes.size] == []
+    assert [p for drawn, p in seen if drawn] == []
 
 
 def test_submartingale_z_targets(tables_small):
@@ -284,10 +323,53 @@ def test_submartingale_z_no_prime_step(tables_small):
 
 
 @pytest.mark.parametrize("model", list(Model))
+def test_submartingale_z_flags_a_revealed_value_that_shrinks_the_sum(tables_small,
+                                                                     model,
+                                                                     monkeypatch):
+    # At seed 0 the step k = 97^2 - 1 reveals p = 97 with 0 < |c| < 2|S|, so
+    # f(p) = -S conj(c) / |S c| gives |S + f(p) c| = ||S| - |c|| < |S| every time.
+    x_base, p, seed = 1000, 97, 0
+    F = SampledFunction(model, seed, tables_small)
+    S = complex(interval_sum_pconstraint(F, 0, x_base, math.isqrt(x_base), p - 1))
+    c = complex(interval_sum_pconstraint(F, 0, x_base, p - 1, p)) / F.prime_value(p)
+    assert 0 < abs(c) < 2 * abs(S)
+    shrink = -S * c.conjugate() / abs(S * c)
+
+    def violated():
+        (rep,) = submartingale_z_check(model, x_base, p * p - 1, p * p, 1000, seed,
+                                       tables_small)
+        assert rep.aux["new_prime"] == p
+        return rep.violated
+
+    def forced(model, seeds, primes):
+        pv = prime_value_matrix(model, seeds, primes)
+        if np.asarray(seeds)[0] < RESAMPLE_STREAM:  # the frozen realization
+            return pv
+        return np.full(pv.shape, shrink if np.iscomplexobj(pv) else shrink.real,
+                       dtype=pv.dtype)
+
+    assert not violated()
+    monkeypatch.setattr("rmflab.harness.prime_value_matrix", forced)
+    assert violated()
+
+
+@pytest.mark.parametrize("model", list(Model))
 def test_y_submartingale_increment(tables_small, model):
     rep = y_submartingale_check(model, 100, 140, 300, 4, tables_small)
     assert not rep.violated
     assert rep.aux["y_prev"] > 0
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_y_submartingale_flags_a_halved_next_step(tables_small, model, monkeypatch):
+    def violated():
+        return y_submartingale_check(model, 100, 140, 300, 4, tables_small).violated
+
+    assert not violated()
+    # Only the next step's weight; the frozen one, at x = x0, stays.
+    monkeypatch.setattr("rmflab.harness._y_norm",
+                        lambda x, x0: _y_norm(x, x0) * (0.5 if x != x0 else 1.0))
+    assert violated()
 
 
 def test_z_trajectories_nonnegative_and_growing_mean(tables_small):
@@ -319,6 +401,36 @@ def test_doob_inequalities(tables_small, model, spec):
     rep_l2 = doob_check(spec, 30.0, 2, model=model, tables=tables_small,
                         **kwargs)
     assert not rep_l2.violated
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_doob_maximal_flags_a_time_reversed_sequence(tables_small, model, monkeypatch):
+    # Reversed, the last step is the first revealed sum |G_37|^2, whose mean
+    # (about 17 or 27) is far below lambda * P(max > lambda) at lambda = 100.
+    def violated():
+        return doob_check("z", 100.0, None, 1000, model, tables_small).violated
+
+    assert not violated()
+    monkeypatch.setattr("rmflab.harness._z_trajectories",
+                        lambda *args: _z_trajectories(*args)[:, ::-1])
+    assert violated()
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_doob_l2_flags_a_non_submartingale(tables_small, model, monkeypatch):
+    # One spike of height 1 per trial, at step (trial mod steps): E[max^2] = 1,
+    # while each E[X_k^2] is about 1/13 over the 13 steps.
+    def spikes(model, seeds, *args):
+        X = np.zeros_like(_z_trajectories(model, seeds, *args))
+        X[np.arange(len(seeds)), np.arange(len(seeds)) % X.shape[1]] = 1.0
+        return X
+
+    def violated():
+        return doob_check("z", 30.0, 2, 400, model, tables_small).violated
+
+    assert not violated()
+    monkeypatch.setattr("rmflab.harness._z_trajectories", spikes)
+    assert violated()
 
 
 def test_doob_rejects_unknown_spec(tables_small):
@@ -472,6 +584,19 @@ def test_partial_sum_second_moment(tables_small, model):
     assert not rep.violated
     if model is Model.STEINHAUS:
         assert rep.bound == 200.0
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_partial_sum_second_moment_flags_a_target_10_percent_off(tables_small, model,
+                                                                monkeypatch):
+    # 50000 trials put 3 SE near 3 % of the target at y = 100.  Every |A|^2
+    # divided by 1.1 flags exactly when the target times 1.1 would.
+    def violated():
+        return partial_sum_second_moment_check(model, 100, 50_000, tables_small).violated
+
+    assert not violated()
+    monkeypatch.setattr("rmflab.harness.abs2", lambda z: abs2(z) / 1.1)
+    assert violated()
 
 
 @pytest.mark.parametrize("model", list(Model))
