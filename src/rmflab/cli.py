@@ -264,8 +264,7 @@ def _cmd_moments(args) -> int:
     model = Model(args.model)
     reports: list[MomentReport] = []
     if args.suite == "hypercontractive":
-        n_max = args.n if args.n is not None else args.x_max
-        weights = {n: 1.0 / n for n in range(1, n_max + 1)}
+        weights = {n: 1.0 / n for n in range(1, args.x_max + 1)}
         reports = harness.hypercontractive_check(
             weights, (args.m,) if args.m is not None else (1, 2, 3), args.trials, model,
             tables, seed_base=args.seed)
@@ -408,9 +407,12 @@ def _threads(value: str) -> int:
     if value == "auto":
         return os.cpu_count() or 1
     try:
-        return max(1, int(value))
+        n = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError("must be an integer or 'auto'") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("threads must be positive")
+    return n
 
 
 def _trials(value: str) -> int:
@@ -423,14 +425,22 @@ def _trials(value: str) -> int:
     return n
 
 
-def _positive(value: str) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("must be a number") from None
-    if not 0.0 < x < math.inf:
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return x
+def _float_type(ok, message: str):
+    """An argparse type: a float for which ``ok`` holds, else ``message``."""
+    def parse(value: str) -> float:
+        try:
+            x = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError("must be a number") from None
+        if not ok(x):
+            raise argparse.ArgumentTypeError(message)
+        return x
+
+    return parse
+
+
+_finite = _float_type(math.isfinite, "must be finite")
+_positive = _float_type(lambda x: 0.0 < x < math.inf, "must be positive and finite")
 
 
 #: Every argument any subcommand reads; each subcommand picks its own below.
@@ -450,12 +460,10 @@ _OPTIONS = {
                       help="worker count, or 'auto' for one per CPU"),
     "--full-grid": dict(action="store_true"),
     "--points": dict(default=None, help="comma-separated x values"),
-    "--lam": dict(type=float, default=50.0),
+    "--lam": dict(type=_positive, default=50.0),
     "--m": dict(type=int, default=None,
                 help="restrict the hypercontractive suite to one moment"),
-    "--n": dict(type=int, default=None,
-                help="weight support size for hypercontractive (default --x-max)"),
-    "--t-param": dict(type=float, default=10.0),
+    "--t-param": dict(type=_finite, default=10.0),
     "--tcut": dict(type=_positive, default=None),
     "--quad-tol": dict(type=_positive, default=1e-6),
     "--out": dict(default=None),
@@ -472,7 +480,7 @@ _COMMANDS = {
                       "--out", "--format"]),
     "moments": (_cmd_moments,
                 ["--suite", "--model", "--seed", "--trials", "--epsilon",
-                 "--x-max", "--points", "--lam", "--m", "--n", "--out",
+                 "--x-max", "--points", "--lam", "--m", "--out",
                  "--format"]),
     "euler": (_cmd_euler,
               ["--check", "--model", "--seed", "--trials", "--x-max",

@@ -81,9 +81,9 @@ def euler_product(F: SampledFunction | None, x: int, t: float) -> complex:
         return 1.0 + 0.0j
     if x > F.tables.limit:
         raise ValueError(f"x={x} exceeds table limit {F.tables.limit}")
-    k = F.tables.prime_count_upto(x)
-    pf = F.tables.primes[:k].astype(np.float64)
-    z = F._values[:k] / np.sqrt(pf) * np.exp(-1j * float(t) * np.log(pf))
+    ps = F.tables.primes[:F.tables.prime_count_upto(x)]
+    pf = ps.astype(np.float64)
+    z = F.prime_values(ps) / np.sqrt(pf) * np.exp(-1j * float(t) * np.log(pf))
     if F.model is Model.RADEMACHER:
         logs = np.log1p(z)
     else:
@@ -160,14 +160,11 @@ def _adaptive_simpson(func, a: float, b: float, abs_tol: float,
 
 def _euler_integrand(F: SampledFunction | None, x: int):
     """|S_x(1/2+it)|^2 / |1/2+it|^2 as a vectorized function of t."""
-    k = 0 if F is None else F.tables.prime_count_upto(x)
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        logs = 0.0 if F is None else log_factor_sum(F.model, F._values[:k],
-                                                      F.tables.primes[:k], ts)
-        return np.exp(2.0 * logs) / (0.25 + ts * ts)
-
-    return integrand
+    if F is None:
+        return lambda ts: 1.0 / (0.25 + ts * ts)
+    ps = F.tables.primes[:F.tables.prime_count_upto(x)]
+    fp = F.prime_values(ps)
+    return lambda ts: np.exp(2.0 * log_factor_sum(F.model, fp, ps, ts)) / (0.25 + ts * ts)
 
 
 def parseval_integral(

@@ -38,6 +38,11 @@ SUP_X_MIN = 100
 # ---------------------------------------------------------------------------
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 0.25:
+        raise ValueError(f"epsilon must lie in (0, 1/4), got {epsilon}")
+
+
 def test_points(epsilon: float, x_max: int) -> np.ndarray:
     """Distinct values of floor(exp(i^epsilon)) in [3, x_max], ascending.
 
@@ -45,8 +50,7 @@ def test_points(epsilon: float, x_max: int) -> np.ndarray:
     (log x)^(1/eps) <= i < (log(x+1))^(1/eps), which avoids iterating the
     astronomically many i directly.
     """
-    if not 0.0 < epsilon < 0.25:
-        raise ValueError(f"epsilon must lie in (0, 1/4), got {epsilon}")
+    _check_epsilon(epsilon)
     if x_max < 3:
         return np.zeros(0, dtype=np.int64)
     xs = np.arange(3, x_max + 1, dtype=np.int64)
@@ -153,7 +157,6 @@ def hoeffding_tail_check(
     small_prime_seed: int,
     trials: int,
     tables: PrimeTables,
-    resample_seed_base: int | None = None,
 ) -> list[MomentReport]:
     """Conditional tail of M_f(x) at the threshold 2*sqrt(x)*scale(x), per x in ``xs``.
 
@@ -165,11 +168,12 @@ def hoeffding_tail_check(
     parts each bounded at threshold t/sqrt(2)).  The looser literature-shaped
     form exp(-4 x scale^2 / V0) is reported in ``aux``, not asserted.
 
-    One report per x, in order.  Every x shares the resample seeds: each
-    seed's prime values are hashed once, over the union of the points'
-    prime ranges, and each M is summed over its own range.  An x with
-    V0 = 0 gets a zero report and adds no primes.  Primes above
-    ``tables.limit`` are not in the table and do not enter M.
+    One report per x, in order.  Every x shares the resample seeds
+    ``small_prime_seed`` + RESAMPLE_STREAM + 0..trials-1: each seed's prime
+    values are hashed once, over the union of the points' prime ranges, and
+    each M is summed over its own range.  An x with V0 = 0 gets a zero
+    report and adds no primes.  Primes above ``tables.limit`` are not in the
+    table and do not enter M.
     """
     model = Model(model)
     xs = [int(x) for x in xs]
@@ -179,8 +183,7 @@ def hoeffding_tail_check(
         raise ValueError("x must be >= 16")
     if trials < 1000:
         raise ValueError("need at least 1000 resamples")
-    if resample_seed_base is None:
-        resample_seed_base = small_prime_seed + RESAMPLE_STREAM
+    _check_epsilon(epsilon)
     A0 = cumulate(value_matrix(model, [small_prime_seed], math.isqrt(max(xs)), tables)[0])
     sums = [quotient_sums(A0[:math.isqrt(x) + 1], x, tables) for x in xs]
     v0s = [variance_sum(w) for _, w in sums]
@@ -196,8 +199,8 @@ def hoeffding_tail_check(
             return np.stack([(pv[:, ks.start - lo:ks.stop - lo] * w).sum(axis=1)
                              for ks, w in (sums[j] for j in live)], axis=1)
 
-        seeds = range(resample_seed_base, resample_seed_base + trials)
-        M = dict(zip(live, over_seeds(rows, seeds, hi - lo).T))
+        base = small_prime_seed + RESAMPLE_STREAM
+        M = dict(zip(live, over_seeds(rows, range(base, base + trials), hi - lo).T))
     out = []
     for j, (x, v0) in enumerate(zip(xs, v0s)):
         t = 2.0 * math.sqrt(x) * fluctuation_scale(x, epsilon)
@@ -414,24 +417,23 @@ def doob_check(
     model: Model,
     tables: PrimeTables,
     seed_base: int = 0,
-    x_base: int = 1000,
-    r_hi: int = 100,
     truncations=(50, 100, 200, 400),
     T: float = 40.0,
     panels: int = 400,
 ) -> MomentReport:
     """Doob's maximal or L^p inequality on one of the submartingale sequences.
 
-    ``sequence_spec`` is "z" (prime-reveal squared sums at ``x_base``) or "y"
-    (normalized integral statistics on ``truncations``).  Maximal form
-    (``p_exponent`` None): lambda * P(max > lambda) <= E[X_n].  L^2 form
-    (``p_exponent`` == 2): E[max^2] <= 4 * max_k E[X_k^2].  The standard
-    error is the joint one of both sides.
+    ``sequence_spec`` is "z" (prime-reveal squared sums at x_base = 1000,
+    revealing the primes 31 < p <= 100) or "y" (normalized integral
+    statistics on ``truncations``).  Maximal form (``p_exponent`` None):
+    lambda * P(max > lambda) <= E[X_n].  L^2 form (``p_exponent`` == 2):
+    E[max^2] <= 4 * max_k E[X_k^2].  The standard error is the joint one of
+    both sides.
     """
     model = Model(model)
     seeds = range(seed_base, seed_base + trials)
     if sequence_spec == "z":
-        X = _z_trajectories(model, seeds, x_base, r_hi, tables)
+        X = _z_trajectories(model, seeds, 1000, 100, tables)
     elif sequence_spec == "y":
         X = _y_trajectories(model, seeds, truncations, tables, T, panels)
     else:
@@ -490,6 +492,8 @@ def sigma_event_statistic(
     model = Model(model)
     if not 3 <= x_prev <= tables.limit:
         raise ValueError(f"x_prev={x_prev} outside [3, {tables.limit}]")
+    if not t_param > 0:
+        raise ValueError(f"t_param must be positive, got {t_param}")
     ts, wts = _y_grid(model, T, panels)
     ps = tables.primes[:tables.prime_count_upto(x_prev)]
     vals = over_seeds(

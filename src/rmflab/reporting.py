@@ -13,8 +13,13 @@ def flagged(kind: str, estimate: float, std_error: float, bound: float) -> bool:
     past what a check of this ``kind`` asserts about ``bound``.
 
     ``"upper"`` asserts estimate <= bound, ``"lower"`` asserts
-    estimate >= bound, and ``"equal"`` asserts estimate == bound.
+    estimate >= bound, and ``"equal"`` asserts estimate == bound.  A NaN
+    compares false, so it would pass every kind: a non-finite input raises
+    ``FloatingPointError`` instead.
     """
+    if not all(map(math.isfinite, (estimate, std_error, bound))):
+        raise FloatingPointError(
+            f"non-finite estimate, std_error or bound: {estimate}, {std_error}, {bound}")
     if kind == "upper":
         return estimate - 3.0 * std_error > bound
     if kind == "lower":

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sieve import PrimeTables
+from .sieve import PrimeTables, factorize
 
 
 class Model(str, Enum):
@@ -89,28 +89,29 @@ def over_seeds(fn, seeds, cells_per_seed: int) -> np.ndarray:
 class SampledFunction:
     """One seeded realization of a random multiplicative function.
 
-    All prime values up to ``tables.limit`` are materialized at construction
-    (counter-based, so the same (model, seed) always yields the same values)
-    and the instance is immutable afterwards; concurrent reads are safe.
+    A plain (model, seed, tables) record: building it hashes nothing, and
+    every method evaluates through the seed-batch functions with a batch of
+    this one seed, so each value is bit-identical to that seed's row of
+    :func:`prime_value_matrix` or :func:`value_matrix`.
     """
 
     def __init__(self, model, seed: int, tables: PrimeTables):
         self.model = Model(model)
         self.seed = int(seed)
         self.tables = tables
-        self._values = prime_value_matrix(self.model, [self.seed], tables.primes)[0]
+
+    def prime_values(self, primes) -> np.ndarray:
+        """f(p) for each of ``primes``; int8 for Rademacher, complex128 else."""
+        return prime_value_matrix(self.model, [self.seed], primes)[0]
 
     # -- point evaluation ----------------------------------------------------
 
-    def _prime_index(self, p: int) -> int:
+    def prime_value(self, p: int):
+        """f(p); an int in {+1,-1} for Rademacher, a unit complex for Steinhaus."""
         idx = int(np.searchsorted(self.tables.primes, p))
         if idx >= len(self.tables.primes) or self.tables.primes[idx] != p:
             raise ValueError(f"{p} is not a prime <= {self.tables.limit}")
-        return idx
-
-    def prime_value(self, p: int):
-        """f(p); an int in {+1,-1} for Rademacher, a unit complex for Steinhaus."""
-        v = self._values[self._prime_index(p)]
+        v = self.prime_values([p])[0]
         return int(v) if self.model is Model.RADEMACHER else complex(v)
 
     def value_at(self, n: int):
@@ -119,25 +120,13 @@ class SampledFunction:
         Rademacher vanishes on non-squarefree n; Steinhaus is completely
         multiplicative.
         """
-        if not 1 <= n <= self.tables.limit:
-            raise ValueError(f"n={n} outside [1, {self.tables.limit}]")
-        spf = self.tables.spf
-        m = n
+        pe = factorize(n, self.tables)
+        vals = self.prime_values([p for p, _ in pe]).tolist()
         if self.model is Model.RADEMACHER:
-            out = 1
-            while m > 1:
-                p = int(spf[m])
-                m //= p
-                if m % p == 0:
-                    return 0
-                out *= int(self._values[self._prime_index(p)])
-            return out
+            return 0 if any(e > 1 for _, e in pe) else math.prod(vals)
         out = complex(1.0)
-        while m > 1:
-            p = int(spf[m])
-            v = complex(self._values[self._prime_index(p)])
-            while m % p == 0:
-                m //= p
+        for v, (_, e) in zip(vals, pe):
+            for _ in range(e):
                 out *= v
         return out
 
@@ -148,7 +137,7 @@ class SampledFunction:
 
         Rademacher output is int8 (exact), Steinhaus complex128.
         """
-        return _sieve(self.model, lambda k: self._values[None, :k], y, self.tables)[0]
+        return value_matrix(self.model, [self.seed], y, self.tables)[0]
 
     def prefix_sums(self, y: int) -> np.ndarray:
         """A[k] = sum of f(m) for m <= k, 0 <= k <= y, with A[0] = 0.
@@ -159,21 +148,23 @@ class SampledFunction:
         return cumulate(self.values_up_to(y))
 
 
-def _sieve(model: Model, prime_values, y: int, tables: PrimeTables) -> np.ndarray:
-    """f(n) for n = 0..y, one row per row of ``prime_values(pi(y))``, the
-    values of the first pi(y) primes, called once y is checked against the
-    table.
+def value_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray:
+    """f(n) for n = 0..y per seed, shape (len(seeds), y+1); int8 for
+    Rademacher (exact), complex128 for Steinhaus.
 
-    The primes p <= sqrt(y) are sieved with one strided operation per prime
-    power: Rademacher zeroes the multiples of p^2 (f lives on the squarefree
+    y is checked against the table before any prime is hashed.  The primes
+    p <= sqrt(y) are sieved with one strided operation per prime power:
+    Rademacher zeroes the multiples of p^2 (f lives on the squarefree
     integers), Steinhaus multiplies by f(p) once per power.  What is left of
-    each n is its largest prime P(n) > sqrt(y), to the first power, so f(P(n))
-    is applied to all those n in one gather.  The work runs on (n, row)
-    planes, so every operation spans contiguous rows.
+    each n is its largest prime P(n) > sqrt(y), to the first power, so
+    f(P(n)) is applied to all those n in one gather.  The work runs on
+    (n, seed) planes, so every operation spans contiguous rows, and a seed's
+    row does not depend on the batch it is in.
     """
+    model = Model(model)
     if not 1 <= y <= tables.limit:
         raise ValueError(f"y={y} outside [1, {tables.limit}]")
-    pv = prime_values(tables.prime_count_upto(y))
+    pv = prime_value_matrix(model, seeds, tables.primes[:tables.prime_count_upto(y)])
     rows = pv.shape[0]
     if model is Model.RADEMACHER:
         planes = [np.ones((y + 1, rows), dtype=np.int8)]
@@ -238,18 +229,6 @@ def abs2(z: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(z):
         return z.real * z.real + z.imag * z.imag
     return z * z
-
-
-def value_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray:
-    """f(n) for n = 0..y per seed, shape (len(seeds), y+1).
-
-    The same sieve as :meth:`SampledFunction.values_up_to`, so each row is
-    bit-identical to that seed's single-realization values.
-    """
-    model = Model(model)
-    seeds = np.asarray(seeds, dtype=np.int64)
-    return _sieve(model, lambda k: prime_value_matrix(model, seeds, tables.primes[:k]),
-                  y, tables)
 
 
 def partial_sum_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray:

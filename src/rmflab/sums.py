@@ -71,7 +71,7 @@ def large_prime_sum(F: SampledFunction, x: int):
     """
     _check_x(F.tables, x)
     ks, Aq = quotient_sums(F.prefix_sums(math.isqrt(x)), x, F.tables)
-    total = np.sum(F._values[ks] * Aq)
+    total = np.sum(F.prime_values(F.tables.primes[ks]) * Aq)
     return int(total) if F.model is Model.RADEMACHER else complex(total)
 
 
@@ -206,18 +206,23 @@ def grid_statistics(F: SampledFunction, plan: GridPlan) -> tuple[np.ndarray, np.
     a correction at prime squares, where a prime leaves (sqrt(x), x] for good.
     Rademacher sums are exact int64 throughout; V is returned as float64.
     """
-    _check_x(F.tables, int(plan.xs.max(initial=1)))
+    N = int(plan.xs.max(initial=1))
+    _check_x(F.tables, N)
+    # f(p) for every P(n) of the plan; max(N, 2) keeps the leading zero slot's
+    # index 0 valid on an empty grid.
+    fp = F.prime_values(F.tables.primes[: F.tables.prime_count_upto(max(N, 2))])
     fs = F.values_up_to(plan.s_max)
     A = cumulate(fs)
     a2 = abs2(A)
     # Corrections: once x passes p^2 the prime p leaves (sqrt(x), x] and its
     # accumulated contribution (all n = p*m with m <= p-1) must be removed.
     ps = F.tables.primes[: F.tables.prime_count_upto(plan.s_max)]
-    corr_m = np.concatenate(([0], np.cumsum(F._values[: ps.size] * A[ps - 1])))
+    corr_m = np.concatenate(([0], np.cumsum(fp[: ps.size] * A[ps - 1])))
     corr_v = np.concatenate(([0], np.cumsum(a2[ps - 1])))
 
     # Sums over the first c kept n, read at c = plan.kept; cumulate skips the slot.
-    m_vals = cumulate(F._values[plan.prime_index] * fs[plan.quotient])[plan.kept]
+    m_vals = cumulate(fp[plan.prime_index] * fs[plan.quotient])[plan.kept]
+    del fp  # 16 B per prime <= N (Steinhaus): free it before the V pass allocates
     v_vals = cumulate(np.diff(a2, prepend=0)[plan.quotient])[plan.kept]
     # plan.squares ascends: each correction applies to one run of grid points.
     runs = np.searchsorted(plan.squares, np.arange(ps.size + 2))

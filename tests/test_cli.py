@@ -117,9 +117,10 @@ def test_oracle_check_seeds_flag(capsys):
     assert out.count("\r\n") == 3  # header + 2 seed rows
 
 
-def test_moments_m_and_n_flags(capsys):
+def test_moments_m_flag(capsys):
+    # --x-max sets the hypercontractive weight support.
     assert _run(["moments", "--suite", "hypercontractive", "--m", "2",
-                 "--n", "50", "--trials", "1000"]) == 0
+                 "--x-max", "50", "--trials", "1000"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2  # header + single m = 2 row
     assert "m=2 N=50" in lines[1]
@@ -145,6 +146,13 @@ def test_threads_auto(tmp_path):
     assert _run(["simulate", "--threads", "bogus", "--trials", "1"]) == 2
 
 
+def test_threads_must_be_positive(capsys):
+    for threads in ("0", "-3"):
+        assert _run(["simulate", "--threads", threads, "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "threads must be positive" in err and "Traceback" not in err
+
+
 def test_usage_errors():
     assert _run(["no-such-command"]) == 2
     assert _run(["simulate", "--epsilon", "0.9", "--trials", "1"]) == 2
@@ -158,8 +166,7 @@ KEPT_FLAGS = {
     "oracle-check": {"--model", "--seed", "--trials", "--x-max", "--points",
                      "--out", "--format"},
     "moments": {"--suite", "--model", "--seed", "--trials", "--epsilon",
-                "--x-max", "--points", "--lam", "--m", "--n", "--out",
-                "--format"},
+                "--x-max", "--points", "--lam", "--m", "--out", "--format"},
     "euler": {"--check", "--model", "--seed", "--trials", "--x-max",
               "--t-param", "--tcut", "--quad-tol", "--points", "--out",
               "--format"},
@@ -206,8 +213,8 @@ def test_subcommand_rejects_a_flag_it_does_not_read(argv, sim_csv, tmp_path, cap
     ["oracle-check", "--model", "steinhaus", "--seed", "3", "--trials", "1",
      "--x-max", "2000", "--points", "100,1500"],
     ["moments", "--suite", "hypercontractive", "--model", "steinhaus",
-     "--seed", "3", "--trials", "1000", "--epsilon", "0.2", "--x-max", "2000",
-     "--points", "1000", "--lam", "10", "--m", "1", "--n", "30"],
+     "--seed", "3", "--trials", "1000", "--epsilon", "0.2", "--x-max", "30",
+     "--points", "1000", "--lam", "10", "--m", "1"],
     ["euler", "--check", "parseval", "--model", "steinhaus", "--seed", "3",
      "--trials", "2", "--x-max", "2000", "--t-param", "5", "--tcut", "30",
      "--quad-tol", "1e-5", "--points", "10"],
@@ -253,6 +260,43 @@ def test_quadrature_settings_must_be_positive_and_finite(capsys):
     # Positive, but below float64 resolution: the quadrature gives up (exit 3).
     assert _run(parseval + ["--quad-tol", "1e-300"]) == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_lam_and_t_param_must_be_finite(capsys):
+    # A NaN or infinite estimate used to pass the 3-SE rule with exit 0.
+    for argv, flag, message in (
+        (["moments", "--suite", "doob"], "--lam", "must be positive and finite"),
+        (["euler", "--check", "product-expectation"], "--t-param", "must be finite"),
+        (["euler", "--check", "sigma-event"], "--t-param", "must be finite"),
+    ):
+        for value in ("nan", "inf", "-inf"):
+            assert _run(argv + [f"{flag}={value}"]) == 2, (flag, value)
+            assert message in capsys.readouterr().err
+    for lam in ("0", "-1"):
+        assert _run(["moments", "--suite", "doob", f"--lam={lam}"]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
+
+def test_out_of_range_epsilon_and_t_param_are_usage_errors(capsys):
+    # sigma-event --t-param 0 used to exit 4 (ZeroDivisionError) and -1 exit 2
+    # with "math domain error"; hoeffding ran at any epsilon.
+    sigma = ["euler", "--check", "sigma-event", "--trials", "2"]
+    for value in ("0", "-1"):
+        assert _run(sigma + [f"--t-param={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "t_param must be positive" in err and "Traceback" not in err
+    hoeffding = ["moments", "--suite", "hoeffding"]
+    for value in ("0.3", "0.25", "0", "-1", "inf", "nan"):
+        assert _run(hoeffding + [f"--epsilon={value}"]) == 2, value
+        err = capsys.readouterr().err
+        assert "epsilon must lie in (0, 1/4)" in err and "Traceback" not in err
+
+
+def test_a_non_finite_report_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr("rmflab.harness.fluctuation_scale", lambda x, eps: math.nan)
+    assert _run(["moments", "--suite", "hoeffding"]) == 4
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "internal error" in err
 
 
 def test_a_3se_check_on_one_trial_is_a_usage_error(capsys):

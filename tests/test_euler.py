@@ -176,7 +176,8 @@ def test_integral_on_grid_tracks_adaptive(tables_small, model):
         w = 2.0 * w
     else:
         ts, w = simpson_grid(-40.0, 40.0, 1600)
-    fixed = integral_on_grid(model, F._values[:k], tables_small.primes[:k], ts, w)
+    ps = tables_small.primes[:k]
+    fixed = integral_on_grid(model, F.prime_values(ps), ps, ts, w)
     assert fixed == pytest.approx(est.value, rel=1e-4)
 
 
@@ -184,7 +185,7 @@ def test_log_factor_matrix_shape(tables_small):
     ps = tables_small.primes[:5]
     F = SampledFunction(Model.RADEMACHER, 0, tables_small)
     ts = np.linspace(-1, 1, 7)
-    M = log_factor_matrix(Model.RADEMACHER, F._values[:5], ps, ts)
+    M = log_factor_matrix(Model.RADEMACHER, F.prime_values(ps), ps, ts)
     assert M.shape == (5, 7) and M.dtype == np.float64
     # exp of twice the column sums is the squared modulus of the product
     sq = np.exp(2.0 * M.sum(axis=0))

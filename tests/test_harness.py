@@ -198,6 +198,8 @@ def test_list_apis_reject_bad_input_before_any_hashing(tables_small, model, monk
         lambda: hoeffding_tail_check(model, [], 0.1, 3, 1000, tables_small),
         lambda: hoeffding_tail_check(model, [1000, 15], 0.1, 3, 1000, tables_small),
         lambda: hoeffding_tail_check(model, [1000], 0.1, 3, 999, tables_small),
+        lambda: hoeffding_tail_check(model, [1000], 0.3, 3, 1000, tables_small),
+        lambda: hoeffding_tail_check(model, [1000], math.nan, 3, 1000, tables_small),
         lambda: hypercontractive_check(w, (), 1000, model, tables_small),
         lambda: hypercontractive_check(w, (1, 4), 1000, model, tables_small),
         lambda: hypercontractive_check(w, (0, 2), 1000, model, tables_small),
@@ -208,8 +210,8 @@ def test_list_apis_reject_bad_input_before_any_hashing(tables_small, model, monk
 
 
 @pytest.mark.parametrize("model", list(Model))
-def test_sieve_rejects_y_past_the_table_before_any_hashing(tables_small, model,
-                                                           monkeypatch):
+def test_value_matrix_rejects_y_past_the_table_before_any_hashing(tables_small, model,
+                                                                  monkeypatch):
     # Past the limit the table holds no primes, so every f(p) there would read 1.
     seen = _hashed_primes(monkeypatch)
     y = tables_small.limit + 1
@@ -441,6 +443,12 @@ def test_doob_rejects_unknown_spec(tables_small):
     with pytest.raises(ValueError, match="ascend"):
         doob_check("y", 1.0, None, 100, Model.RADEMACHER, tables_small,
                    truncations=(100, 50, 150))
+
+
+@pytest.mark.parametrize("t_param", [0.0, -1.0, math.nan])
+def test_sigma_event_statistic_rejects_a_nonpositive_t_param(tables_small, t_param):
+    with pytest.raises(ValueError, match="t_param must be positive"):
+        sigma_event_statistic(Model.RADEMACHER, 500, 10, t_param, tables_small)
 
 
 def test_sigma_event_statistic_shape(tables_small):

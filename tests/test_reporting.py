@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rmflab.reporting import MomentReport, flagged, mean_se
@@ -26,3 +28,14 @@ def test_mean_se_needs_two_values():
     assert mean_se([1.0, 3.0]) == (2.0, 1.0)
     with pytest.raises(ValueError, match="at least 2"):
         mean_se([1.0])
+
+
+@pytest.mark.parametrize("kind", ["upper", "lower", "equal"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_flagged_refuses_a_non_finite_value(kind, bad):
+    # A NaN compares false, so every kind would pass it.
+    for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            flagged(kind, *args)
+        with pytest.raises(FloatingPointError):
+            MomentReport(*args, 100, kind).violated

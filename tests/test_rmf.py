@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab import Model, SampledFunction, partial_sum_matrix, prime_value_matrix, value_matrix
+from rmflab import (Model, SampledFunction, build_tables, large_prime_sum, partial_sum_matrix,
+                    prime_value_matrix, value_matrix)
 from rmflab.rmf import over_seeds
 
 
@@ -23,11 +24,12 @@ def test_steinhaus_values_on_unit_circle(tables_small):
 
 
 def test_same_seed_reproduces(tables_small):
+    ps = tables_small.primes
     a = SampledFunction(Model.RADEMACHER, 42, tables_small)
     b = SampledFunction(Model.RADEMACHER, 42, tables_small)
-    assert np.array_equal(a._values, b._values)
+    assert np.array_equal(a.prime_values(ps), b.prime_values(ps))
     c = SampledFunction(Model.RADEMACHER, 43, tables_small)
-    assert not np.array_equal(a._values, c._values)
+    assert not np.array_equal(a.prime_values(ps), c.prime_values(ps))
 
 
 def test_counter_based_order_independence(tables_small):
@@ -138,11 +140,48 @@ def test_prefix_sums(tables_small, model):
 
 @pytest.mark.parametrize("model", list(Model))
 def test_value_matrix_rows_match_single_sampler(tables_small, model):
-    seeds = [0, 5, 17]
-    M = value_matrix(model, seeds, 200, tables_small)
+    # A realization is one seed of the batch API, bit for bit.
+    seeds, y = [0, 5, 17, 2**40], 2000
+    ps = tables_small.primes[:tables_small.prime_count_upto(y)]
+    M = value_matrix(model, seeds, y, tables_small)
+    P = prime_value_matrix(model, seeds, ps)
     for i, s in enumerate(seeds):
         F = SampledFunction(model, s, tables_small)
-        assert np.array_equal(M[i], F.values_up_to(200))
+        assert np.array_equal(M[i], F.values_up_to(y))
+        assert np.array_equal(P[i], F.prime_values(ps))
+        assert [F.prime_value(p) for p in ps.tolist()] == P[i].tolist()
+        assert [F.value_at(n) for n in range(1, y + 1)] == M[i, 1:].tolist()
+
+
+def _hashed_primes(monkeypatch):
+    """Record the primes of every prime-value hash made from here on."""
+    seen = []
+
+    def spy(model, seeds, primes):
+        seen.append(np.asarray(primes).tolist())
+        return prime_value_matrix(model, seeds, primes)
+
+    monkeypatch.setattr("rmflab.rmf.prime_value_matrix", spy)
+    return seen
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_building_a_realization_hashes_no_prime(tables_small, model, monkeypatch):
+    seen = _hashed_primes(monkeypatch)
+    F = SampledFunction(model, 3, tables_small)
+    assert seen == []
+    F.prime_value(97)
+    assert seen == [[97]]
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_large_prime_sum_hashes_only_the_primes_it_reads(model, monkeypatch):
+    # The primes <= sqrt(1000) are sieved, the primes in (sqrt(1000), 1000]
+    # multiply A_f(1000 // p): each prime <= 1000 is hashed once, none above.
+    tables = build_tables(100_000)
+    seen = _hashed_primes(monkeypatch)
+    large_prime_sum(SampledFunction(model, 5, tables), 1000)
+    assert sorted(p for ps in seen for p in ps) == tables.primes_in(1, 1000).tolist()
 
 
 def test_partial_sum_matrix(tables_small):
@@ -155,12 +194,13 @@ def test_partial_sum_matrix(tables_small):
 
 def test_prime_values_look_balanced(tables_small):
     # Crude uniformity sanity check on the hash, not a statistical test.
+    ps = tables_small.primes
     F = SampledFunction(Model.RADEMACHER, 123, tables_small)
-    vals = F._values.astype(np.float64)
+    vals = F.prime_values(ps).astype(np.float64)
     n = len(vals)
     assert abs(vals.mean()) < 4.0 / math.sqrt(n)
     G = SampledFunction(Model.STEINHAUS, 123, tables_small)
-    assert abs(np.mean(G._values)) < 4.0 / math.sqrt(n)
+    assert abs(np.mean(G.prime_values(ps))) < 4.0 / math.sqrt(n)
 
 
 def test_over_seeds_fills_rows_batch_by_batch(monkeypatch):
