@@ -138,21 +138,17 @@ def _tables(args):
     return build_tables(max(args.x_max, 1000))
 
 
-def _report_rows(reports: list[MomentReport]) -> list[dict]:
-    rows = []
-    for r in reports:
-        row = {
-            "label": r.label,
-            "estimate": float(r.estimate),
-            "std_error": float(r.std_error),
-            "bound": float(r.bound),
-            "trials": r.trials,
-            "violated": bool(r.violated),
-        }
-        for k in sorted(r.aux):
-            row[f"aux_{k}"] = r.aux[k]
-        rows.append(row)
-    return rows
+def _points(args, default: list[int]) -> list[int]:
+    return [int(v) for v in args.points.split(",")] if args.points else default
+
+
+def _checked(reports: list[MomentReport]) -> tuple[list[dict], bool]:
+    """The rows that print ``reports``, and whether none is violated."""
+    rows = [{"label": r.label, "estimate": float(r.estimate),
+             "std_error": float(r.std_error), "bound": float(r.bound),
+             "trials": r.trials, "violated": bool(r.violated),
+             **{f"aux_{k}": r.aux[k] for k in sorted(r.aux)}} for r in reports]
+    return rows, not any(r["violated"] for r in rows)
 
 
 def _decimate(n: int, keep: int = 30) -> np.ndarray:
@@ -234,7 +230,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     tables = _tables(args)
-    xs = [int(v) for v in args.points.split(",")] if args.points else [100, 1000, 3000]
+    xs = _points(args, [100, 1000, 3000])
     rows = []
     ok = True
     for i in range(args.trials):
@@ -259,111 +255,83 @@ def _cmd_oracle_check(args) -> int:
     return 0 if ok else 1
 
 
+def _parseval_rows(args, model: Model, tables) -> tuple[list[dict], bool]:
+    """Random coefficient cases of the Parseval identity; f plays no part."""
+    quad = QuadratureConfig(t_cut=args.tcut, rel_tol=args.quad_tol)
+    rng = np.random.default_rng(args.seed)
+    rows = []
+    for i in range(args.trials):
+        n = int(rng.integers(1, 30))
+        coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        res = parseval_identity_check(coeffs, 0.5, quad)
+        tol = res.error_bound + 1e-6 * max(1.0, abs(res.lhs))
+        rows.append({"case": i, "n_coeffs": n, "lhs": res.lhs, "rhs": res.rhs,
+                     "error_bound": res.error_bound,
+                     "match": abs(res.lhs - res.rhs) <= tol})
+    return rows, all(r["match"] for r in rows)
+
+
+#: moments suite -> (the suite-specific flags it reads, its one library call,
+#: which returns the reports the suite prints).
+_SUITES = {
+    "hypercontractive": (["--m"], lambda a, model, tables: harness.hypercontractive_check(
+        {n: 1.0 / n for n in range(1, a.x_max + 1)},
+        (a.m,) if a.m is not None else (1, 2, 3), a.trials, model, tables,
+        seed_base=a.seed)),
+    "hoeffding": (["--epsilon", "--points"], lambda a, model, tables:
+                  harness.hoeffding_tail_check(model, _points(a, [1000]), a.epsilon,
+                                               a.seed, a.trials, tables)),
+    "doob": (["--lam"], lambda a, model, tables: harness.doob_check(
+        "z", a.lam, a.trials, model, tables, seed_base=a.seed)),
+    "submartingale-z": ([], lambda a, model, tables: harness.submartingale_z_check(
+        model, 1000, 1365, 1375, a.trials, a.seed, tables)),
+    "submartingale-y": ([], lambda a, model, tables: [harness.y_submartingale_check(
+        model, 100, 150, a.trials, a.seed, tables)]),
+}
+
+#: euler check -> (the check-specific flags it reads, its call, which returns
+#: the rows the check prints and whether they all pass).
+_CHECKS = {
+    "parseval": (["--tcut", "--quad-tol"], _parseval_rows),
+    "product-expectation": (["--t-param", "--points"], lambda a, model, tables: _checked([
+        expected_product_identity_check(model, x, min(a.x_max, 10 * x), a.t_param,
+                                        a.trials, tables, seed_base=a.seed)
+        for x in _points(a, [10, 100])])),
+    "sigma-event": (["--t-param"], lambda a, model, tables: ([harness.sigma_event_statistic(
+        model, min(a.x_max, 1000), a.trials, a.t_param, tables, seed_base=a.seed)], True)),
+}
+
+#: The flags only some suites or checks read; the others refuse them.
+_SUITE_FLAGS = {f for table in (_SUITES, _CHECKS) for reads, _ in table.values()
+                for f in reads}
+
+
+def _run_suite(args, table: dict, name: str):
+    """Call ``table[name]``, after refusing any suite flag it does not read."""
+    reads, call = table[name]
+    unread = sorted(args.given - set(reads))
+    if unread:
+        raise ValueError(f"{args.command} {name} does not read {', '.join(unread)}")
+    return call(args, Model(args.model), _tables(args))
+
+
 def _cmd_moments(args) -> int:
-    tables = _tables(args)
-    model = Model(args.model)
-    reports: list[MomentReport] = []
-    if args.suite == "hypercontractive":
-        weights = {n: 1.0 / n for n in range(1, args.x_max + 1)}
-        reports = harness.hypercontractive_check(
-            weights, (args.m,) if args.m is not None else (1, 2, 3), args.trials, model,
-            tables, seed_base=args.seed)
-    elif args.suite == "hoeffding":
-        reports = harness.hoeffding_tail_check(
-            model, [int(v) for v in args.points.split(",")] if args.points else [1000],
-            args.epsilon, args.seed, args.trials, tables)
-    elif args.suite == "doob":
-        reports.append(
-            harness.doob_check("z", args.lam, None, args.trials, model, tables,
-                               seed_base=args.seed)
-        )
-        reports.append(
-            harness.doob_check("z", args.lam, 2, args.trials, model, tables,
-                               seed_base=args.seed)
-        )
-    elif args.suite == "submartingale-z":
-        reports.extend(
-            harness.submartingale_z_check(
-                model, 1000, 1365, 1375, args.trials, args.seed, tables
-            )
-        )
-    elif args.suite == "submartingale-y":
-        reports.append(
-            harness.y_submartingale_check(
-                model, 100, 150, args.trials, args.seed, tables
-            )
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown suite {args.suite}")
-    _emit_rows(_report_rows(reports), args.format, args.out)
-    return 1 if any(r.violated for r in reports) else 0
+    rows, ok = _checked(_run_suite(args, _SUITES, args.suite))
+    _emit_rows(rows, args.format, args.out)
+    return 0 if ok else 1
 
 
 def _cmd_euler(args) -> int:
-    tables = _tables(args)
-    model = Model(args.model)
-    quad = QuadratureConfig(t_cut=args.tcut, rel_tol=args.quad_tol)
-    if args.check == "parseval":
-        rng = np.random.default_rng(args.seed)
-        rows = []
-        ok = True
-        for i in range(args.trials):
-            n = int(rng.integers(1, 30))
-            coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
-            res = parseval_identity_check(coeffs, 0.5, quad)
-            tol = res.error_bound + 1e-6 * max(1.0, abs(res.lhs))
-            match = abs(res.lhs - res.rhs) <= tol
-            ok = ok and match
-            rows.append(
-                {
-                    "case": i,
-                    "n_coeffs": n,
-                    "lhs": res.lhs,
-                    "rhs": res.rhs,
-                    "error_bound": res.error_bound,
-                    "match": match,
-                }
-            )
-        _emit_rows(rows, args.format, args.out)
-        return 0 if ok else 1
-    if args.check == "product-expectation":
-        reports = []
-        xs = [int(v) for v in args.points.split(",")] if args.points else [10, 100]
-        for x in xs:
-            reports.append(
-                expected_product_identity_check(
-                    model, x, min(args.x_max, 10 * x), args.t_param, args.trials,
-                    tables, seed_base=args.seed,
-                )
-            )
-        _emit_rows(_report_rows(reports), args.format, args.out)
-        return 1 if any(r.violated for r in reports) else 0
-    if args.check == "sigma-event":
-        stat = harness.sigma_event_statistic(
-            model, min(args.x_max, 1000), args.trials, args.t_param, tables,
-            seed_base=args.seed,
-        )
-        rows = [
-            {
-                "x_prev": stat["x_prev"],
-                "trials": stat["trials"],
-                "threshold": stat["threshold"],
-                "exceed_fraction": stat["exceed_fraction"],
-                "budget_shape": stat["budget_shape"],
-                "mean_sqrt_ratio": stat["mean_sqrt_ratio"],
-                **{f"q{k}": v for k, v in stat["quantiles"].items()},
-            }
-        ]
-        _emit_rows(rows, args.format, args.out)
-        return 0
-    raise ValueError(f"unknown check {args.check}")  # pragma: no cover
+    rows, ok = _run_suite(args, _CHECKS, args.check)
+    _emit_rows(rows, args.format, args.out)
+    return 0 if ok else 1
 
 
 def _cmd_variance(args) -> int:
     tables = _tables(args)
-    xs = [int(v) for v in args.points.split(",")] if args.points else [1000, 10000]
     rows = harness.variance_ratio_ensemble(args.model, args.trials, tables,
-                                           seed_base=args.seed, xs=xs)
+                                           seed_base=args.seed,
+                                           xs=_points(args, [1000, 10000]))
     _emit_rows(rows, args.format, args.out)
     return 1 if any(r["violated"] for r in rows) else 0
 
@@ -443,14 +411,19 @@ _finite = _float_type(math.isfinite, "must be finite")
 _positive = _float_type(lambda x: 0.0 < x < math.inf, "must be positive and finite")
 
 
+class _Given(argparse.Action):
+    """Store a suite flag's value and add the flag to ``args.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.option_strings[0]}
+
+
 #: Every argument any subcommand reads; each subcommand picks its own below.
 _OPTIONS = {
     "inputs": dict(nargs="+", help="simulate CSV files"),
-    "--suite": dict(required=True,
-                    choices=["hypercontractive", "hoeffding", "doob",
-                             "submartingale-z", "submartingale-y"]),
-    "--check": dict(required=True,
-                    choices=["parseval", "product-expectation", "sigma-event"]),
+    "--suite": dict(required=True, choices=list(_SUITES)),
+    "--check": dict(required=True, choices=list(_CHECKS)),
     "--model": dict(choices=[m.value for m in Model], default="rademacher"),
     "--seed": dict(type=int, default=0),
     "--trials": dict(type=_trials, default=100),
@@ -503,8 +476,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (func, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         for flag in flags:
-            sp.add_argument(flag, **_OPTIONS[flag])
-        sp.set_defaults(func=func, **_DEFAULTS.get(name, {}))
+            sp.add_argument(flag, **_OPTIONS[flag],
+                            **({"action": _Given} if flag in _SUITE_FLAGS else {}))
+        sp.set_defaults(func=func, given=frozenset(), **_DEFAULTS.get(name, {}))
     return p
 
 

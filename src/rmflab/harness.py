@@ -48,16 +48,18 @@ def test_points(epsilon: float, x_max: int) -> np.ndarray:
 
     Computed by inversion: x is kept iff some integer i >= 1 satisfies
     (log x)^(1/eps) <= i < (log(x+1))^(1/eps), which avoids iterating the
-    astronomically many i directly.
+    astronomically many i directly.  Where (log x)^(1/eps) overflows float64
+    the gap to (log(x+1))^(1/eps) is far wider than 1, so x is kept.
     """
     _check_epsilon(epsilon)
     if x_max < 3:
         return np.zeros(0, dtype=np.int64)
     xs = np.arange(3, x_max + 1, dtype=np.int64)
-    L = np.log(np.arange(3, x_max + 2, dtype=np.float64)) ** (1.0 / epsilon)
+    with np.errstate(over="ignore"):
+        L = np.log(np.arange(3, x_max + 2, dtype=np.float64)) ** (1.0 / epsilon)
     lo, hi = L[:-1], L[1:]
     first = np.maximum(np.ceil(lo), 1.0)
-    return xs[first < hi]
+    return xs[(first < hi) | np.isinf(lo)]
 
 
 def fluctuation_scale(x, epsilon: float):
@@ -412,7 +414,6 @@ def _y_trajectories(model: Model, seeds, truncations, tables: PrimeTables,
 def doob_check(
     sequence_spec: str,
     lam: float,
-    p_exponent: float | None,
     trials: int,
     model: Model,
     tables: PrimeTables,
@@ -420,15 +421,16 @@ def doob_check(
     truncations=(50, 100, 200, 400),
     T: float = 40.0,
     panels: int = 400,
-) -> MomentReport:
-    """Doob's maximal or L^p inequality on one of the submartingale sequences.
+) -> list[MomentReport]:
+    """Doob's maximal and L^2 inequalities on one of the submartingale sequences.
 
     ``sequence_spec`` is "z" (prime-reveal squared sums at x_base = 1000,
     revealing the primes 31 < p <= 100) or "y" (normalized integral
-    statistics on ``truncations``).  Maximal form (``p_exponent`` None):
-    lambda * P(max > lambda) <= E[X_n].  L^2 form (``p_exponent`` == 2):
-    E[max^2] <= 4 * max_k E[X_k^2].  The standard error is the joint one of
-    both sides.
+    statistics on ``truncations``).  Both forms read one sample of the
+    sequence and are returned in order: the maximal form
+    lambda * P(max > lambda) <= E[X_n], then the L^2 form
+    E[max^2] <= 4 * max_k E[X_k^2].  Each standard error is the joint one of
+    both sides.  An empty sequence gives two zero reports.
     """
     model = Model(model)
     seeds = range(seed_base, seed_base + trials)
@@ -439,31 +441,21 @@ def doob_check(
     else:
         raise ValueError(f"unknown sequence_spec {sequence_spec!r}")
     if X.shape[1] == 0:
-        return MomentReport(0.0, 0.0, 0.0, trials, "upper",
-                            label=f"doob {sequence_spec} (empty sequence)")
+        return [MomentReport(0.0, 0.0, 0.0, trials, "upper",
+                             label=f"doob {sequence_spec} (empty sequence)")
+                for _ in range(2)]
     mx = X.max(axis=1)
-    if p_exponent is None:
-        hit = mx > lam
-        est = lam * float(np.mean(hit))
-        se_l = lam * _proportion_se(float(np.mean(hit)), trials)
-        rhs, se_r = mean_se(X[:, -1])
-        label = f"doob-max {sequence_spec} lambda={lam} {model.value}"
-    elif p_exponent == 2:
-        est, se_l = mean_se(mx**2)
-        per_k = [mean_se(X[:, j] ** 2) for j in range(X.shape[1])]
-        j_star = int(np.argmax([m for m, _ in per_k]))
-        rhs, se_r = 4.0 * per_k[j_star][0], 4.0 * per_k[j_star][1]
-        label = f"doob-l2 {sequence_spec} {model.value}"
-    else:
-        raise ValueError("p_exponent must be None (maximal form) or 2")
-    return MomentReport(
-        estimate=est,
-        std_error=math.sqrt(se_l * se_l + se_r * se_r),
-        bound=rhs,
-        trials=trials,
-        kind="upper",
-        label=label,
-    )
+    p_hit = float(np.mean(mx > lam))
+    per_k = [mean_se(X[:, j] ** 2) for j in range(X.shape[1])]
+    sq_k, sq_k_se = per_k[int(np.argmax([m for m, _ in per_k]))]
+
+    def report(label, est, se_l, rhs, se_r):
+        return MomentReport(est, math.sqrt(se_l * se_l + se_r * se_r), rhs, trials, "upper",
+                            label=f"{label} {model.value}")
+
+    return [report(f"doob-max {sequence_spec} lambda={lam}", lam * p_hit,
+                   lam * _proportion_se(p_hit, trials), *mean_se(X[:, -1])),
+            report(f"doob-l2 {sequence_spec}", *mean_se(mx**2), 4.0 * sq_k, 4.0 * sq_k_se)]
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +479,8 @@ def sigma_event_statistic(
     sqrt(t_param) * 2^((ell-1)^K) / sqrt((ell-1)^K) at block index ell = 2,
     i.e. 2 sqrt(t_param) for every K, the shape budget t_param^(-1/4) it is
     compared against, and the mean of sqrt(integral) / sqrt(log x / sqrt(log
-    log x)) as a measured (not asserted) low-moment ratio.
+    log x)) as a measured (not asserted) low-moment ratio.  Returns the row
+    ``euler --check sigma-event`` prints, quantiles ``q0.0`` ... ``q1.0`` last.
     """
     model = Model(model)
     if not 3 <= x_prev <= tables.limit:
@@ -505,11 +498,11 @@ def sigma_event_statistic(
     return {
         "x_prev": x_prev,
         "trials": trials,
-        "quantiles": {str(q): float(np.quantile(vals, q)) for q in qs},
         "threshold": threshold,
         "exceed_fraction": float(np.mean(vals > threshold)),
         "budget_shape": t_param ** -0.25,
         "mean_sqrt_ratio": float(np.mean(np.sqrt(vals))) / math.sqrt(lw),
+        **{f"q{q}": float(np.quantile(vals, q)) for q in qs},
     }
 
 

@@ -76,19 +76,12 @@ def large_prime_sum(F: SampledFunction, x: int):
 
 
 def large_prime_sum_bruteforce(F: SampledFunction, x: int):
-    """Definition-level oracle: enumerate n <= x and test P(n)^2 > x directly."""
+    """Definition-level oracle: enumerate n <= x and keep those with
+    P(n) > isqrt(x), which holds exactly when P(n)^2 > x."""
     if x > ORACLE_CAP:
         raise ValueError(f"x={x} exceeds the brute-force cap {ORACLE_CAP}")
     _check_x(F.tables, x)
-    if x < 2:
-        return 0 if F.model is Model.RADEMACHER else 0.0 + 0.0j
-    fv = F.values_up_to(x)
-    lpf = F.tables.primes[F.tables.largest_factor_table()[: x + 1]]
-    mask = lpf * lpf > x
-    mask[0] = mask[1] = False
-    if F.model is Model.RADEMACHER:
-        return int(np.sum(fv[mask].astype(np.int64)))
-    return complex(np.sum(fv[mask]))
+    return interval_sum_pconstraint(F, 0, x, math.isqrt(x), x)
 
 
 def conditional_variance(F: SampledFunction, x: int) -> float:

@@ -188,10 +188,8 @@ def test_criterion_08_submartingales_and_doob(tables, capsys):
             kw = (dict(trials=2000) if spec == "z"
                   else dict(trials=150, truncations=(50, 100, 200), T=40.0,
                             panels=300))
-            ok = ok and not rl.doob_check(spec, 40.0, None, model=model,
-                                          tables=tables, **kw).violated
-            ok = ok and not rl.doob_check(spec, 40.0, 2, model=model,
-                                          tables=tables, **kw).violated
+            for rep in rl.doob_check(spec, 40.0, model=model, tables=tables, **kw):
+                ok = ok and not rep.violated
     elapsed = time.monotonic() - t0
     _verdict(capsys, 8, ok,
              f"z and y increments plus maximal/L2 forms, both models; "

@@ -213,11 +213,9 @@ def test_subcommand_rejects_a_flag_it_does_not_read(argv, sim_csv, tmp_path, cap
     ["oracle-check", "--model", "steinhaus", "--seed", "3", "--trials", "1",
      "--x-max", "2000", "--points", "100,1500"],
     ["moments", "--suite", "hypercontractive", "--model", "steinhaus",
-     "--seed", "3", "--trials", "1000", "--epsilon", "0.2", "--x-max", "30",
-     "--points", "1000", "--lam", "10", "--m", "1"],
+     "--seed", "3", "--trials", "1000", "--x-max", "30", "--m", "1"],
     ["euler", "--check", "parseval", "--model", "steinhaus", "--seed", "3",
-     "--trials", "2", "--x-max", "2000", "--t-param", "5", "--tcut", "30",
-     "--quad-tol", "1e-5", "--points", "10"],
+     "--trials", "2", "--x-max", "2000", "--tcut", "30", "--quad-tol", "1e-5"],
     ["variance", "--model", "steinhaus", "--seed", "3", "--trials", "400",
      "--x-max", "2000", "--points", "1000"],
     ["report", "{sim}"],
@@ -227,6 +225,67 @@ def test_subcommand_accepts_every_flag_it_reads(argv, sim_csv, tmp_path):
     argv = [a.format(sim=sim_csv) for a in argv]
     assert _run(argv + ["--out", str(out), "--format", "json"]) == 0
     assert json.loads(out.read_text())
+
+
+#: The suite flags each moments suite or euler check reads; it refuses the
+#: others, while the flags every suite reads stay accepted.
+SUITE_FLAGS = {
+    ("moments", "hypercontractive"): {"--m"},
+    ("moments", "hoeffding"): {"--epsilon", "--points"},
+    ("moments", "doob"): {"--lam"},
+    ("moments", "submartingale-z"): set(),
+    ("moments", "submartingale-y"): set(),
+    ("euler", "parseval"): {"--tcut", "--quad-tol"},
+    ("euler", "product-expectation"): {"--t-param", "--points"},
+    ("euler", "sigma-event"): {"--t-param"},
+}
+
+#: A valid value of each suite flag, not the default.
+SUITE_FLAG_VALUES = {"--points": "1000", "--epsilon": "0.2", "--lam": "20", "--m": "1",
+                     "--t-param": "5", "--tcut": "30", "--quad-tol": "1e-5"}
+
+
+def _suite_argv(command, name):
+    return [command, "--suite" if command == "moments" else "--check", name]
+
+
+@pytest.mark.parametrize("command,name", list(SUITE_FLAGS))
+def test_a_suite_refuses_each_suite_flag_it_does_not_read(command, name, capsys):
+    unread = (set(SUITE_FLAG_VALUES) & KEPT_FLAGS[command]) - SUITE_FLAGS[command, name]
+    for flag in sorted(unread):
+        value = SUITE_FLAG_VALUES[flag]
+        for given in ([flag, value], [f"{flag}={value}"]):
+            assert _run(_suite_argv(command, name) + given) == 2, given
+            err = capsys.readouterr().err
+            assert f"{command} {name} does not read {flag}" in err, err
+
+
+def test_unread_suite_flags_are_all_named(capsys):
+    assert _run(["moments", "--suite", "doob", "--epsilon", "7", "--points", "1",
+                 "--m", "9"]) == 2
+    assert "does not read --epsilon, --m, --points" in capsys.readouterr().err
+    assert _run(["euler", "--check", "sigma-event", "--tcut", "3", "--quad-tol", "5",
+                 "--points", "4"]) == 2
+    assert "does not read --points, --quad-tol, --tcut" in capsys.readouterr().err
+    # A prefix of a flag is that flag.
+    assert _run(["moments", "--suite", "doob", "--eps", "7"]) == 2
+    assert "does not read --epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name", list(SUITE_FLAGS))
+def test_a_suite_reads_each_suite_flag_it_accepts(command, name, tmp_path):
+    # Every suite accepts the shared flags; the suite flags it reads change
+    # its output.
+    trials = "1000" if name in ("hypercontractive", "hoeffding") else "100"
+    argv = _suite_argv(command, name) + ["--model", "steinhaus", "--seed", "3",
+                                         "--trials", trials, "--x-max", "1000"]
+    outputs = []
+    for given in ([], [f for flag in sorted(SUITE_FLAGS[command, name])
+                       for f in (flag, SUITE_FLAG_VALUES[flag])]):
+        out = tmp_path / "out.json"
+        assert _run(argv + given + ["--out", str(out), "--format", "json"]) == 0, given
+        outputs.append(json.loads(out.read_text()))
+    assert (outputs[0] != outputs[1]) == bool(SUITE_FLAGS[command, name])
 
 
 def test_io_errors_exit_2(tmp_path, sim_csv, capsys):

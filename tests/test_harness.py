@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rmflab import (
     expected_product_identity_check,
     fluctuation_scale,
     grid_plan,
+    harness,
     hoeffding_tail_check,
     hypercontractive_check,
     interval_sum_pconstraint,
@@ -58,6 +60,15 @@ def _brute_test_points(epsilon, x_max):
                          [(0.2, 2000), (0.24, 500), (0.1, 40), (0.1, 3), (0.2, 4)])
 def test_test_points_match_direct_enumeration(epsilon, x_max):
     assert grid_points(epsilon, x_max).tolist() == _brute_test_points(epsilon, x_max)
+
+
+@pytest.mark.parametrize("epsilon", [0.001, 0.002])
+def test_test_points_keep_every_x_where_the_power_overflows(epsilon):
+    # (log x)^(1/eps) overflows float64 above x = 7 (eps 0.001) or x = 62
+    # (eps 0.002); every integer x >= 3 is a test point at such an eps.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid_points(epsilon, 1000).tolist() == list(range(3, 1001))
 
 
 def test_test_points_validation():
@@ -397,12 +408,36 @@ def test_doob_inequalities(tables_small, model, spec):
     kwargs = dict(trials=400) if spec == "z" else dict(trials=60, panels=150,
                                                        T=30.0,
                                                        truncations=(50, 100, 150))
-    rep_max = doob_check(spec, 30.0, None, model=model, tables=tables_small,
-                         **kwargs)
-    assert not rep_max.violated
-    rep_l2 = doob_check(spec, 30.0, 2, model=model, tables=tables_small,
-                        **kwargs)
-    assert not rep_l2.violated
+    reports = doob_check(spec, 30.0, model=model, tables=tables_small, **kwargs)
+    assert [r.label.split()[0] for r in reports] == ["doob-max", "doob-l2"]
+    assert not any(r.violated for r in reports)
+
+
+@pytest.mark.parametrize("spec,builder", [("z", "_z_trajectories"),
+                                          ("y", "_y_trajectories")])
+def test_doob_check_builds_its_sequence_once_for_both_forms(tables_small, spec,
+                                                           builder, monkeypatch):
+    calls = []
+    real = getattr(harness, builder)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, builder, spy)
+    kwargs = dict(truncations=(50, 100), T=20.0, panels=60) if spec == "y" else {}
+    reports = doob_check(spec, 30.0, 40, Model.RADEMACHER, tables_small, **kwargs)
+    assert len(calls) == 1 and len(reports) == 2
+
+
+def test_doob_check_gives_two_zero_rows_on_an_empty_sequence(tables_small, monkeypatch):
+    monkeypatch.setattr(harness, "_z_trajectories",
+                        lambda model, seeds, *args: np.zeros((len(seeds), 0)))
+    reports = doob_check("z", 30.0, 40, Model.RADEMACHER, tables_small)
+    assert len(reports) == 2
+    for r in reports:
+        assert (r.estimate, r.std_error, r.bound, r.violated) == (0.0, 0.0, 0.0, False)
+        assert r.label == "doob z (empty sequence)"
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -410,7 +445,7 @@ def test_doob_maximal_flags_a_time_reversed_sequence(tables_small, model, monkey
     # Reversed, the last step is the first revealed sum |G_37|^2, whose mean
     # (about 17 or 27) is far below lambda * P(max > lambda) at lambda = 100.
     def violated():
-        return doob_check("z", 100.0, None, 1000, model, tables_small).violated
+        return doob_check("z", 100.0, 1000, model, tables_small)[0].violated
 
     assert not violated()
     monkeypatch.setattr("rmflab.harness._z_trajectories",
@@ -428,7 +463,7 @@ def test_doob_l2_flags_a_non_submartingale(tables_small, model, monkeypatch):
         return X
 
     def violated():
-        return doob_check("z", 30.0, 2, 400, model, tables_small).violated
+        return doob_check("z", 30.0, 400, model, tables_small)[1].violated
 
     assert not violated()
     monkeypatch.setattr("rmflab.harness._z_trajectories", spikes)
@@ -437,11 +472,9 @@ def test_doob_l2_flags_a_non_submartingale(tables_small, model, monkeypatch):
 
 def test_doob_rejects_unknown_spec(tables_small):
     with pytest.raises(ValueError):
-        doob_check("w", 1.0, None, 100, Model.RADEMACHER, tables_small)
-    with pytest.raises(ValueError):
-        doob_check("z", 1.0, 3, 100, Model.RADEMACHER, tables_small)
+        doob_check("w", 1.0, 100, Model.RADEMACHER, tables_small)
     with pytest.raises(ValueError, match="ascend"):
-        doob_check("y", 1.0, None, 100, Model.RADEMACHER, tables_small,
+        doob_check("y", 1.0, 100, Model.RADEMACHER, tables_small,
                    truncations=(100, 50, 150))
 
 
@@ -454,7 +487,10 @@ def test_sigma_event_statistic_rejects_a_nonpositive_t_param(tables_small, t_par
 def test_sigma_event_statistic_shape(tables_small):
     stat = sigma_event_statistic(Model.RADEMACHER, 500, 100, 10.0, tables_small,
                                  panels=200)
-    qs = [stat["quantiles"][k] for k in ("0.1", "0.25", "0.5", "0.75", "0.9")]
+    assert list(stat) == ["x_prev", "trials", "threshold", "exceed_fraction",
+                          "budget_shape", "mean_sqrt_ratio", "q0.0", "q0.1", "q0.25",
+                          "q0.5", "q0.75", "q0.9", "q0.99", "q1.0"]
+    qs = [stat[k] for k in ("q0.1", "q0.25", "q0.5", "q0.75", "q0.9")]
     assert qs == sorted(qs)
     assert 0.0 <= stat["exceed_fraction"] <= 1.0
     assert stat["threshold"] == pytest.approx(2.0 * math.sqrt(10.0))
@@ -476,7 +512,7 @@ def _batched_outputs(tables_small, model):
                                model, tables_small, seed_base=2),
         expected_product_identity_check(model, 10, 1000, 0.5, 107, tables_small,
                                         seed_base=4),
-        doob_check("z", 30.0, 2, 33, model, tables_small, seed_base=6),
+        doob_check("z", 30.0, 33, model, tables_small, seed_base=6),
     ]
 
 
@@ -561,8 +597,8 @@ def test_sigma_event_statistic_matches_per_seed_complex_reference(tables_small,
                                 tables_small)
     stat = sigma_event_statistic(model, 300, 23, 10.0, tables_small, seed_base=5,
                                  T=20.0, panels=60)
-    for q, got in stat["quantiles"].items():
-        assert got == pytest.approx(float(np.quantile(vals, float(q))), rel=1e-12)
+    for q in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0):
+        assert stat[f"q{q}"] == pytest.approx(float(np.quantile(vals, q)), rel=1e-12)
     assert stat["exceed_fraction"] == float(np.mean(vals > 2.0 * math.sqrt(10.0)))
 
 
