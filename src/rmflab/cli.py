@@ -12,9 +12,18 @@ Subcommands::
     rmflab report         aggregate rows from earlier simulate CSV output
 
 Output is byte-deterministic for a fixed argument list (including across
-``--threads`` settings): floats are printed with ``%.17g``, 17 significant
-digits, which round-trips every float64, and rows are emitted in a fixed
-order.
+``--threads`` settings and worker counts): floats are printed with
+``%.17g``, 17 significant digits, which round-trips every float64, and rows
+are emitted in a fixed order.
+
+The Monte Carlo suites run their seed batches on the CPUs in the process's
+affinity mask, up to two (``taskset -c 0`` gives one worker), with one
+memory budget shared by the batches in flight; see
+:func:`rmflab.rmf.over_seeds`.
+``simulate --threads`` stays opt-in: each trial thread holds a whole trial,
+which costs more memory than it saves time.  ``euler --check parseval``,
+``oracle-check``, ``submartingale-z`` and ``doob`` run one realization or
+one small batch at a time and do not scale.
 
 Exit codes: 0 all checks passed, 1 a statistical check was violated,
 2 usage or I/O error, 3 resource or quadrature failure, 4 internal error
@@ -27,14 +36,12 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import harness
+from . import harness, rmf
 from .euler import (
     QuadratureConfig,
     QuadratureError,
@@ -42,7 +49,7 @@ from .euler import (
     parseval_identity_check,
 )
 from .reporting import MomentReport
-from .rmf import Model, SampledFunction
+from .rmf import Model, SampledFunction, ordered_map
 from .sieve import build_tables
 from .sums import grid_plan, large_prime_sum, large_prime_sum_bruteforce
 
@@ -189,12 +196,8 @@ def _cmd_simulate(args) -> int:
         m = np.asarray(m[keep], dtype=np.complex128)
         return seed, m, v[keep], normalized[keep], sup
 
-    seeds = [args.seed + i for i in range(args.trials)]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            results = list(ex.map(one, seeds))
-    else:
-        results = [one(s) for s in seeds]
+    results = list(ordered_map(one, range(args.seed, args.seed + args.trials),
+                               args.threads))
     del tables, plan, scale  # emit reads none of them, and sets the --full-grid peak
 
     def blocks():
@@ -373,7 +376,7 @@ def _cmd_report(args) -> int:
 
 def _threads(value: str) -> int:
     if value == "auto":
-        return os.cpu_count() or 1
+        return rmf.CPUS
     try:
         n = int(value)
     except ValueError:
@@ -430,7 +433,7 @@ _OPTIONS = {
     "--epsilon": dict(type=float, default=0.1),
     "--x-max": dict(type=int, default=10_000),
     "--threads": dict(type=_threads, default=1,
-                      help="worker count, or 'auto' for one per CPU"),
+                      help="trial threads, or 'auto' for one per CPU in the affinity mask"),
     "--full-grid": dict(action="store_true"),
     "--points": dict(default=None, help="comma-separated x values"),
     "--lam": dict(type=_positive, default=50.0),

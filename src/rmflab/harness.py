@@ -394,6 +394,10 @@ def _y_trajectories(model: Model, seeds, truncations, tables: PrimeTables,
     truncations = list(truncations)
     if truncations != sorted(truncations):
         raise ValueError("truncations must ascend")
+    if not truncations:
+        return np.zeros((len(seeds), 0))
+    if not 2 <= truncations[0] <= truncations[-1] <= tables.limit:
+        raise ValueError(f"truncations must lie in [2, {tables.limit}]")
     ts, wts = _y_grid(model, T, panels)
     counts = [tables.prime_count_upto(x) for x in truncations]
     ps = tables.primes[:counts[-1]]

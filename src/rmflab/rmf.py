@@ -9,7 +9,10 @@ modulus 1 and f is completely multiplicative.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from collections import deque
 from enum import Enum
 
 import numpy as np
@@ -22,9 +25,20 @@ class Model(str, Enum):
     STEINHAUS = "steinhaus"
 
 
-#: Cells (seeds x primes x t-points, or seeds x integers) of one seed batch
-#: of :func:`over_seeds`: each batch's temporaries stay a few tens of MB.
-BATCH_CELLS = 4_000_000
+#: Cells (seeds x primes x t-points, or seeds x integers) of all the seed
+#: batches of :func:`over_seeds` in flight together: their temporaries stay
+#: a few tens of MB, however many workers share them.
+BATCH_CELLS = 1_000_000
+
+#: CPUs in this process's affinity mask (all of them where it cannot be read).
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
+
+#: Threads :func:`over_seeds` runs its batches on: the CPUs in the mask, up
+#: to two, the only count measured.  More workers would split the budget
+#: into smaller batches, and small batches are lock-bound (many small numpy
+#: calls): at 50,000 cells two workers ran sigma-event twice as slowly as one.
+WORKERS = min(CPUS, 2)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _OFFSET = np.uint64(0x85EBCA6B27D4EB4F)
@@ -63,26 +77,62 @@ def prime_value_matrix(model: Model, seeds, primes) -> np.ndarray:
     return out
 
 
+def ordered_map(fn, items, workers: int):
+    """Yield ``fn(item)`` for each of ``items``, in order, on up to ``workers`` threads.
+
+    With one worker or one item every call runs inline on the calling
+    thread and no pool is made.  Otherwise at most 2 * workers calls are
+    submitted ahead of the result being yielded, so the results that wait
+    for an earlier one stay few.  An exception from ``fn`` is raised where
+    its result would be yielded, after the calls not yet started are
+    cancelled and the running ones have finished.
+    """
+    if workers <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    # Imported here: loading concurrent.futures would add to every import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    todo = iter(items)
+    ex = ThreadPoolExecutor(max_workers=workers)
+    try:
+        window = deque(ex.submit(fn, item) for item in itertools.islice(todo, 2 * workers))
+        while window:
+            result = window.popleft().result()
+            for item in itertools.islice(todo, 1):
+                window.append(ex.submit(fn, item))
+            yield result
+    finally:
+        ex.shutdown(cancel_futures=True)
+
+
 def over_seeds(fn, seeds, cells_per_seed: int) -> np.ndarray:
     """``fn(batch)`` over consecutive batches of ``seeds``, joined on the first axis.
 
-    A batch holds at most BATCH_CELLS cells (and one seed at least), so peak
-    memory follows the batch, not the seed count.  ``cells_per_seed`` is the
-    caller's estimate of its largest arrays per seed, not an exact bound.
-    ``fn`` gives one row per seed, in the first batch's shape and dtype,
-    which must not depend on the batch it falls in.  The rows are written
-    into one array as they come, and a ``range`` of seeds is never
-    materialized whole, so the seeds and the result add 8 B per seed and
-    the result's row.
+    The batches run on :data:`WORKERS` threads through :func:`ordered_map`,
+    and together hold at most BATCH_CELLS cells: a batch gets
+    BATCH_CELLS // WORKERS of them (and one seed at least), but no more
+    than its share of the seeds, so even a call of one budget's worth of
+    seeds keeps every worker busy.  Peak memory follows the budget, not
+    the seed count.  ``cells_per_seed`` is the caller's estimate of its
+    largest arrays per seed, not an exact bound.  ``fn`` gives one row per
+    seed, in the first batch's shape and dtype, which must not depend on
+    the batch it falls in, nor on the thread it runs on.  The rows are
+    written into one array in seed order, and a ``range`` of seeds is
+    never materialized whole, so the seeds and the result add 8 B per seed
+    and the result's row.
     """
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
-    step = max(1, BATCH_CELLS // max(1, cells_per_seed))
-    first = fn(seeds[:step])
-    out = np.empty((len(seeds),) + first.shape[1:], dtype=first.dtype)
-    out[:step] = first
-    for i in range(step, len(seeds), step):
-        out[i:i + step] = fn(seeds[i:i + step])
+    step = max(1, min(BATCH_CELLS // WORKERS // max(1, cells_per_seed),
+                      -(-len(seeds) // WORKERS)))
+    starts = range(0, len(seeds), step)
+    out = None
+    for i, rows in zip(starts, ordered_map(lambda i: fn(seeds[i:i + step]), starts,
+                                            WORKERS)):
+        if out is None:
+            out = np.empty((len(seeds),) + rows.shape[1:], dtype=rows.dtype)
+        out[i:i + step] = rows
     return out
 
 

@@ -15,6 +15,7 @@ that would not fit comfortably.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ class PrimeTables:
     spf: np.ndarray
     primes: np.ndarray
     _lpf: np.ndarray | None = field(default=None, repr=False)
+    _lpf_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def largest_factor_table(self) -> np.ndarray:
         """uint32 array ``idx`` with ``primes[idx[n]]`` = largest prime factor of n.
@@ -45,20 +47,13 @@ class PrimeTables:
         A prime index, not the prime, so f(P(n)) is a single gather from the
         per-prime values.  n < 2 has no prime factor: ``idx[0]`` and ``idx[1]``
         hold the sentinel 0, which every caller must mask.  Built lazily and
-        cached; callers must not mutate it.
+        cached, once even when seed batches on several threads ask for it
+        together; callers must not mutate it.
         """
         if self._lpf is None:
-            lpf = np.zeros(self.limit + 1, dtype=np.uint32)
-            lpf[self.primes] = np.arange(len(self.primes))
-            # A composite n has P(n) = P(n / spf(n)), and n / spf(n) <= n/2 <
-            # lo for every n in [lo, 2*lo), so each block reads finished entries.
-            lo = 4
-            while lo <= self.limit:
-                hi = min(2 * lo, lo + (1 << 20), self.limit + 1)
-                cof = np.arange(lo, hi) // self.spf[lo:hi]
-                lpf[lo:hi] = np.where(cof > 1, lpf[cof], lpf[lo:hi])
-                lo = hi
-            self._lpf = lpf
+            with self._lpf_lock:
+                if self._lpf is None:
+                    self._lpf = _largest_factor_indices(self.spf, self.primes)
         return self._lpf
 
     def prime_count_upto(self, x: int) -> int:
@@ -70,6 +65,22 @@ class PrimeTables:
         i0 = np.searchsorted(self.primes, lo, side="right")
         i1 = np.searchsorted(self.primes, hi, side="right")
         return self.primes[i0:i1]
+
+
+def _largest_factor_indices(spf: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """The table of :meth:`PrimeTables.largest_factor_table`, from spf and primes."""
+    limit = len(spf) - 1
+    lpf = np.zeros(limit + 1, dtype=np.uint32)
+    lpf[primes] = np.arange(len(primes))
+    # A composite n has P(n) = P(n / spf(n)), and n / spf(n) <= n/2 < lo for
+    # every n in [lo, 2*lo), so each block reads finished entries.
+    lo = 4
+    while lo <= limit:
+        hi = min(2 * lo, lo + (1 << 20), limit + 1)
+        cof = np.arange(lo, hi) // spf[lo:hi]
+        lpf[lo:hi] = np.where(cof > 1, lpf[cof], lpf[lo:hi])
+        lo = hi
+    return lpf
 
 
 def build_tables(limit: int) -> PrimeTables:

@@ -53,13 +53,18 @@ def variance_sum(Aq: np.ndarray):
     """V = sum of |Aq|^2 over the last (prime) axis: a float for one
     realization, float64 per seed for a batch.
 
-    A left fold over the primes in ascending order, so a seed's V does not
-    depend on its batch (numpy's own sum adds a lone row pairwise).  Each
-    step is a vector add over seeds: on the column-major gather of
-    :func:`quotient_sums` that is about 3x faster than a cumsum along primes.
+    Rademacher terms are integers, exact in any order.  Steinhaus terms are
+    accumulated left to right over the primes in ascending order (a cumsum
+    is sequential, where numpy's own sum adds a lone row pairwise), so a
+    seed's V does not depend on its batch.  The cumsum overwrites |Aq|^2,
+    which is this function's own array, so it allocates nothing more.
+    Either way each batch is one numpy call, which leaves the interpreter
+    lock free for the other seed batches.
     """
     q = abs2(Aq)
-    v = sum(np.moveaxis(q, -1, 0), np.zeros(q.shape[:-1], q.dtype)).astype(np.float64)
+    if q.dtype.kind == "f" and q.shape[-1]:
+        q = np.cumsum(q, axis=-1, out=q)[..., -1:]
+    v = q.sum(axis=-1).astype(np.float64)
     return float(v) if v.ndim == 0 else v
 
 

@@ -14,6 +14,7 @@ import pytest
 import rmflab
 from rmflab import SampledFunction, build_tables, grid_plan, grid_statistics, harness
 from rmflab.cli import _build_parser, main
+from rmflab.rmf import ordered_map
 
 
 def _run(args):
@@ -144,6 +145,22 @@ def test_threads_auto(tmp_path):
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert _run(["simulate", "--threads", "bogus", "--trials", "1"]) == 2
+
+
+def test_threads_auto_is_the_affinity_count(tmp_path, monkeypatch):
+    # 'auto' reads the affinity count the seed-batch workers are capped from,
+    # at parse time.
+    seen = []
+
+    def spy(fn, items, workers):
+        seen.append(workers)
+        return ordered_map(fn, items, workers)
+
+    monkeypatch.setattr("rmflab.rmf.CPUS", 3)
+    monkeypatch.setattr("rmflab.cli.ordered_map", spy)
+    assert _run(["simulate", "--trials", "2", "--x-max", "500", "--threads", "auto",
+                 "--out", str(tmp_path / "a.csv")]) == 0
+    assert seen == [3]
 
 
 def test_threads_must_be_positive(capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from rmflab import (
     Model,
     SampledFunction,
+    build_tables,
     conditional_variance,
     divisor_m,
     doob_check,
@@ -40,7 +43,7 @@ from rmflab.harness import (
     _y_trajectories,
     _z_trajectories,
 )
-from rmflab.rmf import abs2
+from rmflab.rmf import abs2, ordered_map
 
 
 def _brute_test_points(epsilon, x_max):
@@ -245,8 +248,10 @@ def test_hoeffding_point_without_primes_adds_none_to_the_hash(tables_small, mode
     assert (zero.estimate, zero.std_error, zero.bound, zero.violated) == (0.0, 0.0, 0.0,
                                                                           False)
     assert zero.aux["v0"] == 0.0 and zero.label.startswith("hoeffding x=100000000 ")
+    # One hash per seed batch, each over the primes of the live point only.
     resampled = [p for drawn, p in seen if drawn]
-    assert resampled == [tables_small.primes_in(31, 1000).tolist()]
+    assert resampled and all(p == tables_small.primes_in(31, 1000).tolist()
+                             for p in resampled)
     assert rep == hoeffding_tail_check(model, [1000], 0.1, 3, 1000, tables_small)[0]
     seen.clear()
     (alone,) = hoeffding_tail_check(model, [10**8], 0.1, 3, 1000, tables_small)
@@ -470,6 +475,26 @@ def test_doob_l2_flags_a_non_submartingale(tables_small, model, monkeypatch):
     assert violated()
 
 
+def test_doob_y_gives_two_zero_rows_without_truncations(tables_small):
+    reports = doob_check("y", 30.0, 40, Model.RADEMACHER, tables_small, truncations=())
+    assert len(reports) == 2
+    for r in reports:
+        assert (r.estimate, r.std_error, r.bound, r.violated) == (0.0, 0.0, 0.0, False)
+        assert r.label == "doob y (empty sequence)"
+
+
+@pytest.mark.parametrize("truncations", [(50, 2000), (1, 50)])
+def test_doob_y_rejects_a_truncation_off_the_table_before_any_hashing(truncations,
+                                                                      monkeypatch):
+    # 2000 lies past a 1000 table, whose primes would silently cut the
+    # sequence; a truncation below 2 has no log to normalize by.
+    tables = build_tables(1000)
+    seen = _hashed_primes(monkeypatch)
+    with pytest.raises(ValueError, match=r"truncations must lie in \[2, 1000\]"):
+        doob_check("y", 30.0, 40, Model.RADEMACHER, tables, truncations=truncations)
+    assert seen == []
+
+
 def test_doob_rejects_unknown_spec(tables_small):
     with pytest.raises(ValueError):
         doob_check("w", 1.0, 100, Model.RADEMACHER, tables_small)
@@ -519,18 +544,22 @@ def _batched_outputs(tables_small, model):
 @pytest.mark.parametrize("model", list(Model))
 def test_seed_batch_size_never_changes_an_output_byte(tables_small, model,
                                                       monkeypatch):
+    monkeypatch.setattr("rmflab.rmf.WORKERS", 1)
     want = _batched_outputs(tables_small, model)
     # One seed per batch, then batch sizes that split the seed counts above
-    # unevenly.
-    for cells in (1, 7_000, 40_000):
-        monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", cells)
-        assert _batched_outputs(tables_small, model) == want
+    # unevenly, each on one, two and three worker threads.
+    for workers in (1, 2, 3):
+        monkeypatch.setattr("rmflab.rmf.WORKERS", workers)
+        for cells in (1, 7_000, 40_000):
+            monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", cells)
+            assert _batched_outputs(tables_small, model) == want, (workers, cells)
 
 
 @pytest.mark.parametrize("model", list(Model))
 def test_seed_batches_bound_the_peak(tables_small, model, monkeypatch):
     # Four times the seeds must not mean four times the memory: with small
-    # batches the peak is a batch's temporaries plus one value per seed.
+    # batches the peak is the batches' temporaries plus one value per seed,
+    # on one thread or on two sharing the budget.
     monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 50_000)
     suites = [
         lambda n: hoeffding_tail_check(model, [10_000, 1000], 0.1, 3, n, tables_small),
@@ -543,7 +572,24 @@ def test_seed_batches_bound_the_peak(tables_small, model, monkeypatch):
                                         T=20.0, panels=60),
     ]
     tables_small.largest_factor_table()  # cached on first use; keep it out of the peaks
-    for run in suites:
+    # Two workers hold their batches' temporaries at once only if their
+    # batches happen to overlap, so the same call peaked anywhere from one
+    # batch's temporaries to two.  A lock runs one batch at a time: the peak
+    # no longer depends on the schedule, while the result array and the
+    # batches submitted ahead, which grow with the seed count if anything
+    # does, are still made on two threads.  Two batches in flight stay in the
+    # budget by the split: each gets half of it.
+    one_at_a_time = threading.Lock()
+
+    def serialized(fn, items, workers):
+        def locked(item):
+            with one_at_a_time:
+                return fn(item)
+        return ordered_map(locked, items, workers)
+
+    monkeypatch.setattr("rmflab.rmf.ordered_map", serialized)
+    for workers, run in itertools.product((1, 2), suites):
+        monkeypatch.setattr("rmflab.rmf.WORKERS", workers)
         run(1000)  # first calls import lazily (np.quantile loads numpy.ma); keep it out
         peaks = []
         for n in (2000, 8000):
@@ -551,7 +597,7 @@ def test_seed_batches_bound_the_peak(tables_small, model, monkeypatch):
             run(n)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        assert peaks[1] <= 1.25 * peaks[0], peaks
+        assert peaks[1] <= 1.25 * peaks[0], (workers, peaks)
 
 
 @pytest.mark.parametrize("x", [10_000, 100_000])

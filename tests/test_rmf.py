@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rmflab
 from rmflab import (Model, SampledFunction, build_tables, large_prime_sum, partial_sum_matrix,
                     prime_value_matrix, value_matrix)
-from rmflab.rmf import over_seeds
+from rmflab.rmf import ordered_map, over_seeds
 
 
 def test_rademacher_values_are_signs(tables_small):
@@ -203,8 +209,20 @@ def test_prime_values_look_balanced(tables_small):
     assert abs(np.mean(G.prime_values(ps))) < 4.0 / math.sqrt(n)
 
 
+@pytest.mark.parametrize("mask, want", [(1, "1 1"), (2, "2 2"), (16, "16 2")])
+def test_seed_batch_workers_are_the_affinity_mask_up_to_two(mask, want):
+    # Computed once at import, so each mask needs a fresh interpreter.
+    code = (f"import os; os.sched_getaffinity = lambda pid: set(range({mask})); "
+            "from rmflab import rmf; print(rmf.CPUS, rmf.WORKERS)")
+    env = {**os.environ, "PYTHONPATH": str(Path(rmflab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == want.split()
+
+
 def test_over_seeds_fills_rows_batch_by_batch(monkeypatch):
     # 7 seeds at 3 a batch: the batches are ranges, the rows land in order.
+    monkeypatch.setattr("rmflab.rmf.WORKERS", 1)
     monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 30)
     batches = []
 
@@ -217,3 +235,56 @@ def test_over_seeds_fills_rows_batch_by_batch(monkeypatch):
     assert out.dtype == np.int16 and out.tolist() == [[s, -s] for s in range(5, 12)]
     with pytest.raises(ValueError, match="at least one seed"):
         over_seeds(rows, range(0), 10)
+    # Two workers share the budget: 30 cells give each batch one seed.
+    # With room to spare, 7 seeds still split into one batch per worker.
+    monkeypatch.setattr("rmflab.rmf.WORKERS", 2)
+    for cells, want in ((30, [range(s, s + 1) for s in range(5, 12)]),
+                        (1000, [range(5, 9), range(9, 12)])):
+        monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", cells)
+        batches.clear()
+        out = over_seeds(rows, range(5, 12), 10)
+        assert sorted(batches, key=lambda b: b.start) == want
+        assert out.tolist() == [[s, -s] for s in range(5, 12)]
+
+
+def test_over_seeds_writes_rows_in_seed_order_when_a_later_batch_finishes_first(
+        monkeypatch):
+    monkeypatch.setattr("rmflab.rmf.WORKERS", 2)
+    monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 60)
+    second_done = threading.Event()
+    finished = []
+
+    def rows(batch):
+        if batch.start == 0:
+            # Holds the first batch until the second one has returned.
+            assert second_done.wait(timeout=10)
+        finished.append(batch.start)
+        if batch.start == 3:
+            second_done.set()
+        return np.array([[s] for s in batch])
+
+    out = over_seeds(rows, range(9), 10)
+    assert finished[0] == 3 and sorted(finished) == [0, 3, 6]
+    assert out[:, 0].tolist() == list(range(9))
+
+
+def test_ordered_map_bounds_what_runs_ahead_and_raises_in_order():
+    # Two workers keep at most four calls submitted ahead of the result
+    # being consumed; an exception surfaces at its own item.
+    submitted = []
+
+    def square(i):
+        submitted.append(i)
+        if i == 5:
+            raise KeyError(i)
+        return i * i
+
+    got = []
+    with pytest.raises(KeyError):
+        for i, v in enumerate(ordered_map(square, range(100), 2)):
+            assert max(submitted) <= i + 4
+            got.append(v)
+    assert got == [i * i for i in range(5)]
+    assert max(submitted) < 10
+    assert list(ordered_map(square, [3], 4)) == [9]
+    assert list(ordered_map(square, range(4), 1)) == [0, 1, 4, 9]

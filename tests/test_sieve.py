@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from rmflab import build_tables, divisor_m, factorize, largest_prime_factor
+from rmflab import sieve
 from rmflab.sieve import MAX_LIMIT, squarefree_count, squarefree_indicator
 
 
@@ -87,3 +91,38 @@ def test_build_tables_rejects_bad_limits():
     with pytest.raises(MemoryError):
         build_tables(MAX_LIMIT + 1)
 
+
+
+def test_largest_factor_table_is_built_once_by_concurrent_callers(monkeypatch):
+    # Seed batches on several threads may ask a fresh table for it at once.
+    tables = build_tables(5000)
+    builds = []
+
+    def slow_build(spf, primes):
+        builds.append(threading.get_ident())
+        time.sleep(0.05)  # widen the window in which a second build could start
+        return real(spf, primes)
+
+    real = sieve._largest_factor_indices
+    monkeypatch.setattr(sieve, "_largest_factor_indices", slow_build)
+    start = threading.Barrier(4)
+    got = []
+
+    def call():
+        start.wait(timeout=10)
+        got.append(tables.largest_factor_table())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1 and len(got) == 4
+    assert all(idx is got[0] for idx in got)
+    assert tables.primes[got[0][5000]] == largest_prime_factor(5000, tables)

@@ -18,7 +18,8 @@ from rmflab import (
     large_prime_sum_bruteforce,
     quotient_sums,
 )
-from rmflab.sums import ORACLE_CAP
+from rmflab.rmf import cumulate, value_matrix
+from rmflab.sums import ORACLE_CAP, variance_sum
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -199,3 +200,22 @@ def test_quotient_sums_batches_over_seeds(tables_small):
     assert Aq.shape == (3, ks.stop - ks.start)
     for i in range(3):
         assert np.array_equal(Aq[i], quotient_sums(A[i], 1000, tables_small)[1])
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("x", [10, 1000, 10_000])
+def test_variance_sum_is_the_left_fold_bit_for_bit(tables_small, model, x):
+    # The reference adds |A(x // p)|^2 one prime at a time, in ascending order,
+    # for each seed on its own; the batch and every single row must match it.
+    A = cumulate(value_matrix(model, range(5, 12), math.isqrt(x), tables_small))
+    _, Aq = quotient_sums(A, x, tables_small)
+    want = []
+    for row in Aq:
+        v = 0
+        for a in row.tolist():
+            v += a.real * a.real + a.imag * a.imag
+        want.append(float(v))
+    before = Aq.copy()
+    assert variance_sum(Aq).tolist() == want
+    assert [variance_sum(row) for row in Aq] == want
+    assert np.array_equal(Aq, before)  # the cumsum overwrites only its own |Aq|^2
