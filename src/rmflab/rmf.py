@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from collections import deque
 from enum import Enum
 
@@ -77,33 +78,77 @@ def prime_value_matrix(model: Model, seeds, primes) -> np.ndarray:
     return out
 
 
+#: Executors made by :func:`_pool`, by worker count, and the lock that makes
+#: each once.  A forked child has none of their threads, so it forgets them.
+_POOLS: dict = {}
+_POOLS_LOCK = threading.Lock()
+_IN_POOL = threading.local()
+
+
+def _forget_pools() -> None:
+    global _POOLS_LOCK
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
+
+
+def _mark_pool_thread() -> None:
+    _IN_POOL.worker = True
+
+
+def _pool(workers: int):
+    """The executor of ``workers`` threads: made on first use, then kept.
+
+    Kept, so that the batches of every call run on the same threads, and so
+    allocate from the same malloc arenas.  Threads made afresh for each call
+    took arenas in whatever order the old threads happened to exit, each
+    arena keeping the memory of the batches it had served, and the peak RSS
+    of the same run varied by tens of MB from one run to the next.
+    """
+    with _POOLS_LOCK:
+        if workers not in _POOLS:
+            # Imported here: loading concurrent.futures would add to every import.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOLS[workers] = ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
+        return _POOLS[workers]
+
+
 def ordered_map(fn, items, workers: int):
     """Yield ``fn(item)`` for each of ``items``, in order, on up to ``workers`` threads.
 
     With one worker or one item every call runs inline on the calling
-    thread and no pool is made.  Otherwise at most 2 * workers calls are
-    submitted ahead of the result being yielded, so the results that wait
-    for an earlier one stay few.  An exception from ``fn`` is raised where
-    its result would be yielded, after the calls not yet started are
-    cancelled and the running ones have finished.
+    thread and no pool is made; so does a call made on a pool thread, which
+    could otherwise wait on work queued behind itself.  Otherwise the calls
+    run on a pool of ``workers`` threads kept for the life of the process,
+    and at most 2 * workers calls are submitted ahead of the result being
+    yielded, so the results that wait for an earlier one stay few.  An
+    exception from ``fn`` is raised where its result would be yielded,
+    after the calls not yet started are cancelled and the running ones
+    have finished.
     """
-    if workers <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1 or getattr(_IN_POOL, "worker", False):
         yield from map(fn, items)
         return
-    # Imported here: loading concurrent.futures would add to every import.
-    from concurrent.futures import ThreadPoolExecutor
-
+    ex = _pool(workers)
     todo = iter(items)
-    ex = ThreadPoolExecutor(max_workers=workers)
+    window = deque()
     try:
-        window = deque(ex.submit(fn, item) for item in itertools.islice(todo, 2 * workers))
+        window.extend(ex.submit(fn, item) for item in itertools.islice(todo, 2 * workers))
         while window:
             result = window.popleft().result()
             for item in itertools.islice(todo, 1):
                 window.append(ex.submit(fn, item))
             yield result
     finally:
-        ex.shutdown(cancel_futures=True)
+        for f in window:
+            f.cancel()
+        for f in window:
+            if not f.cancelled():
+                f.exception()  # waits for it to finish
 
 
 def over_seeds(fn, seeds, cells_per_seed: int) -> np.ndarray:
@@ -116,23 +161,30 @@ def over_seeds(fn, seeds, cells_per_seed: int) -> np.ndarray:
     seeds keeps every worker busy.  Peak memory follows the budget, not
     the seed count.  ``cells_per_seed`` is the caller's estimate of its
     largest arrays per seed, not an exact bound.  ``fn`` gives one row per
-    seed, in the first batch's shape and dtype, which must not depend on
-    the batch it falls in, nor on the thread it runs on.  The rows are
-    written into one array in seed order, and a ``range`` of seeds is
-    never materialized whole, so the seeds and the result add 8 B per seed
-    and the result's row.
+    seed, in one shape and dtype, which must not depend on the batch it
+    falls in, nor on the thread it runs on.  The thread that ran a batch
+    writes its rows into one array, at the batch's seeds, so every batch
+    array is freed by the thread that made it before that thread starts
+    another.  A ``range`` of seeds is never materialized whole, so the
+    seeds and the result add 8 B per seed and the result's row.
     """
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
     step = max(1, min(BATCH_CELLS // WORKERS // max(1, cells_per_seed),
                       -(-len(seeds) // WORKERS)))
-    starts = range(0, len(seeds), step)
     out = None
-    for i, rows in zip(starts, ordered_map(lambda i: fn(seeds[i:i + step]), starts,
-                                            WORKERS)):
-        if out is None:
-            out = np.empty((len(seeds),) + rows.shape[1:], dtype=rows.dtype)
+    made = threading.Lock()
+
+    def fill(i):
+        nonlocal out
+        rows = fn(seeds[i:i + step])
+        with made:
+            if out is None:
+                out = np.empty((len(seeds),) + rows.shape[1:], dtype=rows.dtype)
         out[i:i + step] = rows
+
+    for _ in ordered_map(fill, range(0, len(seeds), step), WORKERS):
+        pass
     return out
 
 

@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -288,3 +290,100 @@ def test_ordered_map_bounds_what_runs_ahead_and_raises_in_order():
     assert max(submitted) < 10
     assert list(ordered_map(square, [3], 4)) == [9]
     assert list(ordered_map(square, range(4), 1)) == [0, 1, 4, 9]
+
+
+def test_ordered_map_runs_every_call_on_one_kept_pool():
+    # Fresh threads for each call took malloc arenas in whatever order the
+    # old ones exited, and the peak RSS of a run varied with it.
+    def thread(_):
+        time.sleep(0.01)  # keeps both workers busy
+        return threading.current_thread()
+
+    first = set(ordered_map(thread, range(8), 2))
+    second = set(ordered_map(thread, range(8), 2))
+    assert len(first | second) == 2 and threading.current_thread() not in first
+
+
+def test_ordered_map_on_a_pool_thread_runs_inline():
+    # Two outer calls fill both workers; were the inner calls queued on the
+    # same pool, each worker would wait on work queued behind itself.
+    def inner(_):
+        return threading.get_ident()
+
+    def outer(_):
+        return set(ordered_map(inner, range(3), 2)) == {threading.get_ident()}
+
+    got = []
+    t = threading.Thread(target=lambda: got.extend(ordered_map(outer, range(2), 2)),
+                         daemon=True)
+    t.start()
+    t.join(timeout=10)
+    assert got == [True, True]
+
+
+def test_ordered_map_works_in_a_forked_child():
+    # The child has none of the parent's pool threads, so it makes its own.
+    code = (
+        "import os, signal\n"
+        "from rmflab.rmf import ordered_map\n"
+        "assert list(ordered_map(abs, range(-4, 0), 2)) == [4, 3, 2, 1]\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(30)  # a child waiting on threads it lacks ends\n"
+        "    os._exit(0 if list(ordered_map(abs, range(-4, 0), 2)) == [4, 3, 2, 1] else 1)\n"
+        "assert os.waitpid(pid, 0)[1] == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rmflab.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_over_seeds_under_concurrent_callers_and_short_switches(monkeypatch):
+    # Four callers at once on a fresh three-thread pool, more threads than
+    # cores, and a switch every microsecond: one pool serves them all and
+    # every row lands, so neither the pool nor a result array was made twice.
+    monkeypatch.setattr("rmflab.rmf._POOLS", {})
+    monkeypatch.setattr("rmflab.rmf.WORKERS", 3)
+    monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 30)
+    ran_on = set()
+    got = {}
+
+    def rows(batch):
+        ran_on.add(threading.current_thread())
+        return np.array([[s, 2 * s] for s in batch])
+
+    def call(k):
+        got[k] = over_seeds(rows, range(k, k + 300), 10)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for k in range(4):
+        assert got[k].tolist() == [[s, 2 * s] for s in range(k, k + 300)]
+    assert len(ran_on) == 3
+
+
+def test_over_seeds_frees_each_batch_on_the_thread_that_made_it(monkeypatch):
+    # A batch's rows freed later on the calling thread, while its worker had
+    # moved on, left holes in the worker's arena where they happened to fall.
+    monkeypatch.setattr("rmflab.rmf.WORKERS", 2)
+    monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 40)
+    made, freed = {}, {}
+
+    def rows(batch):
+        out = np.array([[s] for s in batch])
+        made[batch.start] = threading.get_ident()
+        weakref.finalize(out, lambda: freed.setdefault(batch.start, threading.get_ident()))
+        return out
+
+    out = over_seeds(rows, range(12), 10)
+    assert out[:, 0].tolist() == list(range(12))
+    assert sorted(made) == [0, 2, 4, 6, 8, 10]
+    assert freed == made and threading.get_ident() not in made.values()
