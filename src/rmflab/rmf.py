@@ -9,11 +9,9 @@ modulus 1 and f is completely multiplicative.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
-from collections import deque
 from enum import Enum
 
 import numpy as np
@@ -31,15 +29,13 @@ class Model(str, Enum):
 #: a few tens of MB, however many workers share them.
 BATCH_CELLS = 1_000_000
 
-#: CPUs in this process's affinity mask (all of them where it cannot be read).
-CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-        else os.cpu_count() or 1)
-
-#: Threads :func:`over_seeds` runs its batches on: the CPUs in the mask, up
-#: to two, the only count measured.  More workers would split the budget
+#: Threads :func:`over_seeds` runs its batches on: the CPUs in this
+#: process's affinity mask (all of them where it cannot be read), up to
+#: two, the only count measured.  More workers would split the budget
 #: into smaller batches, and small batches are lock-bound (many small numpy
 #: calls): at 50,000 cells two workers ran sigma-event twice as slowly as one.
-WORKERS = min(CPUS, 2)
+WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1, 2)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _OFFSET = np.uint64(0x85EBCA6B27D4EB4F)
@@ -78,29 +74,24 @@ def prime_value_matrix(model: Model, seeds, primes) -> np.ndarray:
     return out
 
 
-#: Executors made by :func:`_pool`, by worker count, and the lock that makes
-#: each once.  A forked child has none of their threads, so it forgets them.
-_POOLS: dict = {}
-_POOLS_LOCK = threading.Lock()
-_IN_POOL = threading.local()
+#: The executor made by :func:`_pool`, and the lock that makes it once.  A
+#: forked child has none of its threads, so it forgets it.
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
-def _forget_pools() -> None:
-    global _POOLS_LOCK
-    _POOLS.clear()
-    _POOLS_LOCK = threading.Lock()
+def _forget_pool() -> None:
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pools)
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _mark_pool_thread() -> None:
-    _IN_POOL.worker = True
-
-
-def _pool(workers: int):
-    """The executor of ``workers`` threads: made on first use, then kept.
+def _pool():
+    """The executor of :data:`WORKERS` threads: made on first use, then kept.
 
     Kept, so that the batches of every call run on the same threads, and so
     allocate from the same malloc arenas.  Threads made afresh for each call
@@ -108,65 +99,75 @@ def _pool(workers: int):
     arena keeping the memory of the batches it had served, and the peak RSS
     of the same run varied by tens of MB from one run to the next.
     """
-    with _POOLS_LOCK:
-        if workers not in _POOLS:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
             # Imported here: loading concurrent.futures would add to every import.
             from concurrent.futures import ThreadPoolExecutor
 
-            _POOLS[workers] = ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
-        return _POOLS[workers]
+            _POOL = ThreadPoolExecutor(WORKERS)
+        return _POOL
 
 
-def ordered_map(fn, items, workers: int):
-    """Yield ``fn(item)`` for each of ``items``, in order, on up to ``workers`` threads.
+def _run_batches(fill, starts: range) -> None:
+    """``fill(i)`` for each of ``starts``, taken in order by up to :data:`WORKERS` threads.
 
-    With one worker or one item every call runs inline on the calling
-    thread and no pool is made; so does a call made on a pool thread, which
-    could otherwise wait on work queued behind itself.  Otherwise the calls
-    run on a pool of ``workers`` threads kept for the life of the process,
-    and at most 2 * workers calls are submitted ahead of the result being
-    yielded, so the results that wait for an earlier one stay few.  An
-    exception from ``fn`` is raised where its result would be yielded,
-    after the calls not yet started are cancelled and the running ones
-    have finished.
+    With one worker or one batch every call runs inline on the calling
+    thread and no pool is made.  Otherwise each of the pool's threads takes
+    the next batch until none is left, so the calls waiting to start cost
+    nothing per batch.  An exception from ``fill`` is raised once the
+    running batches have finished; the batches not yet started never run,
+    nor do they when the caller is interrupted while it waits.
     """
-    if workers <= 1 or len(items) <= 1 or getattr(_IN_POOL, "worker", False):
-        yield from map(fn, items)
+    if WORKERS == 1 or len(starts) == 1:
+        for i in starts:
+            fill(i)
         return
-    ex = _pool(workers)
-    todo = iter(items)
-    window = deque()
+    todo = iter(starts)
+    take = threading.Lock()
+
+    def stop():
+        nonlocal todo
+        with take:
+            todo = iter(())
+
+    def work():
+        while True:
+            with take:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                fill(i)
+            except BaseException:
+                stop()
+                raise
+
+    futures = [_pool().submit(work) for _ in range(min(WORKERS, len(starts)))]
     try:
-        window.extend(ex.submit(fn, item) for item in itertools.islice(todo, 2 * workers))
-        while window:
-            result = window.popleft().result()
-            for item in itertools.islice(todo, 1):
-                window.append(ex.submit(fn, item))
-            yield result
+        for f in futures:
+            f.exception()  # waits for it to finish
     finally:
-        for f in window:
-            f.cancel()
-        for f in window:
-            if not f.cancelled():
-                f.exception()  # waits for it to finish
+        stop()
+    for f in futures:
+        f.result()
 
 
 def over_seeds(fn, seeds, cells_per_seed: int) -> np.ndarray:
     """``fn(batch)`` over consecutive batches of ``seeds``, joined on the first axis.
 
-    The batches run on :data:`WORKERS` threads through :func:`ordered_map`,
-    and together hold at most BATCH_CELLS cells: a batch gets
-    BATCH_CELLS // WORKERS of them (and one seed at least), but no more
-    than its share of the seeds, so even a call of one budget's worth of
-    seeds keeps every worker busy.  Peak memory follows the budget, not
-    the seed count.  ``cells_per_seed`` is the caller's estimate of its
-    largest arrays per seed, not an exact bound.  ``fn`` gives one row per
-    seed, in one shape and dtype, which must not depend on the batch it
-    falls in, nor on the thread it runs on.  The thread that ran a batch
-    writes its rows into one array, at the batch's seeds, so every batch
-    array is freed by the thread that made it before that thread starts
-    another.  A ``range`` of seeds is never materialized whole, so the
-    seeds and the result add 8 B per seed and the result's row.
+    The batches run on :data:`WORKERS` threads, and together hold at most
+    BATCH_CELLS cells: a batch gets BATCH_CELLS // WORKERS of them (and one
+    seed at least), but no more than its share of the seeds, so even a call
+    of one budget's worth of seeds keeps every worker busy.  Peak memory
+    follows the budget, not the seed count.  ``cells_per_seed`` is the
+    caller's estimate of its largest arrays per seed, not an exact bound.
+    ``fn`` gives one row per seed, in one shape and dtype, which must not
+    depend on the batch it falls in, nor on the thread it runs on.  The
+    thread that ran a batch writes its rows into one array, at the batch's
+    seeds, so every batch array is freed by the thread that made it before
+    that thread starts another.  A ``range`` of seeds is never materialized
+    whole, so the seeds and the result add 8 B per seed and the result's row.
     """
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
@@ -183,8 +184,7 @@ def over_seeds(fn, seeds, cells_per_seed: int) -> np.ndarray:
                 out = np.empty((len(seeds),) + rows.shape[1:], dtype=rows.dtype)
         out[i:i + step] = rows
 
-    for _ in ordered_map(fill, range(0, len(seeds), step), WORKERS):
-        pass
+    _run_batches(fill, range(0, len(seeds), step))
     return out
 
 

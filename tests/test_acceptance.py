@@ -229,18 +229,23 @@ def test_criterion_09_trend_report(tables, capsys):
              f"exceedance at 6: {exceed6:.3f}, {elapsed:.1f}s (budget 600s)")
 
 
-def test_criterion_10_cli_determinism(tmp_path, capsys):
-    """CLI output is byte-identical across reruns and thread counts."""
+def test_criterion_10_cli_determinism(tmp_path, capsys, monkeypatch):
+    """CLI output is byte-identical across reruns and seed-batch worker counts."""
     t0 = time.monotonic()
     outs = []
-    for name, threads in (("a", 1), ("b", 1), ("c", 4)):
+    for name in ("a", "b"):
         path = tmp_path / f"{name}.csv"
         rc = cli_main(["simulate", "--trials", "4", "--x-max", "3000",
-                       "--model", "steinhaus", "--threads", str(threads),
-                       "--out", str(path)])
+                       "--model", "steinhaus", "--out", str(path)])
+        outs.append((rc, path.read_bytes()))
+    for workers in (1, 2):
+        monkeypatch.setattr("rmflab.rmf.WORKERS", workers)
+        path = tmp_path / f"sigma{workers}.csv"
+        rc = cli_main(["euler", "--check", "sigma-event", "--trials", "200",
+                       "--model", "steinhaus", "--out", str(path)])
         outs.append((rc, path.read_bytes()))
     ok = all(rc == 0 for rc, _ in outs)
-    ok = ok and outs[0][1] == outs[1][1] == outs[2][1]
+    ok = ok and outs[0][1] == outs[1][1] and outs[2][1] == outs[3][1]
     jpath = tmp_path / "j.json"
     rc = cli_main(["moments", "--suite", "hypercontractive", "--trials",
                    "1000", "--x-max", "100", "--format", "json",
@@ -251,5 +256,6 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     ok = ok and cli_main(["simulate", "--epsilon", "0.5"]) == 2
     elapsed = time.monotonic() - t0
     _verdict(capsys, 10, ok,
-             f"simulate byte-identical over reruns and --threads 1/4, "
-             f"JSON well-formed, usage errors exit 2; {elapsed:.1f}s")
+             f"simulate byte-identical over reruns, euler sigma-event over "
+             f"1 and 2 seed-batch workers, JSON well-formed, usage errors exit 2; "
+             f"{elapsed:.1f}s")

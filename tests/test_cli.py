@@ -14,19 +14,22 @@ import pytest
 import rmflab
 from rmflab import SampledFunction, build_tables, grid_plan, grid_statistics, harness
 from rmflab.cli import _build_parser, main
-from rmflab.rmf import ordered_map
 
 
 def _run(args):
     return main(args)
 
 
-def test_simulate_thread_determinism(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["simulate", "--trials", "3", "--x-max", "2000", "--x-max", "2000"]
-    assert _run(base + ["--out", str(a)]) == 0
-    assert _run(base + ["--threads", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_simulate_thread_determinism(tmp_path, monkeypatch):
+    # Reruns, and runs with one or two seed-batch workers, write the same bytes.
+    outs = []
+    for name, workers in (("a", 1), ("b", 2), ("c", 2)):
+        monkeypatch.setattr("rmflab.rmf.WORKERS", workers)
+        out = tmp_path / f"{name}.csv"
+        assert _run(["simulate", "--trials", "3", "--x-max", "2000",
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_simulate_csv_shape(tmp_path):
@@ -95,6 +98,38 @@ def test_report_aggregates(tmp_path):
     assert rows and all(r["count"] == "2" for r in rows)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+def test_report_rejects_a_normalized_value_that_is_not_finite_and_non_negative(
+        value, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"trial,x,normalized\r\n0,100,0.5\r\n1,100,{value}\r\n")
+    assert _run(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad.csv:3: normalized {value} is not finite" in err and "Traceback" not in err
+
+
+def test_report_accepts_a_zero_normalized_value_and_skips_summary_rows(tmp_path, capsys):
+    ok = tmp_path / "ok.csv"
+    ok.write_text("trial,x,normalized\r\n0,100,0\r\n1,100,0.25\r\n-1,100,nan\r\n")
+    assert _run(["report", str(ok)]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["count"] == "2" and row["max_normalized"] == "0.25"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,100,0.7,9", "more fields than the header"),
+    ("one,100,0.7", "invalid literal for int()"),
+    ("1,1e2,0.7", "invalid literal for int()"),
+    ("1,100,high", "could not convert string to float"),
+])
+def test_report_rejects_a_malformed_row_with_its_line(row, message, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"trial,x,normalized\r\n0,100,0.5\r\n{row}\r\n")
+    assert _run(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad.csv:3: {message}" in err and "Traceback" not in err
+
+
 def test_report_rejects_csv_without_required_columns(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("seed,x\r\n1,100\r\n")
@@ -137,39 +172,6 @@ def test_moments_hoeffding_points_keep_their_order_and_repeats(capsys):
     assert alone == rows[1]
 
 
-def test_threads_auto(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert _run(["simulate", "--trials", "2", "--x-max", "500",
-                 "--threads", "auto", "--out", str(a)]) == 0
-    assert _run(["simulate", "--trials", "2", "--x-max", "500",
-                 "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    assert _run(["simulate", "--threads", "bogus", "--trials", "1"]) == 2
-
-
-def test_threads_auto_is_the_affinity_count(tmp_path, monkeypatch):
-    # 'auto' reads the affinity count the seed-batch workers are capped from,
-    # at parse time.
-    seen = []
-
-    def spy(fn, items, workers):
-        seen.append(workers)
-        return ordered_map(fn, items, workers)
-
-    monkeypatch.setattr("rmflab.rmf.CPUS", 3)
-    monkeypatch.setattr("rmflab.cli.ordered_map", spy)
-    assert _run(["simulate", "--trials", "2", "--x-max", "500", "--threads", "auto",
-                 "--out", str(tmp_path / "a.csv")]) == 0
-    assert seen == [3]
-
-
-def test_threads_must_be_positive(capsys):
-    for threads in ("0", "-3"):
-        assert _run(["simulate", "--threads", threads, "--trials", "1"]) == 2
-        err = capsys.readouterr().err
-        assert "threads must be positive" in err and "Traceback" not in err
-
-
 def test_usage_errors():
     assert _run(["no-such-command"]) == 2
     assert _run(["simulate", "--epsilon", "0.9", "--trials", "1"]) == 2
@@ -179,7 +181,7 @@ def test_usage_errors():
 #: The options each subcommand reads, and so accepts.
 KEPT_FLAGS = {
     "simulate": {"--model", "--seed", "--trials", "--epsilon", "--x-max",
-                 "--threads", "--full-grid", "--out", "--format"},
+                 "--full-grid", "--out", "--format"},
     "oracle-check": {"--model", "--seed", "--trials", "--x-max", "--points",
                      "--out", "--format"},
     "moments": {"--suite", "--model", "--seed", "--trials", "--epsilon",
@@ -213,6 +215,7 @@ def sim_csv(tmp_path):
     ["report", "{sim}", "--model", "steinhaus"],
     ["simulate", "--trials", "1", "--x-max", "100", "--t-param", "3"],
     ["simulate", "--trials", "1", "--x-max", "100", "--table-cache", "{tmp}/f.bin"],
+    ["simulate", "--trials", "1", "--x-max", "100", "--threads", "2"],
     ["variance", "--trials", "400", "--points", "1000", "--epsilon", "0.2"],
     ["oracle-check", "--points", "100", "--seeds", "1"],
     ["moments", "--suite", "hypercontractive", "--trials", "1000", "--m", "1",
@@ -226,7 +229,7 @@ def test_subcommand_rejects_a_flag_it_does_not_read(argv, sim_csv, tmp_path, cap
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--model", "steinhaus", "--seed", "3", "--trials", "2",
-     "--epsilon", "0.2", "--x-max", "500", "--threads", "2", "--full-grid"],
+     "--epsilon", "0.2", "--x-max", "500", "--full-grid"],
     ["oracle-check", "--model", "steinhaus", "--seed", "3", "--trials", "1",
      "--x-max", "2000", "--points", "100,1500"],
     ["moments", "--suite", "hypercontractive", "--model", "steinhaus",
@@ -486,11 +489,10 @@ def test_full_grid_matches_row_by_row_reference(model, x_max, tmp_path):
     expected = _reference_full_grid(model, trials=2, x_max=x_max)
     out = tmp_path / "out"
     for fmt in ("csv", "json"):
-        for threads in ("1", "2"):
-            assert _run(["simulate", "--full-grid", "--trials", "2",
-                         "--x-max", str(x_max), "--model", model, "--format", fmt,
-                         "--threads", threads, "--out", str(out)]) == 0
-            assert out.read_bytes() == expected[fmt], (fmt, threads)
+        assert _run(["simulate", "--full-grid", "--trials", "2",
+                     "--x-max", str(x_max), "--model", model, "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == expected[fmt], fmt
 
 
 @pytest.mark.parametrize("suite", ["hypercontractive", "hoeffding", "doob",

@@ -27,6 +27,7 @@ from rmflab import (
     large_prime_sum,
     partial_sum_second_moment_check,
     prime_value_matrix,
+    rmf,
     run_trial,
     sigma_event_statistic,
     submartingale_z_check,
@@ -43,7 +44,7 @@ from rmflab.harness import (
     _y_trajectories,
     _z_trajectories,
 )
-from rmflab.rmf import abs2, ordered_map
+from rmflab.rmf import abs2
 
 
 def _brute_test_points(epsilon, x_max):
@@ -576,18 +577,19 @@ def test_seed_batches_bound_the_peak(tables_small, model, monkeypatch):
     # batches happen to overlap, so the same call peaked anywhere from one
     # batch's temporaries to two.  A lock runs one batch at a time: the peak
     # no longer depends on the schedule, while the result array and the
-    # batches submitted ahead, which grow with the seed count if anything
+    # batches waiting to start, which grow with the seed count if anything
     # does, are still made on two threads.  Two batches in flight stay in the
     # budget by the split: each gets half of it.
     one_at_a_time = threading.Lock()
+    run_batches = rmf._run_batches
 
-    def serialized(fn, items, workers):
-        def locked(item):
+    def serialized(fill, starts):
+        def locked(i):
             with one_at_a_time:
-                return fn(item)
-        return ordered_map(locked, items, workers)
+                fill(i)
+        run_batches(locked, starts)
 
-    monkeypatch.setattr("rmflab.rmf.ordered_map", serialized)
+    monkeypatch.setattr("rmflab.rmf._run_batches", serialized)
     for workers, run in itertools.product((1, 2), suites):
         monkeypatch.setattr("rmflab.rmf.WORKERS", workers)
         run(1000)  # first calls import lazily (np.quantile loads numpy.ma); keep it out

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import rmflab
 from rmflab import (Model, SampledFunction, build_tables, large_prime_sum, partial_sum_matrix,
                     prime_value_matrix, value_matrix)
-from rmflab.rmf import ordered_map, over_seeds
+from rmflab.rmf import over_seeds
 
 
 def test_rademacher_values_are_signs(tables_small):
@@ -215,7 +215,7 @@ def test_prime_values_look_balanced(tables_small):
 def test_seed_batch_workers_are_the_affinity_mask_up_to_two(mask, want):
     # Computed once at import, so each mask needs a fresh interpreter.
     code = (f"import os; os.sched_getaffinity = lambda pid: set(range({mask})); "
-            "from rmflab import rmf; print(rmf.CPUS, rmf.WORKERS)")
+            "from rmflab import rmf; print(len(os.sched_getaffinity(0)), rmf.WORKERS)")
     env = {**os.environ, "PYTHONPATH": str(Path(rmflab.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
@@ -270,67 +270,89 @@ def test_over_seeds_writes_rows_in_seed_order_when_a_later_batch_finishes_first(
     assert out[:, 0].tolist() == list(range(9))
 
 
-def test_ordered_map_bounds_what_runs_ahead_and_raises_in_order():
-    # Two workers keep at most four calls submitted ahead of the result
-    # being consumed; an exception surfaces at its own item.
-    submitted = []
+def test_over_seeds_raises_after_the_running_batches_and_starts_no_more(monkeypatch):
+    # One seed a batch on two workers: batch 5 fails while the other worker
+    # may be in batch 6, which finishes; no later batch starts.
+    monkeypatch.setattr("rmflab.rmf.WORKERS", 2)
+    monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 20)
+    started, finished = [], []
 
-    def square(i):
-        submitted.append(i)
-        if i == 5:
-            raise KeyError(i)
-        return i * i
+    def rows(batch):
+        started.append(batch.start)
+        if batch.start == 5:
+            raise KeyError(5)
+        if batch.start > 5:
+            time.sleep(0.05)  # still running when batch 5 fails
+        finished.append(batch.start)
+        return np.array([[s] for s in batch])
 
-    got = []
     with pytest.raises(KeyError):
-        for i, v in enumerate(ordered_map(square, range(100), 2)):
-            assert max(submitted) <= i + 4
-            got.append(v)
-    assert got == [i * i for i in range(5)]
-    assert max(submitted) < 10
-    assert list(ordered_map(square, [3], 4)) == [9]
-    assert list(ordered_map(square, range(4), 1)) == [0, 1, 4, 9]
+        over_seeds(rows, range(100), 10)
+    assert sorted(started)[:6] == list(range(6)) and max(started) <= 6
+    assert sorted(finished) == [s for s in sorted(started) if s != 5]
 
 
-def test_ordered_map_runs_every_call_on_one_kept_pool():
+def test_over_seeds_interrupted_while_it_waits_starts_no_more_batches():
+    # Ctrl-C reaches the caller, not the workers: were the batches left to
+    # run, the process would sit through all of them before it could exit.
+    code = (
+        "import os, signal, time\n"
+        "import numpy as np\n"
+        "from rmflab import rmf\n"
+        "rmf.WORKERS, rmf.BATCH_CELLS = 2, 2\n"
+        "started = []\n"
+        "def rows(batch):\n"
+        "    started.append(batch.start)\n"
+        "    if batch.start == 3:\n"
+        "        os.kill(os.getpid(), signal.SIGINT)\n"
+        "    time.sleep(0.05)\n"
+        "    return np.array([[s] for s in batch])\n"
+        "try:\n"
+        "    rmf.over_seeds(rows, range(1000), 1)\n"
+        "except KeyboardInterrupt:\n"
+        "    time.sleep(0.2)\n"
+        "    assert max(started) < 10, started\n"
+        "else:\n"
+        "    raise AssertionError('not interrupted')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rmflab.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=20)
+
+
+def test_over_seeds_runs_every_call_on_one_kept_pool(monkeypatch):
     # Fresh threads for each call took malloc arenas in whatever order the
     # old ones exited, and the peak RSS of a run varied with it.
-    def thread(_):
+    monkeypatch.setattr("rmflab.rmf._POOL", None)
+    monkeypatch.setattr("rmflab.rmf.WORKERS", 2)
+    monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 20)
+    ran_on = []
+
+    def rows(batch):
         time.sleep(0.01)  # keeps both workers busy
-        return threading.current_thread()
+        ran_on.append(threading.current_thread())
+        return np.array([[s] for s in batch])
 
-    first = set(ordered_map(thread, range(8), 2))
-    second = set(ordered_map(thread, range(8), 2))
-    assert len(first | second) == 2 and threading.current_thread() not in first
-
-
-def test_ordered_map_on_a_pool_thread_runs_inline():
-    # Two outer calls fill both workers; were the inner calls queued on the
-    # same pool, each worker would wait on work queued behind itself.
-    def inner(_):
-        return threading.get_ident()
-
-    def outer(_):
-        return set(ordered_map(inner, range(3), 2)) == {threading.get_ident()}
-
-    got = []
-    t = threading.Thread(target=lambda: got.extend(ordered_map(outer, range(2), 2)),
-                         daemon=True)
-    t.start()
-    t.join(timeout=10)
-    assert got == [True, True]
+    over_seeds(rows, range(8), 10)
+    first = set(ran_on)
+    over_seeds(rows, range(8), 10)
+    assert len(set(ran_on)) == 2 == len(first)
+    assert threading.current_thread() not in first
 
 
-def test_ordered_map_works_in_a_forked_child():
+def test_over_seeds_works_in_a_forked_child():
     # The child has none of the parent's pool threads, so it makes its own.
     code = (
         "import os, signal\n"
-        "from rmflab.rmf import ordered_map\n"
-        "assert list(ordered_map(abs, range(-4, 0), 2)) == [4, 3, 2, 1]\n"
+        "import numpy as np\n"
+        "from rmflab import rmf\n"
+        "rmf.WORKERS, rmf.BATCH_CELLS = 2, 2\n"
+        "def call():\n"
+        "    return rmf.over_seeds(lambda b: np.array([[-s] for s in b]), range(4), 1)\n"
+        "assert call()[:, 0].tolist() == [0, -1, -2, -3] and rmf._POOL is not None\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
         "    signal.alarm(30)  # a child waiting on threads it lacks ends\n"
-        "    os._exit(0 if list(ordered_map(abs, range(-4, 0), 2)) == [4, 3, 2, 1] else 1)\n"
+        "    os._exit(0 if call()[:, 0].tolist() == [0, -1, -2, -3] else 1)\n"
         "assert os.waitpid(pid, 0)[1] == 0\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(rmflab.__file__).parents[1])}
@@ -341,7 +363,7 @@ def test_over_seeds_under_concurrent_callers_and_short_switches(monkeypatch):
     # Four callers at once on a fresh three-thread pool, more threads than
     # cores, and a switch every microsecond: one pool serves them all and
     # every row lands, so neither the pool nor a result array was made twice.
-    monkeypatch.setattr("rmflab.rmf._POOLS", {})
+    monkeypatch.setattr("rmflab.rmf._POOL", None)
     monkeypatch.setattr("rmflab.rmf.WORKERS", 3)
     monkeypatch.setattr("rmflab.rmf.BATCH_CELLS", 30)
     ran_on = set()
