@@ -376,7 +376,8 @@ def log_factor_sum(model: Model, fp: np.ndarray, primes: np.ndarray, ts: np.ndar
     has more than one point, so the result is bit-identical.  (For a single
     t numpy sums the primes pairwise instead.)  With ``out``, the slabs are
     added into it in place: a running total over consecutive prime ranges.
-    :func:`log_sum_cells` counts its working set.
+    Its working set per t is the sum, one prime's slab and the slab's
+    temporary.
     """
     fp = np.asarray(fp)
     if out is None:
@@ -384,16 +385,6 @@ def log_factor_sum(model: Model, fp: np.ndarray, primes: np.ndarray, ts: np.ndar
     for i in range(len(primes)):
         out += log_factor_matrix(model, fp[..., i:i + 1], primes[i:i + 1], ts)[..., 0, :]
     return out
-
-
-def log_sum_cells(n_primes: int, n_ts: int) -> int:
-    """Cells per seed of a batch that hashes ``n_primes`` prime values and
-    reduces them with :func:`log_factor_sum` and :func:`grid_quadrature` on
-    ``n_ts`` nodes, as :func:`rmf.over_seeds` counts them: the prime values,
-    and per t the sum, one prime's slab and the slab's temporary (the
-    quadrature's two temporaries come after the slab is freed).
-    """
-    return n_primes + 3 * n_ts
 
 
 def grid_quadrature(logs: np.ndarray, ts: np.ndarray, weights: np.ndarray):
@@ -409,14 +400,26 @@ def grid_quadrature(logs: np.ndarray, ts: np.ndarray, weights: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def integral_on_grid(model: Model, fp: np.ndarray, primes: np.ndarray,
-                     ts: np.ndarray, weights: np.ndarray):
-    """Fixed-grid quadrature of |S|^2/(1/4+t^2), one value per realization.
+def integral_on_grid(model: Model, fp: np.ndarray, primes: np.ndarray, ts: np.ndarray,
+                     weights: np.ndarray, ends, base=None) -> np.ndarray:
+    """Fixed-grid quadrature of |S|^2/(1/4+t^2) over the first e primes, per e in ``ends``.
 
     ``fp`` holds f(p) for ``primes`` on its last axis; leading axes (seeds)
-    give the shape of the result, and a single realization gives a float.
-    Used inside Monte Carlo ensembles where every sample must share the
+    lead the result, which has one column per prime count in the ascending
+    ``ends``.  :func:`log_factor_sum` sums the log-moduli as one running
+    total in prime order; the log-moduli ``base`` of frozen primes, when
+    given, are added to that total before :func:`grid_quadrature`.  Used
+    inside Monte Carlo ensembles where every sample must share the
     identical discretization; single-shot estimates should prefer
     :func:`parseval_integral`.
     """
-    return grid_quadrature(log_factor_sum(model, fp, primes, ts), ts, weights)
+    if np.any(np.diff(ends) < 0):
+        raise ValueError(f"prime counts must ascend, got {list(ends)}")
+    fp = np.asarray(fp)
+    logs = np.zeros(fp.shape[:-1] + np.shape(ts))
+    cols, start = [], 0
+    for end in ends:
+        log_factor_sum(model, fp[..., start:end], primes[start:end], ts, out=logs)
+        start = end
+        cols.append(grid_quadrature(logs if base is None else base + logs, ts, weights))
+    return np.stack(cols, axis=-1)

@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .euler import (grid_quadrature, integral_on_grid, log_factor_sum, log_sum_cells,
-                    simpson_grid)
+from .euler import grid_quadrature, integral_on_grid, log_factor_sum, simpson_grid
 from .reporting import MomentReport, flagged, mean_se
 from .rmf import (Model, SampledFunction, abs2, cumulate, over_seeds, partial_sum_matrix,
                   prime_value_matrix, value_matrix)
@@ -173,9 +172,10 @@ def hoeffding_tail_check(
     One report per x, in order.  Every x shares the resample seeds
     ``small_prime_seed`` + RESAMPLE_STREAM + 0..trials-1: each seed's prime
     values are hashed once, over the union of the points' prime ranges, and
-    each M is summed over its own range.  An x with V0 = 0 gets a zero
-    report and adds no primes.  Primes above ``tables.limit`` are not in the
-    table and do not enter M.
+    each M is summed over its own range.  Primes above ``tables.limit`` are
+    not in the table and do not enter M.  An x with V0 = 0 (at x > limit,
+    a range that holds no prime of the table) raises ``ValueError`` before
+    any resample seed is hashed.
     """
     model = Model(model)
     xs = [int(x) for x in xs]
@@ -189,30 +189,24 @@ def hoeffding_tail_check(
     A0 = cumulate(value_matrix(model, [small_prime_seed], math.isqrt(max(xs)), tables)[0])
     sums = [quotient_sums(A0[:math.isqrt(x) + 1], x, tables) for x in xs]
     v0s = [variance_sum(w) for _, w in sums]
-    live = [j for j, v0 in enumerate(v0s) if v0 != 0.0]
-    M = {}  # point index -> M per resample seed
-    if live:
-        lo = min(sums[j][0].start for j in live)
-        hi = max(sums[j][0].stop for j in live)
+    if 0.0 in v0s:
+        raise ValueError(f"V0 = 0 at x={xs[v0s.index(0.0)]}: no term of the table "
+                         f"(limit {tables.limit}) varies, so there is no tail to check")
+    lo = min(ks.start for ks, _ in sums)
+    hi = max(ks.stop for ks, _ in sums)
 
-        # Each seed's M is summed on its own row, exactly for Rademacher.
-        def rows(batch):
-            pv = prime_value_matrix(model, batch, tables.primes[lo:hi])
-            return np.stack([(pv[:, ks.start - lo:ks.stop - lo] * w).sum(axis=1)
-                             for ks, w in (sums[j] for j in live)], axis=1)
+    # Each seed's M is summed on its own row, exactly for Rademacher.
+    def rows(batch):
+        pv = prime_value_matrix(model, batch, tables.primes[lo:hi])
+        return np.stack([(pv[:, ks.start - lo:ks.stop - lo] * w).sum(axis=1)
+                         for ks, w in sums], axis=1)
 
-        base = small_prime_seed + RESAMPLE_STREAM
-        M = dict(zip(live, over_seeds(rows, range(base, base + trials), hi - lo).T))
+    base = small_prime_seed + RESAMPLE_STREAM
+    M = over_seeds(rows, range(base, base + trials), hi - lo).T
     out = []
-    for j, (x, v0) in enumerate(zip(xs, v0s)):
+    for x, v0, Mx in zip(xs, v0s, M):
         t = 2.0 * math.sqrt(x) * fluctuation_scale(x, epsilon)
-        label = f"hoeffding x={x} seed={small_prime_seed} {model.value}"
-        if v0 == 0.0:
-            out.append(MomentReport(0.0, 0.0, 0.0, trials, "upper", label=label,
-                                    aux={"v0": 0.0, "threshold": t,
-                                         "literature_bound": 0.0}))
-            continue
-        hits = np.abs(M[j]) >= t
+        hits = np.abs(Mx) >= t
         est = float(np.mean(hits))
         se = _proportion_se(est, trials)
         if model is Model.RADEMACHER:
@@ -226,7 +220,7 @@ def hoeffding_tail_check(
             bound=min(bound, 1.0),
             trials=trials,
             kind="upper",
-            label=label,
+            label=f"hoeffding x={x} seed={small_prime_seed} {model.value}",
             aux={"v0": v0, "threshold": t, "literature_bound": literature_bound},
         ))
     return out
@@ -319,13 +313,18 @@ def _y_grid(model: Model, T: float, panels: int) -> tuple[np.ndarray, np.ndarray
     return simpson_grid(-T, T, 2 * panels)
 
 
-def _y_norm(x: int, x0: int) -> float:
-    """Weight of the Parseval integral at truncation x in a y-sequence from x0.
+def _grid_integrals(model: Model, seeds, primes: np.ndarray, ts: np.ndarray,
+                    wts: np.ndarray, ends, base=None) -> np.ndarray:
+    """Matrix (seeds, len(ends)) of :func:`integral_on_grid` over f(p) on ``primes``.
 
-    It is (log x / log x0)^(1/(ell-1)^K) / log x at block index ell = 2,
-    where the exponent is 1 whatever K is.
+    A batch holds, per seed, the prime values and, per t, the running sum,
+    one prime's slab and the slab's temporary (the quadrature's two
+    temporaries come after the slab is freed).
     """
-    return math.log(x) / math.log(x0) / math.log(x)
+    return over_seeds(
+        lambda batch: integral_on_grid(model, prime_value_matrix(model, batch, primes),
+                                       primes, ts, wts, ends, base),
+        seeds, primes.size + 3 * ts.size)
 
 
 def y_submartingale_check(
@@ -354,17 +353,13 @@ def y_submartingale_check(
     k1 = tables.prime_count_upto(x_to)
     base = log_factor_sum(model, prime_value_matrix(model, [seed], tables.primes[:k0])[0],
                           tables.primes[:k0], ts)
-    y_prev = _y_norm(x_from, x_from) * grid_quadrature(base, ts, wts)
-
-    delta_primes = tables.primes[k0:k1]
-    y_next = over_seeds(
-        lambda batch: grid_quadrature(
-            base + log_factor_sum(model, prime_value_matrix(model, batch, delta_primes),
-                                  delta_primes, ts),
-            ts, wts),
-        range(seed + RESAMPLE_STREAM, seed + RESAMPLE_STREAM + resamples),
-        log_sum_cells(delta_primes.size, ts.size),
-    ) * _y_norm(x_to, x_from)
+    # The weight (log x / log x0)^(1/(ell-1)^K) / log x at block index
+    # ell = 2 is 1 / log x0 at every truncation x, whatever K is.
+    norm = 1.0 / math.log(x_from)
+    y_prev = norm * grid_quadrature(base, ts, wts)
+    y_next = norm * _grid_integrals(
+        model, range(seed + RESAMPLE_STREAM, seed + RESAMPLE_STREAM + resamples),
+        tables.primes[k0:k1], ts, wts, [k1 - k0], base)[:, 0]
     est, se = mean_se(y_next)
     return MomentReport(
         estimate=est - y_prev,
@@ -400,19 +395,9 @@ def _y_trajectories(model: Model, seeds, truncations, tables: PrimeTables,
         raise ValueError(f"truncations must lie in [2, {tables.limit}]")
     ts, wts = _y_grid(model, T, panels)
     counts = [tables.prime_count_upto(x) for x in truncations]
-    ps = tables.primes[:counts[-1]]
-
-    def rows(batch):
-        pv = prime_value_matrix(model, batch, ps)
-        logs = np.zeros((len(batch), ts.size))
-        cols = []
-        for x, lo, hi in zip(truncations, [0] + counts, counts):
-            # The running sum over the primes <= x, one prime at a time.
-            log_factor_sum(model, pv[:, lo:hi], ps[lo:hi], ts, out=logs)
-            cols.append(_y_norm(x, truncations[0]) * grid_quadrature(logs, ts, wts))
-        return np.stack(cols, axis=1)
-
-    return over_seeds(rows, seeds, log_sum_cells(ps.size, ts.size))
+    # Every truncation has weight 1 / log x0, as in y_submartingale_check.
+    return (1.0 / math.log(truncations[0])) * _grid_integrals(
+        model, seeds, tables.primes[:counts[-1]], ts, wts, counts)
 
 
 def doob_check(
@@ -492,10 +477,9 @@ def sigma_event_statistic(
     if not t_param > 0:
         raise ValueError(f"t_param must be positive, got {t_param}")
     ts, wts = _y_grid(model, T, panels)
-    ps = tables.primes[:tables.prime_count_upto(x_prev)]
-    vals = over_seeds(
-        lambda batch: integral_on_grid(model, prime_value_matrix(model, batch, ps), ps, ts, wts),
-        range(seed_base, seed_base + trials), log_sum_cells(ps.size, ts.size))
+    k = tables.prime_count_upto(x_prev)
+    vals = _grid_integrals(model, range(seed_base, seed_base + trials), tables.primes[:k],
+                           ts, wts, [k])[:, 0]
     threshold = 2.0 * math.sqrt(t_param)
     qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
     lw = math.log(x_prev) / math.sqrt(math.log(math.log(x_prev)))

@@ -20,6 +20,7 @@ from rmflab import (
 from rmflab.euler import (
     MAX_PANEL_GROWTH,
     _adaptive_simpson,
+    grid_quadrature,
     integral_on_grid,
     log_factor_matrix,
     log_factor_sum,
@@ -177,7 +178,7 @@ def test_integral_on_grid_tracks_adaptive(tables_small, model):
     else:
         ts, w = simpson_grid(-40.0, 40.0, 1600)
     ps = tables_small.primes[:k]
-    fixed = integral_on_grid(model, F.prime_values(ps), ps, ts, w)
+    (fixed,) = integral_on_grid(model, F.prime_values(ps), ps, ts, w, [k])
     assert fixed == pytest.approx(est.value, rel=1e-4)
 
 
@@ -235,19 +236,36 @@ def test_log_factor_matrix_is_the_real_part_of_the_complex_log(
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(list(Model)), st.lists(st.integers(0, 2**40), min_size=1,
                                               max_size=5),
-       st.integers(1, 60), st.integers(5, 60))
-def test_integral_on_grid_batches_over_seeds(tables_small, model, seeds, k, panels):
-    ps = tables_small.primes[:k]
+       st.lists(st.integers(0, 60), min_size=1, max_size=4), st.integers(5, 60),
+       st.none() | st.integers(0, 30), st.integers(0, 2**40))
+def test_integral_on_grid_batches_over_seeds(tables_small, model, seeds, ends, panels,
+                                             n_frozen, frozen_seed):
+    # n_frozen None stands for no base; else the first n_frozen primes are
+    # frozen from frozen_seed and the seeds draw the next max(ends) primes.
+    ends = sorted(ends)
     ts, w = simpson_grid(-20.0, 20.0, panels)
+    frozen = tables_small.primes[:n_frozen or 0]
+    ps = tables_small.primes[frozen.size:frozen.size + ends[-1]]
+    f0 = prime_value_matrix(model, [frozen_seed], frozen)[0]
+    base = None if n_frozen is None else log_factor_sum(model, f0, frozen, ts)
     fp = prime_value_matrix(model, seeds, ps)
-    got = integral_on_grid(model, fp, ps, ts, w)
-    assert got.shape == (len(seeds),)
-    for i in range(len(seeds)):
-        one = integral_on_grid(model, fp[i], ps, ts, w)
-        assert isinstance(one, float) and one == got[i]
-        logs = _complex_log_factors(model, fp[i], ps, ts).sum(axis=0)
-        want = float(w @ (np.abs(np.exp(logs)) ** 2 / (0.25 + ts * ts)))
-        assert one == pytest.approx(want, rel=1e-12)
+    got = integral_on_grid(model, fp, ps, ts, w, ends, base)
+    assert got.shape == (len(seeds), len(ends))
+    for i, row in enumerate(got):
+        assert np.array_equal(integral_on_grid(model, fp[i], ps, ts, w, ends, base), row)
+    for j, e in enumerate(ends):
+        assert np.array_equal(integral_on_grid(model, fp, ps, ts, w, [e], base)[:, 0],
+                              got[:, j])
+        logs = log_factor_sum(model, fp[:, :e], ps[:e], ts)
+        logs = logs if base is None else base + logs
+        assert np.array_equal(grid_quadrature(logs, ts, w), got[:, j])
+        logs = (_complex_log_factors(model, fp[:, :e], ps[:e], ts).sum(axis=-2)
+                + _complex_log_factors(model, f0, frozen, ts).sum(axis=0))
+        want = (np.abs(np.exp(logs)) ** 2 / (0.25 + ts * ts)) @ w
+        assert got[:, j] == pytest.approx(want, rel=1e-12)
+    if len(set(ends)) > 1:
+        with pytest.raises(ValueError, match="ascend"):
+            integral_on_grid(model, fp, ps, ts, w, ends[::-1], base)
 
 
 @settings(max_examples=40, deadline=None)

@@ -40,7 +40,6 @@ from rmflab.euler import log_factor_matrix, simpson_grid
 from rmflab.harness import (
     RESAMPLE_STREAM,
     _revealed_prime_sums,
-    _y_norm,
     _y_trajectories,
     _z_trajectories,
 )
@@ -222,6 +221,12 @@ def test_list_apis_reject_bad_input_before_any_hashing(tables_small, model, monk
         with pytest.raises(ValueError):
             call()
     assert seen == []
+    # isqrt(10^8) = 10^4 is the table limit: no prime of the table lies in
+    # (sqrt(x), x], so V0 = 0.  That shows once the small primes are frozen,
+    # before any resample seed is hashed.
+    with pytest.raises(ValueError, match="V0 = 0 at x=100000000"):
+        hoeffding_tail_check(model, [1000, 10**8], 0.1, 3, 1000, tables_small)
+    assert seen and not any(drawn for drawn, _ in seen)
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -237,27 +242,6 @@ def test_value_matrix_rejects_y_past_the_table_before_any_hashing(tables_small, 
         with pytest.raises(ValueError, match="outside"):
             call()
     assert seen == []
-
-
-@pytest.mark.parametrize("model", list(Model))
-def test_hoeffding_point_without_primes_adds_none_to_the_hash(tables_small, model,
-                                                              monkeypatch):
-    # isqrt(10^8) = 10^4 is the table limit: no prime of the table lies in
-    # (sqrt(x), x], so V0 = 0 and the point gets its zero report.
-    seen = _hashed_primes(monkeypatch)
-    zero, rep = hoeffding_tail_check(model, [10**8, 1000], 0.1, 3, 1000, tables_small)
-    assert (zero.estimate, zero.std_error, zero.bound, zero.violated) == (0.0, 0.0, 0.0,
-                                                                          False)
-    assert zero.aux["v0"] == 0.0 and zero.label.startswith("hoeffding x=100000000 ")
-    # One hash per seed batch, each over the primes of the live point only.
-    resampled = [p for drawn, p in seen if drawn]
-    assert resampled and all(p == tables_small.primes_in(31, 1000).tolist()
-                             for p in resampled)
-    assert rep == hoeffding_tail_check(model, [1000], 0.1, 3, 1000, tables_small)[0]
-    seen.clear()
-    (alone,) = hoeffding_tail_check(model, [10**8], 0.1, 3, 1000, tables_small)
-    assert alone == zero
-    assert [p for drawn, p in seen if drawn] == []
 
 
 def test_submartingale_z_targets(tables_small):
@@ -385,9 +369,9 @@ def test_y_submartingale_flags_a_halved_next_step(tables_small, model, monkeypat
         return y_submartingale_check(model, 100, 140, 300, 4, tables_small).violated
 
     assert not violated()
-    # Only the next step's weight; the frozen one, at x = x0, stays.
-    monkeypatch.setattr("rmflab.harness._y_norm",
-                        lambda x, x0: _y_norm(x, x0) * (0.5 if x != x0 else 1.0))
+    # Only the resampled next step; the frozen y_prev stays.
+    real = harness._grid_integrals
+    monkeypatch.setattr(harness, "_grid_integrals", lambda *a: 0.5 * real(*a))
     assert violated()
 
 
