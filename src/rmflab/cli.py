@@ -12,8 +12,11 @@ Subcommands::
     rmflab report         aggregate rows from earlier simulate CSV output
 
 Output is byte-deterministic for a fixed argument list (including across
-worker counts): floats are printed with ``%.17g``, 17 significant digits,
-which round-trips every float64, and rows are emitted in a fixed order.
+worker counts): floats print exactly as ``'%.17g' % x``, 17 significant
+digits, which round-trips every float64, and rows are emitted in a fixed
+order.  Rows are formatted a chunk at a time with numpy
+(:mod:`rmflab.rowtext`): the digits come from integer arithmetic for
+1e-4 <= |x| < 1e16, and from ``%`` for any other value.
 
 The Monte Carlo suites run their seed batches on the CPUs in the process's
 affinity mask, up to two (``taskset -c 0`` gives one worker), with one
@@ -40,7 +43,7 @@ import traceback
 
 import numpy as np
 
-from . import harness
+from . import harness, rowtext
 from .euler import (
     QuadratureConfig,
     QuadratureError,
@@ -53,10 +56,9 @@ from .sieve import build_tables
 from .sums import grid_plan, large_prime_sum, large_prime_sum_bruteforce
 
 
-#: Rows formatted and written per chunk: the text of one chunk stays a few MB.
-_CHUNK_ROWS = 1 << 15
-
-_BOOL_TEXT = {True: "true", False: "false"}
+#: Rows formatted and written per chunk: at 2**13 rows a --full-grid chunk's
+#: emit working set is about 9 MiB (tracemalloc), against 32 MiB at 2**15.
+_CHUNK_ROWS = 1 << 13
 
 
 def _csv_field(s: str) -> str:
@@ -66,37 +68,42 @@ def _csv_field(s: str) -> str:
     return s
 
 
-def _row_template(names: list[str], kinds: list[str], fmt: str):
-    """The ``%`` template of one row, and the per-column text conversions.
+def _literals(names: list[str], kinds: list[str], fmt: str) -> list[str]:
+    """The text before each field of a row, then the text that ends the row.
 
-    ``kinds`` are numpy dtype kinds: ints print with ``%d``, floats with
-    ``%.17g`` (a JSON string), bools as ``true``/``false`` and text as is,
-    quoted for CSV or JSON.
+    JSON rows are objects with floats as strings, each followed by ``",\n"``.
     """
-    specs, convs = [], []
-    for kind in kinds:
-        conv = None
-        if kind in "iu":
-            spec = "%d"
-        elif kind == "f":
-            spec = '"%.17g"' if fmt == "json" else "%.17g"
-        elif kind == "b":
-            spec = "%s"
-            conv = _BOOL_TEXT.__getitem__
+    if fmt != "json":
+        return ["", *[","] * (len(names) - 1), "\r\n"]
+    quotes = ['"' if kind == "f" else "" for kind in kinds]
+    lits, before = [], "  {\n"
+    for name, quote in zip(names, quotes):
+        lits.append(f"{before}    {json.dumps(name)}: {quote}")
+        before = quote + ",\n"
+    return lits + [before[:-2] + "\n  },\n"]
+
+
+def _chunk_cells(cols: list[np.ndarray], kinds: list[str], fmt: str) -> list[np.ndarray]:
+    """The cell matrices of a chunk's columns: ints print with ``%d``, floats
+    with ``%.17g``, bools as ``true``/``false`` and text quoted for CSV or JSON.
+
+    All float columns are formatted in one call, and all int columns in one.
+    """
+    cells = [None] * len(cols)
+    n = len(cols[0])
+    for kind_set, text in (("f", rowtext.float_text), ("iu", rowtext.int_text)):
+        at = [j for j, kind in enumerate(kinds) if kind in kind_set]
+        if at:
+            stacked = text([cols[j] for j in at])
+            for i, j in enumerate(at):
+                cells[j] = stacked[:, i * n:(i + 1) * n]
+    conv = json.dumps if fmt == "json" else _csv_field
+    for j, kind in enumerate(kinds):
+        if kind == "b":
+            cells[j] = rowtext.bool_text(cols[j])
         elif kind == "U":
-            spec = "%s"
-            conv = json.dumps if fmt == "json" else _csv_field
-        else:
-            raise TypeError(f"cannot emit a column of dtype kind {kind!r}")
-        specs.append(spec)
-        convs.append(conv)
-    if fmt == "json":
-        fields = ",\n".join(
-            f"    {json.dumps(n).replace('%', '%%')}: {spec}"
-            for n, spec in zip(names, specs)
-        )
-        return "  {\n" + fields + "\n  }", convs
-    return ",".join(specs) + "\r\n", convs
+            cells[j] = rowtext.str_text(list(map(conv, cols[j].tolist())))
+    return cells
 
 
 def _emit(blocks, fmt: str, out_path: str | None) -> None:
@@ -104,8 +111,9 @@ def _emit(blocks, fmt: str, out_path: str | None) -> None:
 
     A block maps each field name to a column (a numpy array or a list) of
     the block's length, with the same names in every block. A block's rows
-    are written in chunks through one ``%`` template built from its column
-    types. CSV starts with a header row unless there are no rows at all.
+    are written in chunks, each formatted column by column with numpy
+    (:mod:`rmflab.rowtext`). CSV starts with a header row unless there are
+    no rows at all.
     """
     fh = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
@@ -113,20 +121,21 @@ def _emit(blocks, fmt: str, out_path: str | None) -> None:
         for block in blocks:
             names = list(block)
             cols = [np.asarray(c) for c in block.values()]
-            template, convs = _row_template(names, [c.dtype.kind for c in cols], fmt)
+            kinds = [c.dtype.kind for c in cols]
+            for kind in kinds:
+                if kind not in "iufbU":
+                    raise TypeError(f"cannot emit a column of dtype kind {kind!r}")
+            literals = _literals(names, kinds, fmt)
             for lo in range(0, len(cols[0]) if cols else 0, _CHUNK_ROWS):
-                chunk = []
-                for c, conv in zip(cols, convs):
-                    vals = c[lo:lo + _CHUNK_ROWS].tolist()
-                    chunk.append(vals if conv is None else list(map(conv, vals)))
-                rows = map(template.__mod__, zip(*chunk))
+                chunk = [c[lo:lo + _CHUNK_ROWS] for c in cols]
+                text = rowtext.join_rows(_chunk_cells(chunk, kinds, fmt), literals)
                 if fmt == "json":
                     fh.write(",\n" if started else "[\n")
-                    fh.write(",\n".join(rows))
+                    fh.write(text[:-2])
                 else:
                     if not started:
                         fh.write(",".join(map(_csv_field, names)) + "\r\n")
-                    fh.write("".join(rows))
+                    fh.write(text)
                 started = True
         if fmt == "json":
             fh.write("\n]\n" if started else "[]\n")

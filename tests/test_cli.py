@@ -13,6 +13,7 @@ import pytest
 
 import rmflab
 from rmflab import SampledFunction, build_tables, grid_plan, grid_statistics, harness
+from rmflab import cli
 from rmflab.cli import _build_parser, main
 
 
@@ -493,6 +494,60 @@ def test_full_grid_matches_row_by_row_reference(model, x_max, tmp_path):
                      "--x-max", str(x_max), "--model", model, "--format", fmt,
                      "--out", str(out)]) == 0
         assert out.read_bytes() == expected[fmt], fmt
+
+
+@pytest.mark.parametrize("model", ["rademacher", "steinhaus"])
+def test_chunk_size_does_not_change_the_bytes(model, monkeypatch, tmp_path):
+    argv = ["simulate", "--full-grid", "--trials", "2", "--x-max", "2000",
+            "--model", model]
+    for fmt in ("csv", "json"):
+        outs = []
+        for rows in (None, 1, 7):
+            if rows:
+                monkeypatch.setattr(cli, "_CHUNK_ROWS", rows)
+            out = tmp_path / f"{fmt}{rows}"
+            assert _run(argv + ["--format", fmt, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2], fmt
+        monkeypatch.undo()
+
+
+def _percent_rows(rows: list[dict], fmt: str) -> str:
+    """Dict rows as text through one ``%`` template per row: the reference
+    for the CLI's numpy row text."""
+    cols = [np.asarray([r[k] for r in rows]) for k in rows[0]]
+    specs, convs = [], []
+    for c in cols:
+        spec, conv = "%s", None
+        if c.dtype.kind in "iu":
+            spec = "%d"
+        elif c.dtype.kind == "f":
+            spec = '"%.17g"' if fmt == "json" else "%.17g"
+        elif c.dtype.kind == "b":
+            conv = {True: "true", False: "false"}.get
+        else:
+            conv = json.dumps if fmt == "json" else cli._csv_field
+        specs.append(spec)
+        convs.append(conv)
+    values = zip(*[c.tolist() if f is None else list(map(f, c.tolist()))
+                   for c, f in zip(cols, convs)])
+    if fmt == "json":
+        template = "  {\n" + ",\n".join(
+            f"    {json.dumps(k).replace('%', '%%')}: {spec}"
+            for k, spec in zip(rows[0], specs)) + "\n  }"
+        return "[\n" + ",\n".join(template % v for v in values) + "\n]\n"
+    header = ",".join(map(cli._csv_field, rows[0])) + "\r\n"
+    return header + "".join(",".join(specs) % v + "\r\n" for v in values)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_rows_matches_the_percent_template(fmt, capsys):
+    texts = ['a,b', 'say "hi"', "cr\rlf\n", "ünïcödé ∑", "nul\x00inside", ""]
+    rows = [{"label": t, "ok": i % 2 == 0, "n": -(10 ** i) * (i % 3 - 1),
+             "x": (-1.5) ** i / 7, "50% \"key\"": i}
+            for i, t in enumerate(texts)]
+    cli._emit_rows(rows, fmt, None)
+    assert capsys.readouterr().out == _percent_rows(rows, fmt)
 
 
 @pytest.mark.parametrize("suite", ["hypercontractive", "hoeffding", "doob",
