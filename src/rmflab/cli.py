@@ -42,6 +42,10 @@ import sys
 import traceback
 
 import numpy as np
+# Loaded now, not by the first call's np.median: its objects live as long as
+# the process, and allocated among that call's large arrays they split the
+# free heap, so every later call's arrays grew it.
+import numpy.ma  # noqa: F401
 
 from . import harness, rowtext
 from .euler import (
@@ -56,8 +60,9 @@ from .sieve import build_tables
 from .sums import grid_plan, large_prime_sum, large_prime_sum_bruteforce
 
 
-#: Rows formatted and written per chunk: at 2**13 rows a --full-grid chunk's
-#: emit working set is about 9 MiB (tracemalloc), against 32 MiB at 2**15.
+#: Most rows formatted and written per chunk: at 2**13 rows a --full-grid
+#: chunk's emit working set is about 9 MiB (tracemalloc), against 32 MiB at
+#: 2**15.
 _CHUNK_ROWS = 1 << 13
 
 
@@ -126,8 +131,13 @@ def _emit(blocks, fmt: str, out_path: str | None) -> None:
                 if kind not in "iufbU":
                     raise TypeError(f"cannot emit a column of dtype kind {kind!r}")
             literals = _literals(names, kinds, fmt)
-            for lo in range(0, len(cols[0]) if cols else 0, _CHUNK_ROWS):
-                chunk = [c[lo:lo + _CHUNK_ROWS] for c in cols]
+            # Equal chunks, not a short last one: the small arrays of a short
+            # chunk stayed in glibc's per-thread cache at addresses that split
+            # the free heap, so later calls' large arrays grew it.
+            n = len(cols[0]) if cols else 0
+            parts = -(-n // _CHUNK_ROWS)
+            for k in range(parts):
+                chunk = [c[n * k // parts:n * (k + 1) // parts] for c in cols]
                 text = rowtext.join_rows(_chunk_cells(chunk, kinds, fmt), literals)
                 if fmt == "json":
                     fh.write(",\n" if started else "[\n")

@@ -512,6 +512,23 @@ def test_chunk_size_does_not_change_the_bytes(model, monkeypatch, tmp_path):
         monkeypatch.undo()
 
 
+def test_emit_splits_a_block_into_equal_chunks(monkeypatch, tmp_path):
+    # 15 rows at most 7 a chunk are 5 + 5 + 5, not 7 + 7 + 1.
+    sizes = []
+    join_rows = cli.rowtext.join_rows
+
+    def recording(cells, literals):
+        sizes.append(cells[0].shape[1])
+        return join_rows(cells, literals)
+
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(cli.rowtext, "join_rows", recording)
+    cli._emit([{"n": np.arange(15)}, {"n": np.arange(14)}], "csv", str(tmp_path / "out"))
+    assert sizes == [5, 5, 5, 7, 7]
+    assert (tmp_path / "out").read_bytes() == b"n\r\n" + b"".join(
+        b"%d\r\n" % i for i in [*range(15), *range(14)])
+
+
 def _percent_rows(rows: list[dict], fmt: str) -> str:
     """Dict rows as text through one ``%`` template per row: the reference
     for the CLI's numpy row text."""
