@@ -27,7 +27,7 @@ from .harness import (
     y_submartingale_check,
 )
 from .reporting import MomentReport
-from .rmf import Model, SampledFunction, partial_sum_matrix, prime_value_matrix, value_matrix
+from .rmf import Model, SampledFunction, prime_value_matrix, value_matrix
 from .sieve import (
     PrimeTables,
     build_tables,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .euler import grid_quadrature, integral_on_grid, log_factor_sum, simpson_grid
 from .reporting import MomentReport, flagged, mean_se
-from .rmf import (Model, SampledFunction, abs2, cumulate, over_seeds, partial_sum_matrix,
-                  prime_value_matrix, value_matrix)
+from .rmf import (Model, SampledFunction, abs2, cumulate, over_seeds, prime_value_matrix,
+                  value_matrix)
 from .sieve import PrimeTables, divisor_m, squarefree_count
 from .sums import (GridPlan, exact_expected_variance, grid_statistics, quotient_sums,
                    variance_sum)
@@ -546,8 +546,9 @@ def partial_sum_second_moment_check(
     Rademacher.
     """
     model = Model(model)
-    vals = over_seeds(lambda batch: abs2(partial_sum_matrix(model, batch, y, tables)),
-                      range(seed_base, seed_base + trials), y + 1)
+    vals = over_seeds(
+        lambda batch: abs2(cumulate(value_matrix(model, batch, y, tables))[:, -1]),
+        range(seed_base, seed_base + trials), y + 1)
     est, se = mean_se(vals)
     target = float(y if model is Model.STEINHAUS else squarefree_count(y, tables))
     return MomentReport(

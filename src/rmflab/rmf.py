@@ -241,14 +241,6 @@ class SampledFunction:
         """
         return value_matrix(self.model, [self.seed], y, self.tables)[0]
 
-    def prefix_sums(self, y: int) -> np.ndarray:
-        """A[k] = sum of f(m) for m <= k, 0 <= k <= y, with A[0] = 0.
-
-        Rademacher sums are exact int64; Steinhaus sums are complex128
-        (sequential cumulation, deterministic).
-        """
-        return cumulate(self.values_up_to(y))
-
 
 def value_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray:
     """f(n) for n = 0..y per seed, shape (len(seeds), y+1); int8 for
@@ -264,8 +256,7 @@ def value_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray
     row does not depend on the batch it is in.
     """
     model = Model(model)
-    if not 1 <= y <= tables.limit:
-        raise ValueError(f"y={y} outside [1, {tables.limit}]")
+    tables.check(y, "y")
     pv = prime_value_matrix(model, seeds, tables.primes[:tables.prime_count_upto(y)])
     rows = pv.shape[0]
     if model is Model.RADEMACHER:
@@ -331,8 +322,3 @@ def abs2(z: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(z):
         return z.real * z.real + z.imag * z.imag
     return z * z
-
-
-def partial_sum_matrix(model: Model, seeds, y: int, tables: PrimeTables) -> np.ndarray:
-    """Full partial sums A_f(y) = sum_{m<=y} f(m), one per seed."""
-    return cumulate(value_matrix(model, seeds, y, tables))[:, -1]

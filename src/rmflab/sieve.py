@@ -56,6 +56,11 @@ class PrimeTables:
                     self._lpf = _largest_factor_indices(self.spf, self.primes)
         return self._lpf
 
+    def check(self, value: int, name: str = "n", lo: int = 1) -> None:
+        """Raise ``ValueError`` unless lo <= value <= limit."""
+        if not lo <= value <= self.limit:
+            raise ValueError(f"{name}={value} outside [{lo}, {self.limit}]")
+
     def prime_count_upto(self, x: int) -> int:
         """Number of primes <= x."""
         return int(np.searchsorted(self.primes, x, side="right"))
@@ -107,17 +112,12 @@ def build_tables(limit: int) -> PrimeTables:
     return PrimeTables(limit=limit, spf=spf, primes=primes)
 
 
-def _check_range(n: int, tables: PrimeTables, lo: int = 1) -> None:
-    if not lo <= n <= tables.limit:
-        raise ValueError(f"n={n} outside [{lo}, {tables.limit}]")
-
-
 def factorize(n: int, tables: PrimeTables) -> tuple[tuple[int, int], ...]:
     """The ``(p, e)`` pairs of ``n = prod p^e``, primes strictly increasing.
 
     Walks the spf table; ``factorize(1)`` is the empty product ``()``.
     """
-    _check_range(n, tables)
+    tables.check(n)
     m = n
     out: list[tuple[int, int]] = []
     spf = tables.spf
@@ -133,7 +133,7 @@ def factorize(n: int, tables: PrimeTables) -> tuple[tuple[int, int], ...]:
 
 def largest_prime_factor(n: int, tables: PrimeTables) -> int:
     """Largest prime factor of n >= 2 (undefined, and an error, for n = 1)."""
-    _check_range(n, tables, lo=2)
+    tables.check(n, lo=2)
     m = n
     spf = tables.spf
     p = 0
@@ -164,7 +164,7 @@ def squarefree_indicator(x: int, tables: PrimeTables) -> np.ndarray:
 
     ``sq[0]`` is false by convention.
     """
-    _check_range(x, tables)
+    tables.check(x)
     sq = np.ones(x + 1, dtype=bool)
     sq[0] = False
     for p in tables.primes:

@@ -32,11 +32,6 @@ from .sieve import PrimeTables, squarefree_indicator
 ORACLE_CAP = 1_000_000
 
 
-def _check_x(tables: PrimeTables, x: int) -> None:
-    if not 1 <= x <= tables.limit:
-        raise ValueError(f"x={x} outside [1, {tables.limit}]")
-
-
 def quotient_sums(A: np.ndarray, x: int, tables: PrimeTables) -> tuple[slice, np.ndarray]:
     """The decomposition kernel: the primes sqrt(x) < p <= x and A[..., x // p].
 
@@ -74,8 +69,8 @@ def large_prime_sum(F: SampledFunction, x: int):
     Uses prefix sums of f on [1, isqrt(x)] only; exact integer arithmetic in
     the Rademacher case.
     """
-    _check_x(F.tables, x)
-    ks, Aq = quotient_sums(F.prefix_sums(math.isqrt(x)), x, F.tables)
+    F.tables.check(x, "x")
+    ks, Aq = quotient_sums(cumulate(F.values_up_to(math.isqrt(x))), x, F.tables)
     total = np.sum(F.prime_values(F.tables.primes[ks]) * Aq)
     return int(total) if F.model is Model.RADEMACHER else complex(total)
 
@@ -85,14 +80,14 @@ def large_prime_sum_bruteforce(F: SampledFunction, x: int):
     P(n) > isqrt(x), which holds exactly when P(n)^2 > x."""
     if x > ORACLE_CAP:
         raise ValueError(f"x={x} exceeds the brute-force cap {ORACLE_CAP}")
-    _check_x(F.tables, x)
+    F.tables.check(x, "x")
     return interval_sum_pconstraint(F, 0, x, math.isqrt(x), x)
 
 
 def conditional_variance(F: SampledFunction, x: int) -> float:
     """V(x) = sum over primes sqrt(x) < p <= x of |A_f(floor(x/p))|^2."""
-    _check_x(F.tables, x)
-    _, Aq = quotient_sums(F.prefix_sums(math.isqrt(x)), x, F.tables)
+    F.tables.check(x, "x")
+    _, Aq = quotient_sums(cumulate(F.values_up_to(math.isqrt(x))), x, F.tables)
     return variance_sum(Aq)
 
 
@@ -102,7 +97,7 @@ def exact_expected_variance(x: int, model: Model, tables: PrimeTables) -> float:
     Each |A_f(y)|^2 has mean floor(y) (Steinhaus) or the number of squarefree
     integers <= y (Rademacher), summed over primes sqrt(x) < p <= x.
     """
-    _check_x(tables, x)
+    tables.check(x, "x")
     s = math.isqrt(x)
     if Model(model) is Model.STEINHAUS:
         mean_a2 = np.arange(s + 1)
@@ -180,7 +175,7 @@ def grid_plan(tables: PrimeTables, xs) -> GridPlan:
     if np.any(np.diff(xs) < 0) or np.any(xs[:1] < 1):
         raise ValueError("grid must be ascending with entries >= 1")
     N = int(xs.max(initial=1))
-    _check_x(tables, N)
+    tables.check(N, "x")
     lpi = tables.largest_factor_table()[: N + 1]
     p = tables.primes[lpi]
     q = np.arange(N + 1)
@@ -205,7 +200,7 @@ def grid_statistics(F: SampledFunction, plan: GridPlan) -> tuple[np.ndarray, np.
     Rademacher sums are exact int64 throughout; V is returned as float64.
     """
     N = int(plan.xs.max(initial=1))
-    _check_x(F.tables, N)
+    F.tables.check(N, "x")
     # f(p) for every P(n) of the plan; max(N, 2) keeps the leading zero slot's
     # index 0 valid on an empty grid.
     fp = F.prime_values(F.tables.primes[: F.tables.prime_count_upto(max(N, 2))])

@@ -420,13 +420,16 @@ def _fmt(v) -> str:
 
 def _reference_full_grid(model: str, trials: int, x_max: int) -> dict[str, bytes]:
     """``simulate --full-grid`` built row by row: one dict per row, scalar
-    ``abs`` and ``math.log``, written by ``csv.DictWriter`` or ``json.dumps``.
+    ``abs``, written by ``csv.DictWriter`` or ``json.dumps``; only
+    ``variance_ratio`` reads log log x from one numpy array, as ``normalized``
+    does through ``fluctuation_scale``.
     Each trial's sup is the max of its own ``normalized`` rows over x >= 100,
     or over every row when no x reaches 100."""
     tables = build_tables(max(x_max, 1000))
     grid = harness.test_points(0.1, x_max)
     gx = grid.astype(np.float64)
     scale = np.sqrt(gx) * harness.fluctuation_scale(grid, 0.1)
+    root_loglog = np.sqrt(np.log(np.log(gx)))
     plan = grid_plan(tables, grid)
     rows, sups = [], []
     for i in range(trials):
@@ -443,9 +446,7 @@ def _reference_full_grid(model: str, trials: int, x_max: int) -> dict[str, bytes
                 "m_im": float(m[j].imag),
                 "v": float(v[j]),
                 "normalized": normalized,
-                "variance_ratio": float(
-                    v[j] * math.sqrt(math.log(math.log(gx[j]))) / gx[j]
-                ),
+                "variance_ratio": float(v[j] * root_loglog[j] / gx[j]),
                 "exceed6": int(normalized > 6.0),
             })
         tail = [r for r in trial_rows if r["x"] >= 100] or trial_rows
@@ -484,8 +485,9 @@ def _reference_full_grid(model: str, trials: int, x_max: int) -> dict[str, bytes
 ])
 def test_full_grid_matches_row_by_row_reference(model, x_max, tmp_path):
     # Every x in [3, 20000] is a grid point at the default epsilon 0.1, so
-    # this covers x = 389 and 5431, where np.log and math.log disagree, and
-    # Steinhaus seed 1, whose sup np.abs would put 1 ulp off its column.
+    # this covers x = 389 and 5431, where math.log would put log log x 1 ulp
+    # off numpy's, and Steinhaus seed 1, whose sup np.abs would put 1 ulp off
+    # its column.
     # At x_max 50 no x reaches 100, so each sup is taken over every row.
     expected = _reference_full_grid(model, trials=2, x_max=x_max)
     out = tmp_path / "out"

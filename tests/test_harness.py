@@ -43,7 +43,7 @@ from rmflab.harness import (
     _y_trajectories,
     _z_trajectories,
 )
-from rmflab.rmf import abs2
+from rmflab.rmf import abs2, cumulate
 
 
 def _brute_test_points(epsilon, x_max):
@@ -251,7 +251,7 @@ def test_submartingale_z_targets(tables_small):
     rep = reps[0]
     assert rep.aux["new_prime"] == 37
     F = SampledFunction(Model.RADEMACHER, 2, tables_small)
-    a = F.prefix_sums(1000 // 37)[1000 // 37]
+    a = cumulate(F.values_up_to(1000 // 37))[1000 // 37]
     assert rep.aux["target"] == pytest.approx(abs(a) ** 2)
     assert not rep.violated
 

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmflab
-from rmflab import (Model, SampledFunction, build_tables, large_prime_sum, partial_sum_matrix,
-                    prime_value_matrix, value_matrix)
-from rmflab.rmf import over_seeds
+from rmflab import (Model, SampledFunction, build_tables, large_prime_sum, prime_value_matrix,
+                    value_matrix)
+from rmflab.rmf import cumulate, over_seeds
 
 
 def test_rademacher_values_are_signs(tables_small):
@@ -138,7 +138,7 @@ def test_values_up_to_matches_pointwise(tables_small, model):
 @pytest.mark.parametrize("model", list(Model))
 def test_prefix_sums(tables_small, model):
     F = SampledFunction(model, 9, tables_small)
-    A = F.prefix_sums(50)
+    A = cumulate(F.values_up_to(50))
     assert A[0] == 0
     acc = 0
     for n in range(1, 51):
@@ -190,14 +190,6 @@ def test_large_prime_sum_hashes_only_the_primes_it_reads(model, monkeypatch):
     seen = _hashed_primes(monkeypatch)
     large_prime_sum(SampledFunction(model, 5, tables), 1000)
     assert sorted(p for ps in seen for p in ps) == tables.primes_in(1, 1000).tolist()
-
-
-def test_partial_sum_matrix(tables_small):
-    seeds = [0, 1, 2]
-    A = partial_sum_matrix(Model.RADEMACHER, seeds, 100, tables_small)
-    for i, s in enumerate(seeds):
-        F = SampledFunction(Model.RADEMACHER, s, tables_small)
-        assert A[i] == F.prefix_sums(100)[100]
 
 
 def test_prime_values_look_balanced(tables_small):

@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from rmflab import build_tables, divisor_m, factorize, largest_prime_factor
+from rmflab import (Model, SampledFunction, build_tables, conditional_variance, divisor_m,
+                    factorize, grid_plan, large_prime_sum, largest_prime_factor, value_matrix)
 from rmflab import sieve
 from rmflab.sieve import MAX_LIMIT, squarefree_count, squarefree_indicator
 
@@ -90,6 +91,25 @@ def test_build_tables_rejects_bad_limits():
         build_tables(1)
     with pytest.raises(MemoryError):
         build_tables(MAX_LIMIT + 1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda t: factorize(0, t), "n=0 outside [1, 10000]"),
+    (lambda t: factorize(10_001, t), "n=10001 outside [1, 10000]"),
+    (lambda t: largest_prime_factor(1, t), "n=1 outside [2, 10000]"),
+    (lambda t: squarefree_indicator(10_001, t), "n=10001 outside [1, 10000]"),
+    (lambda t: large_prime_sum(SampledFunction(Model.RADEMACHER, 0, t), 10_001),
+     "x=10001 outside [1, 10000]"),
+    (lambda t: conditional_variance(SampledFunction(Model.STEINHAUS, 0, t), 0),
+     "x=0 outside [1, 10000]"),
+    (lambda t: grid_plan(t, [10_001]), "x=10001 outside [1, 10000]"),
+    (lambda t: value_matrix(Model.RADEMACHER, [0], 10_001, t), "y=10001 outside [1, 10000]"),
+], ids=["factorize-0", "factorize-past", "largest_prime_factor-1", "squarefree-past",
+        "large_prime_sum-past", "conditional_variance-0", "grid_plan-past", "value_matrix-past"])
+def test_table_bounds_messages(tables_small, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(tables_small)
+    assert str(exc.value) == message
 
 
 

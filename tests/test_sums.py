@@ -53,7 +53,7 @@ def test_conditional_variance_definition(tables_small):
         s = math.isqrt(x)
         direct = 0.0
         for p in tables_small.primes_in(s, x).tolist():
-            A = F.prefix_sums(x // p)[x // p]
+            A = cumulate(F.values_up_to(x // p))[x // p]
             direct += abs(A) ** 2
         assert conditional_variance(F, x) == pytest.approx(direct, rel=1e-12)
 
@@ -193,7 +193,7 @@ def test_grid_statistics_match_oracles(tables_small, case):
 
 def test_quotient_sums_batches_over_seeds(tables_small):
     seeds = [1, 2, 3]
-    A = np.stack([SampledFunction(Model.STEINHAUS, s, tables_small).prefix_sums(31)
+    A = np.stack([cumulate(SampledFunction(Model.STEINHAUS, s, tables_small).values_up_to(31))
                   for s in seeds])
     ks, Aq = quotient_sums(A, 1000, tables_small)
     assert tables_small.primes[ks].tolist() == tables_small.primes_in(31, 1000).tolist()
