@@ -22,14 +22,18 @@ The Monte Carlo suites run their seed batches on the CPUs in the process's
 affinity mask, up to two (``taskset -c 0`` gives one worker), with one
 memory budget shared by the batches in flight; see
 :func:`rmflab.rmf.over_seeds`.
-``simulate`` runs one trial at a time: trial threads were measured no
-faster and about 50% heavier.  ``euler --check parseval``,
+``simulate`` runs on the calling thread: trial threads were measured no
+faster and about 50% heavier.  It walks the integers up to ``--x-max`` in
+segments of ``_SEGMENT``, each trial of a group in turn on each segment,
+so its arrays beyond the sieve tables stay the size of a segment; see
+:func:`_cmd_simulate`.  ``euler --check parseval``,
 ``oracle-check``, ``submartingale-z`` and ``doob`` run one realization or
 one small batch at a time and do not scale.
 
 Exit codes: 0 all checks passed, 1 a statistical check was violated,
-2 usage or I/O error, 3 resource or quadrature failure, 4 internal error
-(with a traceback on stderr).
+2 usage or I/O error, 3 resource or quadrature failure (including a
+``simulate`` whose estimated peak exceeds the memory available), 4 internal
+error (with a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import traceback
 
@@ -55,7 +60,7 @@ from .euler import (
     parseval_identity_check,
 )
 from .reporting import MomentReport
-from .rmf import Model, SampledFunction
+from .rmf import BATCH_CELLS, Model, SampledFunction
 from .sieve import build_tables
 from .sums import grid_plan, large_prime_sum, large_prime_sum_bruteforce
 
@@ -64,6 +69,16 @@ from .sums import grid_plan, large_prime_sum, large_prime_sum_bruteforce
 #: chunk's emit working set is about 9 MiB (tracemalloc), against 32 MiB at
 #: 2**15.
 _CHUNK_ROWS = 1 << 13
+
+#: Integers per segment of a ``simulate`` walk.  In the benchmark's survey
+#: (10^6, 4 trials a call) 2**14 to 2**17 ran at the same speed within the
+#: noise, and the peak RSS was 53 MB at 2**14, 53-54 MB at 2**15, 57 MB at
+#: 2**16 and 66 MB at 2**17.
+_SEGMENT = 1 << 15
+#: Working set per integer of a segment: the plan and its temporaries, one
+#: trial's arrays and the segment's rows with their emit chunk.  Traced at
+#: 10^6 with the default lengths: 90-110 B, 375 B with --full-grid.
+_SEGMENT_BYTES = 400
 
 
 def _csv_field(s: str) -> str:
@@ -191,52 +206,133 @@ def _decimate(n: int, keep: int = 30) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
-    tables = _tables(args)
-    grid = harness.test_points(args.epsilon, args.x_max)
-    plan = grid_plan(tables, grid)
-    scale = np.sqrt(grid.astype(np.float64)) * harness.fluctuation_scale(
-        grid, args.epsilon)
-    keep = slice(None) if args.full_grid else _decimate(grid.size)
-    xs = grid[keep]
+def _memory_available() -> int | None:
+    """Bytes that new allocations can take: ``MemAvailable`` from
+    /proc/meminfo, else the free pages, else None where neither can be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError):
+        return None
+
+
+def _carried_cells(top: int) -> int:
+    """An upper bound on the values a trial carries from segment to segment,
+    and so on the primes <= top: f(p) at each prime <= top (pi(x) < 1.26 x /
+    log x, Rosser and Schoenfeld), and f, A and the corrections on
+    [0, isqrt(top)]."""
+    n = max(top, 2)
+    return int(1.26 * n / math.log(n)) + 4 * (math.isqrt(n) + 1)
+
+
+def _check_memory(args, top: int, group: int) -> None:
+    """Raise MemoryError, before anything of size x_max is made, when the
+    estimated peak of ``simulate`` exceeds the memory available.
+
+    The estimate: the sieve tables at 8 B per integer and their prime list,
+    1 B per integer of grid membership, the carried values of one group of
+    trials and the hashing of one trial's primes (32 B each), and one
+    segment's working set.
+    """
+    limit = max(args.x_max, 1000)
+    value_bytes = 16 if Model(args.model) is Model.STEINHAUS else 1
+    need = (8 * (limit + 1) + 8 * _carried_cells(limit) + top + 1
+            + (group * value_bytes + 32) * _carried_cells(top) + _SEGMENT_BYTES * _SEGMENT)
+    have = _memory_available()
+    if have is not None and need > have:
+        raise MemoryError(f"simulate --x-max {args.x_max} needs about {need >> 20} MB, "
+                          f"{have >> 20} MB available")
+
+
+def _rows(trial: int, seed: int, xs: np.ndarray, m, v, normalized) -> dict:
+    """The output block of one trial's rows at the grid points ``xs``."""
     gx = xs.astype(np.float64)
     root_loglog = np.log(gx)
     np.log(root_loglog, out=root_loglog)
     np.sqrt(root_loglog, out=root_loglog)
+    m = np.asarray(m, dtype=np.complex128)
+    return {
+        "trial": np.full(xs.size, trial),
+        "seed": np.full(xs.size, seed),
+        "x": xs,
+        "m_re": m.real,
+        "m_im": m.imag,
+        "v": v,
+        "normalized": normalized,
+        "variance_ratio": v * root_loglog / gx,
+        # reference threshold for sup exceedance studies
+        "exceed6": (normalized > 6.0).astype(np.int64),
+    }
 
-    def one(seed: int):
-        m, v, normalized, sup = harness.run_trial(args.model, seed, tables, plan, scale)
-        m = np.asarray(m[keep], dtype=np.complex128)
-        return seed, m, v[keep], normalized[keep], sup
 
-    results = list(map(one, range(args.seed, args.seed + args.trials)))
-    del tables, plan, scale  # emit reads none of them, and sets the --full-grid peak
+def _cmd_simulate(args) -> int:
+    """Walk [0, x_max] in segments of ``_SEGMENT`` integers, once per group of
+    trials whose carried values fit ``BATCH_CELLS``.
+
+    A first pass marks the grid points, 1 B per integer, so the decimated
+    rows are known before the walk.  Each segment then gets its plan and
+    scale once, for every trial of the group.  --full-grid writes each
+    segment's rows as soon as they are made, so there a group is one trial;
+    a run that fails part-way leaves the rows already written.
+    """
+    top = max(args.x_max, 1)
+    group = 1 if args.full_grid else max(1, BATCH_CELLS // _carried_cells(top))
+    _check_memory(args, top, group)
+    tables = _tables(args)
+    ends = [(lo, min(lo + _SEGMENT, top + 1)) for lo in range(0, top + 1, _SEGMENT)]
+    on_grid = np.zeros(top + 1, dtype=bool)
+    for lo, hi in ends:
+        on_grid[harness.test_points(args.epsilon, hi - 1, lo)] = True
+    count = int(np.count_nonzero(on_grid))
+    keep = None if args.full_grid else _decimate(count)
+    last = top - int(np.argmax(on_grid[::-1])) if count else 0
+    seeds = range(args.seed, args.seed + args.trials)
+    sups = []
 
     def blocks():
-        for i, (seed, m, v, normalized, _) in enumerate(results):
-            yield {
-                "trial": np.full(xs.size, i),
-                "seed": np.full(xs.size, seed),
-                "x": xs,
-                "m_re": m.real,
-                "m_im": m.imag,
-                "v": v,
-                "normalized": normalized,
-                "variance_ratio": v * root_loglog / gx,
-                # reference threshold for sup exceedance studies
-                "exceed6": (normalized > 6.0).astype(np.int64),
-            }
-        sups = np.asarray([sup for *_, sup in results])
+        for first in range(0, len(seeds), group):
+            trials = range(first, min(first + group, len(seeds)))
+            carries = [harness.TrialCarry(top) for _ in trials]
+            held = [[] for _ in trials]
+            done = 0  # grid points in the segments before this one
+            for lo, hi in ends:
+                xs = np.flatnonzero(on_grid[lo:hi]) + lo
+                plan = grid_plan(tables, xs, lo, hi)
+                scale = np.sqrt(xs.astype(np.float64)) * harness.fluctuation_scale(
+                    xs, args.epsilon)
+                pick = slice(None)
+                if keep is not None:
+                    a, b = np.searchsorted(keep, [done, done + xs.size])
+                    pick = keep[a:b] - done
+                done += xs.size
+                for rows, i, carry in zip(held, trials, carries):
+                    m, v, normalized, _ = harness.run_trial(args.model, seeds[i], tables,
+                                                            plan, scale, carry)
+                    rows.append(_rows(i, seeds[i], xs[pick], m[pick], v[pick],
+                                      normalized[pick]))
+                if len(trials) == 1:
+                    yield from held[0]
+                    held[0].clear()
+            for rows in held:
+                yield from rows
+            sups.extend(carry.sup for carry in carries)
+        sup = np.asarray(sups)
         yield {
             "trial": [-1],
             "seed": [args.seed],
-            "x": [int(grid[-1]) if grid.size else 0],
-            "m_re": [float(np.median(sups))],
-            "m_im": [float(np.quantile(sups, 0.9))],
-            "v": [float(np.max(sups))],
-            "normalized": [float(np.mean(sups))],
-            "variance_ratio": [float(np.std(sups, ddof=1)) if sups.size > 1 else 0.0],
-            "exceed6": [float(np.mean(sups > 6.0))],
+            "x": [last],
+            "m_re": [float(np.median(sup))],
+            "m_im": [float(np.quantile(sup, 0.9))],
+            "v": [float(np.max(sup))],
+            "normalized": [float(np.mean(sup))],
+            "variance_ratio": [float(np.std(sup, ddof=1)) if sup.size > 1 else 0.0],
+            "exceed6": [float(np.mean(sup > 6.0))],
         }
 
     _emit(blocks(), args.format, args.out)

@@ -20,8 +20,8 @@ from .reporting import MomentReport, flagged, mean_se
 from .rmf import (Model, SampledFunction, abs2, cumulate, over_seeds, prime_value_matrix,
                   value_matrix)
 from .sieve import PrimeTables, divisor_m, squarefree_count
-from .sums import (GridPlan, exact_expected_variance, grid_statistics, quotient_sums,
-                   variance_sum)
+from .sums import (GridCarry, GridPlan, exact_expected_variance, grid_statistics,
+                   quotient_sums, variance_sum)
 
 #: Seed offset separating conditioning seeds from resample seed streams.
 RESAMPLE_STREAM = 0x5EED_0000
@@ -42,20 +42,23 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in (0, 1/4), got {epsilon}")
 
 
-def test_points(epsilon: float, x_max: int) -> np.ndarray:
-    """Distinct values of floor(exp(i^epsilon)) in [3, x_max], ascending.
+def test_points(epsilon: float, x_max: int, x_min: int = 3) -> np.ndarray:
+    """Distinct values of floor(exp(i^epsilon)) in [max(x_min, 3), x_max], ascending.
 
     Computed by inversion: x is kept iff some integer i >= 1 satisfies
     (log x)^(1/eps) <= i < (log(x+1))^(1/eps), which avoids iterating the
     astronomically many i directly.  Where (log x)^(1/eps) overflows float64
-    the gap to (log(x+1))^(1/eps) is far wider than 1, so x is kept.
+    the gap to (log(x+1))^(1/eps) is far wider than 1, so x is kept.  Each x
+    is decided on its own, so the grid of a segment [x_min, x_max] is the
+    whole grid's points in it.
     """
     _check_epsilon(epsilon)
-    if x_max < 3:
+    x_min = max(x_min, 3)
+    if x_max < x_min:
         return np.zeros(0, dtype=np.int64)
-    xs = np.arange(3, x_max + 1, dtype=np.int64)
+    xs = np.arange(x_min, x_max + 1, dtype=np.int64)
     with np.errstate(over="ignore"):
-        L = np.log(np.arange(3, x_max + 2, dtype=np.float64)) ** (1.0 / epsilon)
+        L = np.log(np.arange(x_min, x_max + 2, dtype=np.float64)) ** (1.0 / epsilon)
     lo, hi = L[:-1], L[1:]
     first = np.maximum(np.ceil(lo), 1.0)
     return xs[(first < hi) | np.isinf(lo)]
@@ -70,25 +73,43 @@ def fluctuation_scale(x, epsilon: float):
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
+class TrialCarry(GridCarry):
+    """A :class:`GridCarry` that also carries the largest normalized |M_f|
+    so far, below SUP_X_MIN (``head``) and from it (``tail``, -inf until a
+    grid point reaches SUP_X_MIN)."""
+
+    head = 0.0
+    tail = -math.inf
+
+    @property
+    def sup(self) -> float:
+        """The sup of :func:`run_trial` over the segments so far."""
+        return self.tail if self.tail > -math.inf else self.head
+
+
 def run_trial(model: Model, seed: int, tables: PrimeTables, plan: GridPlan,
-              scale: np.ndarray):
+              scale: np.ndarray, carry: TrialCarry | None = None):
     """M_f, V, the normalized |M_f| and its sup on the grid, for one realization.
 
     ``plan`` and ``scale`` = sqrt(x) * fluctuation_scale(x) on ``plan.xs`` are
     computed once per grid by the caller.  Returns ``(m, v, normalized,
     sup)``: ``normalized`` = |M_f(x)| / scale(x) at every grid point, and
     ``sup`` its max over x >= SUP_X_MIN, over every point when none reaches
-    SUP_X_MIN, and 0.0 on an empty grid.
+    SUP_X_MIN, and 0.0 on an empty grid.  A walk over segments passes the
+    trial's ``carry`` with each segment's plan; ``m``, ``v`` and
+    ``normalized`` are then the segment's, and ``sup`` is over the segments
+    so far.
     """
-    m, v = grid_statistics(SampledFunction(model, seed, tables), plan)
+    if carry is None:
+        carry = TrialCarry(plan.stop - 1)
+    m, v = grid_statistics(SampledFunction(model, seed, tables), plan, carry)
     # np.hypot, not np.abs: numpy's complex abs differs from the scalar abs
     # in the last bit on many Steinhaus values.
     normalized = np.hypot(m.real, m.imag) / scale
-    start = int(np.searchsorted(plan.xs, SUP_X_MIN))
-    if start == plan.xs.size:
-        start = 0
-    sup = float(normalized[start:].max(initial=0.0))
-    return m, v, normalized, sup
+    split = int(np.searchsorted(plan.xs, SUP_X_MIN))
+    carry.head = max(carry.head, float(normalized[:split].max(initial=0.0)))
+    carry.tail = max(carry.tail, float(normalized[split:].max(initial=-math.inf)))
+    return m, v, normalized, carry.sup
 
 
 # ---------------------------------------------------------------------------

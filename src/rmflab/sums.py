@@ -9,9 +9,14 @@ A[..., x // p], for one realization or a seed batch; the fast paths below
 and the suites in :mod:`rmflab.harness` are built on it.
 
 On a grid up to N, which n <= N have P(n)^2 > n, with P(n) and q = n // P(n),
-does not depend on f: :func:`grid_plan` finds them once per grid, in 6 B per
-kept n (about 4.4 B per integer <= N, as 73 % of n <= 10^6 are kept) plus 6 B
-per grid point.  :func:`grid_statistics` is one pass over the plan per trial.
+does not depend on f: :func:`grid_plan` finds them for one segment of
+integers start <= n < stop, in 6 B per kept n (about 4.4 B per integer of the
+segment, as 73 % of n <= 10^6 are kept) plus 6 B per grid point, and about
+29 B per integer of temporaries while it is built (tracemalloc, at 10^6).
+:func:`grid_statistics` is one pass over a plan per trial.  A
+:class:`GridCarry` takes a trial's running sums from one segment to the
+next, so a walk over the segments holds one segment's arrays at a time; a
+plan of the whole grid is the one-segment case.
 
 Boundary convention throughout: "p > sqrt(u)" is evaluated as p*p > u in
 integer arithmetic, equivalently p > isqrt(u); no floating point square
@@ -155,73 +160,132 @@ def increment_decomposition_check(F: SampledFunction, x_prev: int, x: int):
 
 
 class GridPlan(NamedTuple):
-    """The f-independent half of the grid kernel; "kept" n have P(n)^2 > n.
+    """The f-independent half of the grid kernel, for the integers
+    start <= n < stop; "kept" n have P(n)^2 > n.
 
-    ``prime_index`` and ``quotient`` lead with a slot for n = 0 (q = 0), which
-    :func:`rmflab.rmf.cumulate` skips, so their length is 1 + the kept count.
+    ``prime_index`` and ``quotient`` lead with a slot (0, 0) that
+    :func:`grid_statistics` fills with the sums carried in from the segments
+    before, so their length is 1 + the kept count.
     """
 
-    xs: np.ndarray  #: the ascending int64 grid
-    s_max: int  #: isqrt(max(xs)), 1 on an empty grid; f is sieved on [0, s_max]
+    xs: np.ndarray  #: the ascending int64 grid points, all in [start, stop)
+    start: int  #: first integer of the segment
+    stop: int  #: one past its last integer
     prime_index: np.ndarray  #: int32 index of P(n) in ``tables.primes``, per kept n
     quotient: np.ndarray  #: int16 n // P(n) < sqrt(n), per kept n
-    kept: np.ndarray  #: int32 number of kept n <= x, per grid point
+    kept: np.ndarray  #: int32 number of kept n in [start, x], per grid point
     squares: np.ndarray  #: int16 number of primes with p^2 <= x, per grid point
 
 
-def grid_plan(tables: PrimeTables, xs) -> GridPlan:
-    """The :class:`GridPlan` of the ascending grid ``xs``, in O(max(xs))."""
+def grid_plan(tables: PrimeTables, xs, start: int = 0, stop: int | None = None) -> GridPlan:
+    """The :class:`GridPlan` of the integers start <= n < stop and the
+    ascending grid points ``xs`` among them, in O(stop - start).
+
+    By default the plan covers [0, max(xs)], the whole grid in one segment.
+    """
     xs = np.asarray(xs, dtype=np.int64)
     if np.any(np.diff(xs) < 0) or np.any(xs[:1] < 1):
         raise ValueError("grid must be ascending with entries >= 1")
-    N = int(xs.max(initial=1))
-    tables.check(N, "x")
-    lpi = tables.largest_factor_table()[: N + 1]
+    if stop is None:
+        stop = int(xs.max(initial=1)) + 1
+    tables.check(max(stop - 1, 1), "x")
+    if not 0 <= start < stop or np.any(xs[:1] < start) or np.any(xs[-1:] >= stop):
+        raise ValueError(f"grid outside the segment [{start}, {stop})")
+    lpi = tables.largest_factor_table()[start:stop]
     p = tables.primes[lpi]
-    q = np.arange(N + 1)
+    q = np.arange(start, stop)
     q //= p
     # n = P(n)*q is kept when q < P(n), i.e. P(n)^2 > n, and is a prime square
     # when q = P(n); n < 2 has no P(n).
     keep, square = q < p, q == p
-    keep[:2] = False
+    keep[:max(0, 2 - start)] = False
     del p
-    n = np.concatenate(([0], np.flatnonzero(keep)))  # n = 0 leads as a zero slot
-    return GridPlan(xs, math.isqrt(N), lpi[n].astype(np.int32), q[n].astype(np.int16),
-                    np.cumsum(keep, dtype=np.int32)[xs], np.cumsum(square, dtype=np.int16)[xs])
+    n = np.flatnonzero(keep)
+    prime_index = np.zeros(n.size + 1, dtype=np.int32)
+    quotient = np.zeros(n.size + 1, dtype=np.int16)
+    prime_index[1:], quotient[1:] = lpi[n], q[n]
+    del n, q
+    at = xs - start
+    squares_before = tables.prime_count_upto(math.isqrt(start - 1)) if start else 0
+    return GridPlan(xs, start, stop, prime_index, quotient,
+                    np.cumsum(keep, dtype=np.int32)[at],
+                    (np.cumsum(square, dtype=np.int16) + np.int16(squares_before))[at])
 
 
-def grid_statistics(F: SampledFunction, plan: GridPlan) -> tuple[np.ndarray, np.ndarray]:
+class GridCarry:
+    """What :func:`grid_statistics` carries for one realization from a
+    segment to the next, over the integers up to ``top``.
+
+    On the first segment it hashes f(p) at every prime <= top (1 B each for
+    Rademacher, 16 B for Steinhaus) and sieves f on [0, isqrt(top)]; every
+    later segment reads them.  ``m`` and ``v`` are the running sums over the
+    kept n < ``stop``, the integers of the segments so far, before the
+    prime-square corrections.
+    """
+
+    def __init__(self, top: int):
+        self.top = top
+        self.stop = 0
+        self.m = self.v = 0
+        self._values = None
+
+    def values(self, F: SampledFunction):
+        """(f(p) per prime <= top, f on [0, isqrt(top)], the |A|^2 increments,
+        and the cumulative M and V corrections per prime square), made once."""
+        if self._values is None:
+            tables = F.tables
+            tables.check(self.top, "x")
+            s = math.isqrt(self.top)
+            # max(top, 2) keeps the leading slot's prime index 0 valid on an
+            # empty grid.
+            fp = F.prime_values(tables.primes[: tables.prime_count_upto(max(self.top, 2))])
+            fs = F.values_up_to(s)
+            A = cumulate(fs)
+            a2 = abs2(A)
+            # Once x passes p^2 the prime p leaves (sqrt(x), x] and its
+            # accumulated contribution (all n = p*m with m <= p-1) must be removed.
+            ps = tables.primes[: tables.prime_count_upto(s)]
+            self._values = (fp, fs, np.diff(a2, prepend=0),
+                            np.concatenate(([0], np.cumsum(fp[: ps.size] * A[ps - 1]))),
+                            np.concatenate(([0], np.cumsum(a2[ps - 1]))))
+        return self._values
+
+
+def _running_sum(terms: np.ndarray, start):
+    """start, start + terms[1], start + terms[1] + terms[2], ...: the carry is
+    the first addend, so a walk over segments adds in the same order as one
+    pass.  Overwrites ``terms`` when its dtype already holds the sums."""
+    acc = terms.astype(np.int64 if terms.dtype.kind in "iu" else terms.dtype, copy=False)
+    acc[0] = start
+    return np.cumsum(acc, out=acc)
+
+
+def grid_statistics(F: SampledFunction, plan: GridPlan,
+                    carry: GridCarry | None = None) -> tuple[np.ndarray, np.ndarray]:
     """M_f and V at every x of ``plan.xs``: the per-trial half of the kernel.
 
-    f is sieved only on [0, plan.s_max]; each kept n = P(n)*q has
-    f(n) = f(P(n)) * f(q), one gather.  Both statistics are a cumulative sum
-    over the kept n (of f(n), or of the telescoped |A|^2 increment at q) minus
-    a correction at prime squares, where a prime leaves (sqrt(x), x] for good.
-    Rademacher sums are exact int64 throughout; V is returned as float64.
+    ``carry`` is F's :class:`GridCarry` from the segments before ``plan``,
+    which cover [0, plan.start); it is updated for the next one.  Without
+    one, a fresh carry up to the plan's last integer is used.
+    Each kept n = P(n)*q has f(n) = f(P(n)) * f(q), one gather.  Both
+    statistics are a running sum over the kept n (of f(n), or of the
+    telescoped |A|^2 increment at q) minus a correction at prime squares,
+    where a prime leaves (sqrt(x), x] for good.  Rademacher sums are exact
+    int64 throughout; V is returned as float64.
     """
-    N = int(plan.xs.max(initial=1))
-    F.tables.check(N, "x")
-    # f(p) for every P(n) of the plan; max(N, 2) keeps the leading zero slot's
-    # index 0 valid on an empty grid.
-    fp = F.prime_values(F.tables.primes[: F.tables.prime_count_upto(max(N, 2))])
-    fs = F.values_up_to(plan.s_max)
-    A = cumulate(fs)
-    a2 = abs2(A)
-    # Corrections: once x passes p^2 the prime p leaves (sqrt(x), x] and its
-    # accumulated contribution (all n = p*m with m <= p-1) must be removed.
-    ps = F.tables.primes[: F.tables.prime_count_upto(plan.s_max)]
-    corr_m = np.concatenate(([0], np.cumsum(fp[: ps.size] * A[ps - 1])))
-    corr_v = np.concatenate(([0], np.cumsum(a2[ps - 1])))
-
-    # Sums over the first c kept n, read at c = plan.kept; cumulate skips the slot.
-    m_vals = cumulate(fp[plan.prime_index] * fs[plan.quotient])[plan.kept]
-    del fp  # 16 B per prime <= N (Steinhaus): free it before the V pass allocates
-    v_vals = cumulate(np.diff(a2, prepend=0)[plan.quotient])[plan.kept]
-    # plan.squares ascends: each correction applies to one run of grid points.
-    runs = np.searchsorted(plan.squares, np.arange(ps.size + 2))
-    for j in range(ps.size + 1):
-        m_vals[runs[j] : runs[j + 1]] -= corr_m[j]
-        v_vals[runs[j] : runs[j + 1]] -= corr_v[j]
+    if carry is None:
+        carry = GridCarry(plan.stop - 1)
+    if plan.start != carry.stop or plan.stop - 1 > carry.top:
+        raise ValueError(f"segment [{plan.start}, {plan.stop}) does not follow "
+                         f"[0, {carry.stop}) within [0, {carry.top}]")
+    fp, fs, d2, corr_m, corr_v = carry.values(F)
+    m_run = _running_sum(fp[plan.prime_index] * fs[plan.quotient], carry.m)
+    v_run = _running_sum(d2[plan.quotient], carry.v)
+    carry.stop, carry.m, carry.v = plan.stop, m_run[-1], v_run[-1]
+    m_vals = m_run[plan.kept]
+    m_vals -= corr_m[plan.squares]
+    v_vals = v_run[plan.kept]
+    v_vals -= corr_v[plan.squares]
     # V(x) >= |A(1)|^2 = 1 for x >= 2 (Bertrand) and V(1) = 0, so a negative
     # value can only come from a broken decomposition.
     if np.any(v_vals < 0):

@@ -393,7 +393,7 @@ def test_a_3se_check_on_one_trial_is_a_usage_error(capsys):
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    def broken(F, plan):
+    def broken(F, plan, carry=None):
         raise RuntimeError("negative V")
 
     monkeypatch.setattr("rmflab.harness.grid_statistics", broken)
