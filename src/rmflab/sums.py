@@ -16,7 +16,14 @@ segment, as 73 % of n <= 10^6 are kept) plus 6 B per grid point, and about
 :func:`grid_statistics` is one pass over a plan per trial.  A
 :class:`GridCarry` takes a trial's running sums from one segment to the
 next, so a walk over the segments holds one segment's arrays at a time; a
-plan of the whole grid is the one-segment case.
+plan of the whole grid is the one-segment case.  The plan keeps its indices
+compact (int32 and int16), and the kernel gathers through them with
+``ndarray.take``, which casts an index to ``intp`` once, in one contiguous
+pass.  ``a[idx]`` with such an index casts it in small buffered chunks on
+every call: on one segment of 2^15 integers at 5*10^5 it took 72 us to
+gather f(P(n)), against 25 us with ``take`` (numpy 2.4, 2 cores).  An
+``intp`` plan would gather as fast, but for 8 B more per kept n and per
+grid point.
 
 Boundary convention throughout: "p > sqrt(u)" is evaluated as p*p > u in
 integer arithmetic, equivalently p > isqrt(u); no floating point square
@@ -192,7 +199,7 @@ def grid_plan(tables: PrimeTables, xs, start: int = 0, stop: int | None = None) 
     if not 0 <= start < stop or np.any(xs[:1] < start) or np.any(xs[-1:] >= stop):
         raise ValueError(f"grid outside the segment [{start}, {stop})")
     lpi = tables.largest_factor_table()[start:stop]
-    p = tables.primes[lpi]
+    p = tables.primes.take(lpi)
     q = np.arange(start, stop)
     q //= p
     # n = P(n)*q is kept when q < P(n), i.e. P(n)^2 > n, and is a prime square
@@ -279,13 +286,13 @@ def grid_statistics(F: SampledFunction, plan: GridPlan,
         raise ValueError(f"segment [{plan.start}, {plan.stop}) does not follow "
                          f"[0, {carry.stop}) within [0, {carry.top}]")
     fp, fs, d2, corr_m, corr_v = carry.values(F)
-    m_run = _running_sum(fp[plan.prime_index] * fs[plan.quotient], carry.m)
-    v_run = _running_sum(d2[plan.quotient], carry.v)
+    m_run = _running_sum(fp.take(plan.prime_index) * fs.take(plan.quotient), carry.m)
+    v_run = _running_sum(d2.take(plan.quotient), carry.v)
     carry.stop, carry.m, carry.v = plan.stop, m_run[-1], v_run[-1]
-    m_vals = m_run[plan.kept]
-    m_vals -= corr_m[plan.squares]
-    v_vals = v_run[plan.kept]
-    v_vals -= corr_v[plan.squares]
+    m_vals = m_run.take(plan.kept)
+    m_vals -= corr_m.take(plan.squares)
+    v_vals = v_run.take(plan.kept)
+    v_vals -= corr_v.take(plan.squares)
     # V(x) >= |A(1)|^2 = 1 for x >= 2 (Bertrand) and V(1) = 0, so a negative
     # value can only come from a broken decomposition.
     if np.any(v_vals < 0):

@@ -372,6 +372,19 @@ def test_out_of_range_epsilon_and_t_param_are_usage_errors(capsys):
         assert "epsilon must lie in (0, 1/4)" in err and "Traceback" not in err
 
 
+def test_a_bad_simulate_epsilon_exits_before_the_tables(monkeypatch, capsys):
+    # Checked before the memory pre-flight and the tables, which would take
+    # 1.7 GB at this x_max, or exit 3 where that memory is not free.
+    def no_tables(limit):
+        raise AssertionError(f"built tables to {limit}")
+
+    monkeypatch.setattr("rmflab.cli.build_tables", no_tables)
+    for full in ([], ["--full-grid"]):
+        assert _run(["simulate", "--x-max", "200000000", "--epsilon", "0.5"] + full) == 2
+        err = capsys.readouterr().err
+        assert "epsilon must lie in (0, 1/4)" in err and "Traceback" not in err
+
+
 def test_a_non_finite_report_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr("rmflab.harness.fluctuation_scale", lambda x, eps: math.nan)
     assert _run(["moments", "--suite", "hoeffding"]) == 4

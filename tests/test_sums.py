@@ -19,7 +19,7 @@ from rmflab import (
     quotient_sums,
 )
 from rmflab.rmf import cumulate, value_matrix
-from rmflab.sums import ORACLE_CAP, variance_sum
+from rmflab.sums import ORACLE_CAP, GridCarry, variance_sum
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -108,8 +108,41 @@ def test_grid_statistics_match_pointwise(tables_small, model):
     xs = np.array([3, 4, 5, 9, 10, 25, 26, 100, 121, 500, 1000, 4999])
     m_vals, v_vals = grid_statistics(F, grid_plan(tables_small, xs))
     for j, x in enumerate(xs.tolist()):
-        assert m_vals[j] == pytest.approx(large_prime_sum(F, x), abs=1e-9)
-        assert v_vals[j] == pytest.approx(conditional_variance(F, x), abs=1e-6)
+        if model is Model.RADEMACHER:
+            assert m_vals[j] == large_prime_sum(F, x)
+            assert v_vals[j] == conditional_variance(F, x)
+        else:
+            assert m_vals[j] == pytest.approx(large_prime_sum(F, x), abs=1e-9)
+            assert v_vals[j] == pytest.approx(conditional_variance(F, x), abs=1e-6)
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("segment", [7, 1000])
+def test_segment_walk_matches_the_pointwise_oracles(tables_small, model, segment):
+    # Checked against the per-x evaluators, which share no code with the
+    # plan and its gathers.  The walk has segments that start at the prime
+    # squares 49 and 121, and a grid with duplicates, among them 49 and 121.
+    top = 5000
+    xs = np.unique(np.geomspace(2, top, 400).astype(np.int64))
+    xs = np.sort(np.concatenate((xs, [2, 48, 49, 49, 50, 120, 121, 121, 122, 999, 999, top])))
+    starts = sorted(set(range(0, top + 1, segment)) | {49, 121})
+    F = SampledFunction(model, 23, tables_small)
+    carry = GridCarry(top)
+    m_vals, v_vals = [], []
+    for lo, hi in zip(starts, starts[1:] + [top + 1]):
+        plan = grid_plan(tables_small, xs[(xs >= lo) & (xs < hi)], lo, hi)
+        assert ([plan.prime_index.dtype, plan.quotient.dtype, plan.kept.dtype, plan.squares.dtype]
+                == [np.int32, np.int16, np.int32, np.int16])
+        m, v = grid_statistics(F, plan, carry)
+        m_vals += m.tolist()
+        v_vals += v.tolist()
+    assert len(m_vals) == len(v_vals) == xs.size
+    for x, m, v in zip(xs.tolist(), m_vals, v_vals):
+        if model is Model.RADEMACHER:
+            assert (m, v) == (large_prime_sum(F, x), conditional_variance(F, x)), x
+        else:
+            assert m == pytest.approx(large_prime_sum(F, x), abs=1e-9), x
+            assert v == pytest.approx(conditional_variance(F, x), rel=1e-12, abs=1e-9), x
 
 
 def test_grid_statistics_tolerates_duplicates(tables_small):
