@@ -27,7 +27,10 @@ threads per segment were measured about 17% faster on the benchmark's
 survey, but at a peak RSS of 63-64 MB against 53 MB.  It walks the
 integers up to ``--x-max`` in segments of ``_SEGMENT``, each trial of a
 group in turn on each segment, so its arrays beyond the sieve tables stay
-the size of a segment; see :func:`_cmd_simulate`.  ``euler --check
+the size of a segment; see :func:`_cmd_simulate`.  M_f and V are computed
+at every grid point, but |M_f| / scale only at the printed rows; each
+trial's sup over the others is found from |M_f|^2 (see
+:func:`rmflab.harness.run_trial`).  ``euler --check
 parseval``, ``oracle-check``, ``submartingale-z`` and ``doob`` run one
 realization or one small batch at a time and do not scale.
 
@@ -316,9 +319,8 @@ def _cmd_simulate(args) -> int:
                 done += xs.size
                 for rows, i, carry in zip(held, trials, carries):
                     m, v, normalized, _ = harness.run_trial(args.model, seeds[i], tables,
-                                                            plan, scale, carry)
-                    rows.append(_rows(i, seeds[i], xs[pick], m[pick], v[pick],
-                                      normalized[pick]))
+                                                            plan, scale, carry, pick)
+                    rows.append(_rows(i, seeds[i], xs[pick], m, v, normalized))
                 if len(trials) == 1:
                     yield from held[0]
                     held[0].clear()

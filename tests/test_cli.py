@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -415,6 +416,23 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     assert "Traceback" in err and "negative V" in err
 
 
+@pytest.mark.parametrize("model", ["rademacher", "steinhaus"])
+def test_a_broken_carry_makes_simulate_exit_4(model, monkeypatch, capsys):
+    # The carried V is zeroed from the midpoint of the walk on; the kernel's
+    # own guard must catch it.
+    kernel = harness.grid_statistics
+
+    def broken(F, plan, carry=None):
+        if plan.start >= 50_000:
+            carry.v = 0
+        return kernel(F, plan, carry)
+
+    monkeypatch.setattr("rmflab.harness.grid_statistics", broken)
+    assert _run(["simulate", "--trials", "1", "--x-max", "100000", "--model", model]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "negative conditional variance -" in err
+
+
 def test_oracle_check_flags_a_wrong_fast_path(monkeypatch, capsys):
     monkeypatch.setattr("rmflab.cli.large_prime_sum",
                         lambda F, x: rmflab.large_prime_sum_bruteforce(F, x) + 1)
@@ -509,6 +527,36 @@ def test_full_grid_matches_row_by_row_reference(model, x_max, tmp_path):
                      "--x-max", str(x_max), "--model", model, "--format", fmt,
                      "--out", str(out)]) == 0
         assert out.read_bytes() == expected[fmt], fmt
+
+
+#: The integer columns of Rademacher trial rows, and the sha256 of their
+#: text, one ``,``-joined line per row ending in ``\n``.  M and V are exact
+#: integers, so unlike the float columns these do not depend on how a numpy
+#: build or CPU rounds np.log, np.hypot, cos or sin; only the choice of grid
+#: points and decimated rows goes through floats.
+_INTEGER_COLUMNS = ("trial", "seed", "x", "m_re", "m_im", "v")
+_INTEGER_ANCHORS = {
+    "--x-max 20000":
+        "fbe825e554d86fd7f29290f850c8de7bbbae93c1ca039a8d38c9dba22f5ca4eb",
+    "--full-grid --trials 2 --x-max 20000":
+        "d5e1520d65411643c6d7e923d702d95da7bb60f1c015f7d6ec4b35c23239964b",
+    "--epsilon 0.24 --x-max 300000 --trials 5":
+        "b5f83b828057be469ae96682658d9f0d9157763f43557c4edc54beb47d92e2ac",
+}
+
+
+@pytest.mark.parametrize("flags", list(_INTEGER_ANCHORS))
+def test_rademacher_integer_columns_match_their_anchors(flags, tmp_path):
+    out = tmp_path / "out.csv"
+    assert _run(["simulate", *flags.split(), "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    with open(out, newline="") as fh:
+        for row in csv.DictReader(fh):
+            if int(row["trial"]) >= 0:
+                cells = [row[k] for k in _INTEGER_COLUMNS]
+                assert all(str(int(c)) == c for c in cells), cells
+                digest.update((",".join(cells) + "\n").encode())
+    assert digest.hexdigest() == _INTEGER_ANCHORS[flags]
 
 
 @pytest.mark.parametrize("model", ["rademacher", "steinhaus"])

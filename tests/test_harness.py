@@ -110,6 +110,72 @@ def test_run_trial_on_an_empty_grid(tables_small, model):
     assert m.size == v.size == normalized.size == 0 and sup == 0.0
 
 
+def _hypot_max(m, scale, initial):
+    """The sup as np.hypot at every point gives it: the reference."""
+    return float((np.hypot(m.real, m.imag) / scale).max(initial=initial))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+#: Two values with scale 1 whose order by |m|^2 is the reverse of their
+#: order by np.hypot.
+_NEAR_TIE = np.array([
+    complex(float.fromhex("0x1.0377ec8f0a9adp-2"), float.fromhex("-0x1.8b54f62b8a1a2p+0")),
+    complex(float.fromhex("0x1.5600b7784a693p+0"), float.fromhex("0x1.a145ced20f5eap-1")),
+])
+
+
+def _sup_cases():
+    rng = np.random.default_rng(2022)
+    for n in (1, 2, 7, 1000, 1 << 15):
+        scale = rng.uniform(1.0, 1e4, n)
+        yield f"complex-{n}", rng.normal(size=n) * 300 + 1j * rng.normal(size=n) * 300, scale
+        yield f"int64-{n}", rng.integers(-2**52, 2**52, n, endpoint=True), scale
+    yield "int64-ends", np.array([2**52, -2**52, 3, -(2**52 - 1)]), np.ones(4)
+    for dtype in (np.complex128, np.int64):
+        yield f"zero-{dtype.__name__}", np.zeros(50, dtype=dtype), rng.uniform(1.0, 10.0, 50)
+        yield f"empty-{dtype.__name__}", np.zeros(0, dtype=dtype), np.zeros(0)
+    yield "near-tie", np.concatenate((_NEAR_TIE, 0.5 * _NEAR_TIE)), np.ones(4)
+
+
+@pytest.mark.parametrize("initial", [0.0, -math.inf, 1.25])
+@pytest.mark.parametrize("m,scale", [c[1:] for c in _sup_cases()],
+                         ids=[c[0] for c in _sup_cases()])
+def test_the_sup_from_abs2_is_the_hypot_max_bit_for_bit(m, scale, initial):
+    got = harness._normalized_max(m, scale, initial)
+    assert _bits(got) == _bits(_hypot_max(m, scale, initial))
+
+
+def test_the_near_tie_is_ranked_apart_by_abs2():
+    # Taking np.hypot only at the largest |m|^2 would give the smaller value,
+    # so this case fails when _NEAR_MAX is 0.
+    r, h = abs2(_NEAR_TIE), np.hypot(_NEAR_TIE.real, _NEAR_TIE.imag)
+    assert r[0] > r[1] and h[0] < h[1]
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_run_trial_at_some_points_matches_every_point(tables_small, model):
+    # Segments below, across and above SUP_X_MIN = 100, and the whole grid
+    # as one segment.
+    top = 3000
+    grid = grid_points(0.1, top)
+    for starts in ([0, 64, 99, 101, 150, 1000], [0]):
+        for seed in range(10):
+            every, some = harness.TrialCarry(top), harness.TrialCarry(top)
+            for lo, hi in zip(starts, starts[1:] + [top + 1]):
+                xs = grid[(grid >= lo) & (grid < hi)]
+                scale = np.sqrt(xs.astype(np.float64)) * fluctuation_scale(xs, 0.1)
+                plan = grid_plan(tables_small, xs, lo, hi)
+                at = np.arange(0, xs.size, 7)
+                ref = run_trial(model, seed, tables_small, plan, scale, every)
+                got = run_trial(model, seed, tables_small, plan, scale, some, at)
+                assert [_bits(a[at]) for a in ref[:3]] == [_bits(a) for a in got[:3]]
+                assert _bits(got[3]) == _bits(ref[3]), (starts, seed, lo)
+            assert every.tail > -math.inf
+
+
 @pytest.mark.parametrize("model", list(Model))
 def test_hypercontractive_never_violated_here(tables_small, model):
     w = {n: 1.0 / n for n in range(1, 201)}

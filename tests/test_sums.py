@@ -145,6 +145,24 @@ def test_segment_walk_matches_the_pointwise_oracles(tables_small, model, segment
             assert v == pytest.approx(conditional_variance(F, x), rel=1e-12, abs=1e-9), x
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_a_broken_carry_trips_the_negative_variance_guard(tables, model):
+    # With the carried V zeroed half-way through a walk to 10^5, the next
+    # segment's prime-square corrections outweigh its running sum.
+    top, segment = 100_000, 1 << 15
+    xs = np.arange(2, top + 1)
+    F = SampledFunction(model, 3, tables)
+    carry = GridCarry(top)
+    starts = range(0, top + 1, segment)
+    with pytest.raises(RuntimeError, match="negative conditional variance -"):
+        for lo in starts:
+            hi = min(lo + segment, top + 1)
+            if lo >= top // 2:
+                carry.v = 0
+            grid_statistics(F, grid_plan(tables, xs[(xs >= lo) & (xs < hi)], lo, hi), carry)
+    assert lo == 2 * segment < starts[-1]  # the first segment with a broken carry
+
+
 def test_grid_statistics_tolerates_duplicates(tables_small):
     F = SampledFunction(Model.RADEMACHER, 6, tables_small)
     xs = np.array([10, 100, 100, 500])
