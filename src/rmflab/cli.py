@@ -15,8 +15,9 @@ Output is byte-deterministic for a fixed argument list (including across
 worker counts): floats print exactly as ``'%.17g' % x``, 17 significant
 digits, which round-trips every float64, and rows are emitted in a fixed
 order.  Rows are formatted a chunk at a time with numpy
-(:mod:`rmflab.rowtext`): the digits come from integer arithmetic for
-1e-4 <= |x| < 1e16, and from ``%`` for any other value.
+(:mod:`rmflab.rowtext`): the digits come from an exact double-double
+product for 1e-4 <= |x| < 1e16, and from ``%`` for any other value; a
+float column of whole numbers below 2^53 prints through the ``%d`` path.
 
 The Monte Carlo suites run their seed batches on the CPUs in the process's
 affinity mask, up to two (``taskset -c 0`` gives one worker), with one
@@ -112,14 +113,26 @@ def _chunk_cells(cols: list[np.ndarray], kinds: list[str], fmt: str) -> list[np.
     with ``%.17g``, bools as ``true``/``false`` and text quoted for CSV or JSON.
 
     All float columns are formatted in one call, and all int columns in one.
+    A float column of whole numbers below 2^53 (:func:`rowtext.whole`)
+    goes with the int columns, as its int64 copy: ``%d`` prints the same
+    text for less work.
     """
     cells = [None] * len(cols)
     n = len(cols[0])
-    for kind_set, text in (("f", rowtext.float_text), ("iu", rowtext.int_text)):
-        at = [j for j, kind in enumerate(kinds) if kind in kind_set]
-        if at:
-            stacked = text([cols[j] for j in at])
-            for i, j in enumerate(at):
+    floats, ints = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "f":
+            copy = rowtext.whole(cols[j])
+            if copy is None:
+                floats.append((j, cols[j]))
+            else:
+                ints.append((j, copy))
+        elif kind in "iu":
+            ints.append((j, cols[j]))
+    for group, text in ((floats, rowtext.float_text), (ints, rowtext.int_text)):
+        if group:
+            stacked = text([c for _, c in group])
+            for i, (j, _) in enumerate(group):
                 cells[j] = stacked[:, i * n:(i + 1) * n]
     conv = json.dumps if fmt == "json" else _csv_field
     for j, kind in enumerate(kinds):

@@ -320,5 +320,7 @@ def cumulate(fv: np.ndarray) -> np.ndarray:
 def abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 elementwise; integer (Rademacher) input stays exact in its dtype."""
     if np.iscomplexobj(z):
-        return z.real * z.real + z.imag * z.imag
+        out = np.square(z.real)
+        out += np.square(z.imag)
+        return out
     return z * z

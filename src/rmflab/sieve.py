@@ -102,13 +102,10 @@ def build_tables(limit: int) -> PrimeTables:
         if spf[i] == 0:
             block = spf[i * i :: i]
             block[block == 0] = i
-    # Remaining zeros above 1 are exactly the primes with p^2 > limit.
-    rest = np.flatnonzero(spf == 0)
-    rest = rest[rest >= 2]
-    spf[rest] = rest
-    ns = np.arange(limit + 1, dtype=np.uint32)
-    primes = np.flatnonzero(spf == ns)
-    primes = primes[primes >= 2].astype(np.int64)
+    # The loop never writes a prime's own entry, so the zeros are 0 and
+    # exactly the primes.
+    primes = np.flatnonzero(spf == 0)[1:].astype(np.int64)
+    spf[primes] = primes
     return PrimeTables(limit=limit, spf=spf, primes=primes)
 
 

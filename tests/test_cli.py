@@ -635,3 +635,38 @@ def test_emit_rows_matches_the_percent_template(fmt, capsys):
 def test_moments_suites_run_with_default_trials(suite, capsys):
     assert _run(["moments", "--suite", suite]) in (0, 1)
     assert "need at least" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_whole_float_columns_print_as_the_percent_template(fmt, capsys, monkeypatch):
+    # Whole-number float columns take the %d path only when every value
+    # prints the same way there; each column below breaks that by one value.
+    big = 2.0 ** 53
+    cols = {"whole": [0.0, 3.0, -(big - 1), big - 1, 12.0],
+            "neg_zero": [0.0, 3.0, -0.0, 1.0, 2.0],
+            "big": [0.0, 3.0, big, 1.0, 2.0],
+            "neg_big": [0.0, 3.0, -big, 1.0, 2.0],
+            "nan": [0.0, 3.0, math.nan, 1.0, 2.0],
+            "inf": [0.0, -math.inf, 3.0, 1.0, math.inf],
+            "half": [0.0, 3.0, 0.5, 1.0, 2.0],
+            "n": [-1, 0, 10 ** 12, 7, -(2 ** 62)]}
+    rows = [{k: v[i] for k, v in cols.items()} for i in range(5)]
+    calls = []
+    int_text = cli.rowtext.int_text
+
+    def recording(group):
+        calls.append([c.dtype.kind for c in group])
+        return int_text(group)
+
+    monkeypatch.setattr(cli.rowtext, "int_text", recording)
+    empty = {k: np.array([], dtype=np.asarray(v).dtype) for k, v in cols.items()}
+    cli._emit([empty, {k: np.array(v) for k, v in cols.items()}, empty], fmt, None)
+    assert capsys.readouterr().out == _percent_rows(rows, fmt)
+    assert calls == [["i", "i"]]  # one call a chunk: "whole" and "n"
+
+
+def test_chunk_cells_of_an_empty_block():
+    cols = [np.array([], dtype=t) for t in (np.float64, np.int64, bool, "U1")]
+    cells = cli._chunk_cells(cols, [c.dtype.kind for c in cols], "csv")
+    assert [c.shape[1] for c in cells] == [0, 0, 0, 0]
+    assert cli.rowtext.join_rows(cells, ["", ",", ",", ",", "\r\n"]) == ""

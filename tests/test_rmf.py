@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import rmflab
 from rmflab import (Model, SampledFunction, build_tables, large_prime_sum, prime_value_matrix,
                     value_matrix)
-from rmflab.rmf import cumulate, over_seeds
+from rmflab.rmf import abs2, cumulate, over_seeds
 
 
 def test_rademacher_values_are_signs(tables_small):
@@ -401,3 +401,16 @@ def test_over_seeds_frees_each_batch_on_the_thread_that_made_it(monkeypatch):
     assert out[:, 0].tolist() == list(range(12))
     assert sorted(made) == [0, 2, 4, 6, 8, 10]
     assert freed == made and threading.get_ident() not in made.values()
+
+
+def test_abs2_matches_the_product_sum_bit_for_bit():
+    rng = np.random.default_rng(5)
+    z = (rng.normal(size=(64, 48)) + 1j * rng.normal(size=(64, 48))) * 10.0 ** rng.integers(
+        -8, 9, size=(64, 48))
+    for view in (z, z[::3, 1::2], z.T, z.ravel(), z.ravel()[::5], z[5]):
+        ref = view.real * view.real + view.imag * view.imag
+        got = abs2(view)
+        assert got.dtype == np.float64 and got.shape == view.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    ints = np.array([-3, 0, 4], dtype=np.int64)
+    assert abs2(ints).dtype == np.int64 and abs2(ints).tolist() == [9, 0, 16]

@@ -108,3 +108,46 @@ def test_int_columns_print_as_percent(signed, unsigned):
 def test_several_columns_of_one_kind_stack_in_order():
     a, b = np.array([1.5, -0.0]), np.array([np.nan, 2e-4])
     assert _printed(rowtext.float_text([a, b])) == ["1.5", "-0", "nan", "0.00020000000000000001"]
+
+
+def _in_fast_range_bits(rng, n):
+    """Random doubles of either sign with exponents across [2^-14, 2^54)."""
+    mant = rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    exp = rng.integers(1023 - 14, 1023 + 54, n).astype(np.uint64)
+    sign = rng.integers(0, 2, n).astype(np.uint64)
+    return ((sign << np.uint64(63)) | (exp << np.uint64(52)) | mant).view(np.float64)
+
+
+def _exact_ties(rng, n):
+    """n odd over 2^j whose n·5^j has 18 digits: exact ties at 17 digits."""
+    out = []
+    for j in range(2, 26):
+        lo = -(-10 ** 17 // 5 ** j)
+        hi = min(10 ** 18 // 5 ** j, 2 ** 53)
+        out.append((rng.integers(lo, hi, n // 24) | 1) / 2.0 ** j)
+    return np.concatenate(out)
+
+
+def test_seeded_sweep_prints_as_percent():
+    # Over a million values, a block at a time: the fast range, any bit
+    # pattern, exact ties, and powers of ten with their 3-ulp neighbours.
+    rng = np.random.default_rng(20231)
+    pows = [s * u for k in range(-6, 19) for s in (1.0, -1.0) for u in _ulps(10.0 ** k, 3)]
+    parts = [np.array(pows), _exact_ties(rng, 120_000),
+             rng.integers(0, 2 ** 64, 120_000, dtype=np.uint64).view(np.float64),
+             _in_fast_range_bits(rng, 700_000),
+             10.0 ** rng.uniform(-4, 16, 100_000)]
+    x = np.concatenate(parts)
+    assert x.size >= 10 ** 6
+    for block in np.array_split(x, 16):
+        _assert_floats(block)
+
+
+def test_whole_takes_only_exact_integers_below_two_to_the_53():
+    edge = 2.0 ** 53 - 1
+    got = rowtext.whole(np.array([0.0, 1.0, -7.0, edge, -edge]))
+    assert got.dtype == np.int64 and got.tolist() == [0, 1, -7, 2 ** 53 - 1, 1 - 2 ** 53]
+    assert rowtext.whole(np.array([], dtype=np.float64)).tolist() == []
+    assert rowtext.whole(np.array([3.0, -2.0], dtype=np.float32)).tolist() == [3, -2]
+    for bad in (-0.0, 2.0 ** 53, -2.0 ** 53, 0.5, math.nan, math.inf, -math.inf, 1e300):
+        assert rowtext.whole(np.array([1.0, bad])) is None, bad

@@ -146,3 +146,14 @@ def test_largest_factor_table_is_built_once_by_concurrent_callers(monkeypatch):
     assert len(builds) == 1 and len(got) == 4
     assert all(idx is got[0] for idx in got)
     assert tables.primes[got[0][5000]] == largest_prime_factor(5000, tables)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 24, 25, 26, 48, 49, 97, 120, 121])
+def test_small_tables_match_trial_division(limit):
+    # Squares of primes and primes at the limit bound the sieve loop.
+    t = build_tables(limit)
+    assert t.primes.dtype == np.int64
+    assert t.primes.tolist() == _trial_division_primes(limit)
+    assert t.spf[1] == 1
+    assert t.spf[2:].tolist() == [min(d for d in range(2, n + 1) if n % d == 0)
+                                  for n in range(2, limit + 1)]
