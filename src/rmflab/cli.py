@@ -252,14 +252,16 @@ def _check_memory(args, top: int, group: int) -> None:
     """Raise MemoryError, before anything of size x_max is made, when the
     estimated peak of ``simulate`` exceeds the memory available.
 
-    The estimate: the sieve tables at 8 B per integer and their prime list,
-    1 B per integer of grid membership, the carried values of one group of
-    trials and the hashing of one trial's primes (32 B each), and one
-    segment's working set.
+    The estimate: the sieve table at 4 B per integer, its prime list at 8 B
+    per prime and the build's transient at 16 B per prime (an int64 index
+    and an int64 multiple of each prime above the square root; tracemalloc
+    at 10^6), 1 B per integer of grid membership, the carried values of one
+    group of trials and the hashing of one trial's primes (32 B each), and
+    one segment's working set.
     """
     limit = max(args.x_max, 1000)
     value_bytes = 16 if Model(args.model) is Model.STEINHAUS else 1
-    need = (8 * (limit + 1) + 8 * _carried_cells(limit) + top + 1
+    need = (4 * (limit + 1) + 24 * _carried_cells(limit) + top + 1
             + (group * value_bytes + 32) * _carried_cells(top) + _SEGMENT_BYTES * _SEGMENT)
     have = _memory_available()
     if have is not None and need > have:

@@ -1,60 +1,49 @@
 """Prime sieving and the arithmetic functions everything else consumes.
 
-The central object is :class:`PrimeTables`: a smallest-prime-factor (spf)
-table up to a fixed limit plus the ascending prime list.  All the number
-theoretic helpers (factorization, largest prime factor, m-fold divisor
-functions, squarefree counts) are pure reads against it, so one instance
-can be shared freely between workers.
+The central object is :class:`PrimeTables`: the ascending prime list up to a
+fixed limit plus a largest-prime-factor table that indexes it.  All the
+number theoretic helpers (factorization, largest prime factor, m-fold
+divisor functions, squarefree counts) are pure reads against it, so one
+instance can be shared freely between workers.
 
-Memory: 4 bytes per integer for the spf table (uint32), 4 more for the
-largest-factor table once a bulk sieve asks for it, plus an int64 prime
-list; a limit of 10^8 needs about 0.85 GB.  ``MAX_LIMIT`` refuses anything
-that would not fit comfortably.
+Memory: 4 bytes per integer for the table (uint32) plus an int64 prime list;
+a limit of 10^8 holds about 0.45 GB.  ``MAX_LIMIT`` refuses anything that
+would not fit comfortably.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Hard cap on table size: 8 bytes/integer (spf and largest-factor tables)
-#: plus the prime list, about 1.7 GB in total.
+#: Hard cap on table size: 4 bytes/integer plus the prime list, about 0.9 GB
+#: in total.
 MAX_LIMIT = 200_000_000
 
 
 @dataclass(eq=False)
 class PrimeTables:
-    """Smallest-prime-factor table up to ``limit`` with the prime list.
+    """The primes up to ``limit`` and the largest prime factor of each n.
 
-    ``spf[n]`` is the smallest prime factor of n, with the sentinel
-    ``spf[1] == 1`` (and ``spf[0] == 0``, never consulted).  The lazily built
-    largest-factor table holds prime *indices* into ``primes``.  Instances
-    are immutable by contract after construction.
+    The table holds prime *indices* into ``primes``.  Instances are
+    immutable by contract after construction.
     """
 
     limit: int
-    spf: np.ndarray
     primes: np.ndarray
-    _lpf: np.ndarray | None = field(default=None, repr=False)
-    _lpf_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _lpi: np.ndarray = field(repr=False)
 
     def largest_factor_table(self) -> np.ndarray:
         """uint32 array ``idx`` with ``primes[idx[n]]`` = largest prime factor of n.
 
         A prime index, not the prime, so f(P(n)) is a single gather from the
         per-prime values.  n < 2 has no prime factor: ``idx[0]`` and ``idx[1]``
-        hold the sentinel 0, which every caller must mask.  Built lazily and
-        cached, once even when seed batches on several threads ask for it
-        together; callers must not mutate it.
+        hold the sentinel 0, which every caller must mask.  Callers must not
+        mutate it.
         """
-        if self._lpf is None:
-            with self._lpf_lock:
-                if self._lpf is None:
-                    self._lpf = _largest_factor_indices(self.spf, self.primes)
-        return self._lpf
+        return self._lpi
 
     def check(self, value: int, name: str = "n", lo: int = 1) -> None:
         """Raise ``ValueError`` unless lo <= value <= limit."""
@@ -72,73 +61,67 @@ class PrimeTables:
         return self.primes[i0:i1]
 
 
-def _largest_factor_indices(spf: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """The table of :meth:`PrimeTables.largest_factor_table`, from spf and primes."""
-    limit = len(spf) - 1
-    lpf = np.zeros(limit + 1, dtype=np.uint32)
-    lpf[primes] = np.arange(len(primes))
-    # A composite n has P(n) = P(n / spf(n)), and n / spf(n) <= n/2 < lo for
-    # every n in [lo, 2*lo), so each block reads finished entries.
-    lo = 4
-    while lo <= limit:
-        hi = min(2 * lo, lo + (1 << 20), limit + 1)
-        cof = np.arange(lo, hi) // spf[lo:hi]
-        lpf[lo:hi] = np.where(cof > 1, lpf[cof], lpf[lo:hi])
-        lo = hi
-    return lpf
-
-
 def build_tables(limit: int) -> PrimeTables:
-    """Sieve the smallest prime factor of every integer up to ``limit``."""
+    """Sieve the largest prime factor of every integer up to ``limit``."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if limit > MAX_LIMIT:
         raise MemoryError(
             f"limit {limit} exceeds the supported cap {MAX_LIMIT}"
         )
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    spf[1] = 1
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            block = spf[i * i :: i]
-            block[block == 0] = i
-    # The loop never writes a prime's own entry, so the zeros are 0 and
-    # exactly the primes.
-    primes = np.flatnonzero(spf == 0)[1:].astype(np.int64)
-    spf[primes] = primes
-    return PrimeTables(limit=limit, spf=spf, primes=primes)
+    r = math.isqrt(limit)
+    # The primes <= max(r, 2): at limits 2 and 3, r = 1 would lose the prime 2.
+    is_prime = np.ones(max(r, 2) + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, math.isqrt(is_prime.size - 1) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    small = np.flatnonzero(is_prime)
+    lpi = np.zeros(limit + 1, dtype=np.uint32)
+    # In ascending order a larger prime overwrites a smaller one, so each
+    # entry ends at the index of its largest prime factor <= r.
+    for i, p in enumerate(small.tolist()):
+        lpi[p::p] = i
+    # Only 2 has index 0, so an odd n >= 3 still at 0 has no prime factor
+    # <= r; as n < (r + 1)^2, it is a prime above r.
+    big = np.flatnonzero(lpi[3::2] == 0)
+    big *= 2
+    big += 3
+    primes = np.concatenate((small, big), dtype=np.int64)
+    big = primes[small.size :]  # a view, so the flatnonzero copy is freed
+    # An n <= limit has at most one prime factor q > r, and then n = m * q
+    # with m <= r < q, so q's index is final over whatever the loop wrote.
+    for m in range(1, limit // (r + 1) + 1):
+        j = np.searchsorted(big, limit // m, side="right")
+        lpi[m * big[:j]] = np.arange(small.size, small.size + j)
+    return PrimeTables(limit=limit, primes=primes, _lpi=lpi)
 
 
 def factorize(n: int, tables: PrimeTables) -> tuple[tuple[int, int], ...]:
     """The ``(p, e)`` pairs of ``n = prod p^e``, primes strictly increasing.
 
-    Walks the spf table; ``factorize(1)`` is the empty product ``()``.
+    Walks the largest-factor table down from P(n); ``factorize(1)`` is the
+    empty product ``()``.
     """
     tables.check(n)
     m = n
     out: list[tuple[int, int]] = []
-    spf = tables.spf
+    lpi = tables.largest_factor_table()
+    primes = tables.primes
     while m > 1:
-        p = int(spf[m])
+        p = primes.item(lpi.item(m))
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         out.append((p, e))
-    return tuple(out)
+    return tuple(reversed(out))
 
 
 def largest_prime_factor(n: int, tables: PrimeTables) -> int:
     """Largest prime factor of n >= 2 (undefined, and an error, for n = 1)."""
     tables.check(n, lo=2)
-    m = n
-    spf = tables.spf
-    p = 0
-    while m > 1:
-        p = int(spf[m])
-        while m % p == 0:
-            m //= p
-    return p
+    return tables.primes.item(tables.largest_factor_table().item(n))
 
 
 def divisor_m(n: int, m: int, tables: PrimeTables) -> int:

@@ -622,7 +622,6 @@ def test_seed_batches_bound_the_peak(tables_small, model, monkeypatch):
         lambda n: y_submartingale_check(model, 100, 160, n, 4, tables_small,
                                         T=20.0, panels=60),
     ]
-    tables_small.largest_factor_table()  # cached on first use; keep it out of the peaks
     # Two workers hold their batches' temporaries at once only if their
     # batches happen to overlap, so the same call peaked anywhere from one
     # batch's temporaries to two.  A lock runs one batch at a time: the peak

@@ -1,14 +1,12 @@
 import math
-import sys
 import threading
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rmflab import (Model, SampledFunction, build_tables, conditional_variance, divisor_m,
                     factorize, grid_plan, large_prime_sum, largest_prime_factor, value_matrix)
-from rmflab import sieve
 from rmflab.sieve import MAX_LIMIT, squarefree_count, squarefree_indicator
 
 
@@ -20,17 +18,38 @@ def _trial_division_primes(n):
     return out
 
 
+def _trial_division_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def test_prime_list_matches_trial_division(tables_small):
     ref = _trial_division_primes(2000)
     got = tables_small.primes[tables_small.primes <= 2000]
     assert got.tolist() == ref
 
 
-def test_spf_is_smallest_factor(tables_small):
-    for n in range(2, 500):
-        p = int(tables_small.spf[n])
-        assert n % p == 0
-        assert all(n % d for d in range(2, p))
+def test_largest_factor_table_matches_trial_division(tables_small):
+    idx = tables_small.largest_factor_table()
+    assert idx[0] == 0 and idx[1] == 0  # the sentinel
+    for n in range(2, tables_small.limit + 1):
+        assert tables_small.primes[idx[n]] == _trial_division_factors(n)[-1][0], n
+
+
+def test_factorize_matches_trial_division(tables_small):
+    for n in range(1, tables_small.limit + 1):
+        assert factorize(n, tables_small) == _trial_division_factors(n), n
 
 
 def test_factorize_recomposes(tables_small):
@@ -113,18 +132,9 @@ def test_table_bounds_messages(tables_small, call, message):
 
 
 
-def test_largest_factor_table_is_built_once_by_concurrent_callers(monkeypatch):
-    # Seed batches on several threads may ask a fresh table for it at once.
+def test_largest_factor_table_is_one_array_for_every_caller():
+    # Seed batches on several threads read the table at once.
     tables = build_tables(5000)
-    builds = []
-
-    def slow_build(spf, primes):
-        builds.append(threading.get_ident())
-        time.sleep(0.05)  # widen the window in which a second build could start
-        return real(spf, primes)
-
-    real = sieve._largest_factor_indices
-    monkeypatch.setattr(sieve, "_largest_factor_indices", slow_build)
     start = threading.Barrier(4)
     got = []
 
@@ -132,20 +142,32 @@ def test_largest_factor_table_is_built_once_by_concurrent_callers(monkeypatch):
         start.wait(timeout=10)
         got.append(tables.largest_factor_table())
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=call) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
+    threads = [threading.Thread(target=call) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
     assert not any(t.is_alive() for t in threads)
-    assert len(builds) == 1 and len(got) == 4
+    assert len(got) == 4
     assert all(idx is got[0] for idx in got)
-    assert tables.primes[got[0][5000]] == largest_prime_factor(5000, tables)
+    assert got[0] is tables.largest_factor_table()
+    assert tables.primes[got[0][5000]] == largest_prime_factor(5000, tables) == 5
+
+
+def test_tables_hold_4_bytes_per_integer():
+    # One uint32 table and the int64 prime list, with all that the kernels
+    # read; the build's transients stay small beside them.
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        tables = build_tables(limit)
+        tables.largest_factor_table()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tables.primes.size == 78_498
+    assert held < 5 * limit, held / limit
+    assert peak < 7 * limit, peak / limit
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 24, 25, 26, 48, 49, 97, 120, 121])
@@ -154,6 +176,7 @@ def test_small_tables_match_trial_division(limit):
     t = build_tables(limit)
     assert t.primes.dtype == np.int64
     assert t.primes.tolist() == _trial_division_primes(limit)
-    assert t.spf[1] == 1
-    assert t.spf[2:].tolist() == [min(d for d in range(2, n + 1) if n % d == 0)
-                                  for n in range(2, limit + 1)]
+    idx = t.largest_factor_table()
+    assert idx[:2].tolist() == [0, 0]
+    assert t.primes[idx[2:]].tolist() == [_trial_division_factors(n)[-1][0]
+                                          for n in range(2, limit + 1)]
