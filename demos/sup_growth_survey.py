@@ -33,7 +33,8 @@ scale = np.sqrt(grid.astype(float)) * rl.fluctuation_scale(grid, eps)
 plan = rl.grid_plan(tables, grid)
 sups = np.zeros((trials, len(decades)))
 for i in range(trials):
-    _, _, ratio, _ = rl.run_trial(rl.Model.RADEMACHER, i, tables, plan, scale)
+    carry = rl.TrialCarry(rl.SampledFunction(rl.Model.RADEMACHER, i, tables), x_max)
+    _, _, ratio, _ = rl.run_trial(carry, plan, scale)
     running = np.maximum.accumulate(ratio)
     sups[i] = running[cut - 1]
 

@@ -14,6 +14,7 @@ from .euler import (
     parseval_integral,
 )
 from .harness import (
+    TrialCarry,
     doob_check,
     fluctuation_scale,
     hoeffding_tail_check,
@@ -37,6 +38,7 @@ from .sieve import (
     squarefree_count,
 )
 from .sums import (
+    GridCarry,
     conditional_variance,
     exact_expected_variance,
     grid_plan,

@@ -27,11 +27,12 @@ memory budget shared by the batches in flight; see
 threads per segment were measured about 17% faster on the benchmark's
 survey, but at a peak RSS of 63-64 MB against 53 MB.  It walks the
 integers up to ``--x-max`` in segments of ``_SEGMENT``, each trial of a
-group in turn on each segment, so its arrays beyond the sieve tables stay
+group in turn on each segment, so its arrays beyond the sieve tables and
+the values each trial carries (made once per trial, before the walk) stay
 the size of a segment; see :func:`_cmd_simulate`.  M_f and V are computed
-at every grid point, but |M_f| / scale only at the printed rows; each
-trial's sup over the others is found from |M_f|^2 (see
-:func:`rmflab.harness.run_trial`).  ``euler --check
+at every grid point, |M_f| / scale only at the printed rows, and each
+trial's sup from |M_f|^2, the same way with or without ``--full-grid``
+(see :func:`rmflab.harness.run_trial`).  ``euler --check
 parseval``, ``oracle-check``, ``submartingale-z`` and ``doob`` run one
 realization or one small batch at a time and do not scale.
 
@@ -67,7 +68,7 @@ from .euler import (
 from .reporting import MomentReport
 from .rmf import BATCH_CELLS, Model, SampledFunction
 from .sieve import build_tables
-from .sums import grid_plan, large_prime_sum, large_prime_sum_bruteforce
+from .sums import GridCarry, grid_plan, large_prime_sum, large_prime_sum_bruteforce
 
 
 #: Most rows formatted and written per chunk: at 2**13 rows a --full-grid
@@ -239,15 +240,6 @@ def _memory_available() -> int | None:
         return None
 
 
-def _carried_cells(top: int) -> int:
-    """An upper bound on the values a trial carries from segment to segment,
-    and so on the primes <= top: f(p) at each prime <= top (pi(x) < 1.26 x /
-    log x, Rosser and Schoenfeld), and f, A and the corrections on
-    [0, isqrt(top)]."""
-    n = max(top, 2)
-    return int(1.26 * n / math.log(n)) + 4 * (math.isqrt(n) + 1)
-
-
 def _check_memory(args, top: int, group: int) -> None:
     """Raise MemoryError, before anything of size x_max is made, when the
     estimated peak of ``simulate`` exceeds the memory available.
@@ -261,8 +253,8 @@ def _check_memory(args, top: int, group: int) -> None:
     """
     limit = max(args.x_max, 1000)
     value_bytes = 16 if Model(args.model) is Model.STEINHAUS else 1
-    need = (4 * (limit + 1) + 24 * _carried_cells(limit) + top + 1
-            + (group * value_bytes + 32) * _carried_cells(top) + _SEGMENT_BYTES * _SEGMENT)
+    need = (4 * (limit + 1) + 24 * GridCarry.cells(limit) + top + 1
+            + (group * value_bytes + 32) * GridCarry.cells(top) + _SEGMENT_BYTES * _SEGMENT)
     have = _memory_available()
     if have is not None and need > have:
         raise MemoryError(f"simulate --x-max {args.x_max} needs about {need >> 20} MB, "
@@ -295,15 +287,16 @@ def _cmd_simulate(args) -> int:
     trials whose carried values fit ``BATCH_CELLS``.
 
     A first pass marks the grid points, 1 B per integer, so the decimated
-    rows are known before the walk.  Each segment then gets its plan and
-    scale once, for every trial of the group.  --full-grid writes each
+    rows are known before the walk.  Each trial of a group gets its carry
+    once, bound to its realization, and each segment its plan and scale
+    once, for every trial of the group.  --full-grid writes each
     segment's rows as soon as they are made, so there a group is one trial;
     a run that fails part-way leaves the rows already written.  A bad
     --epsilon exits before the memory check and the tables.
     """
     harness._check_epsilon(args.epsilon)
     top = max(args.x_max, 1)
-    group = 1 if args.full_grid else max(1, BATCH_CELLS // _carried_cells(top))
+    group = 1 if args.full_grid else max(1, BATCH_CELLS // GridCarry.cells(top))
     _check_memory(args, top, group)
     tables = _tables(args)
     ends = [(lo, min(lo + _SEGMENT, top + 1)) for lo in range(0, top + 1, _SEGMENT)]
@@ -319,7 +312,8 @@ def _cmd_simulate(args) -> int:
     def blocks():
         for first in range(0, len(seeds), group):
             trials = range(first, min(first + group, len(seeds)))
-            carries = [harness.TrialCarry(top) for _ in trials]
+            carries = [harness.TrialCarry(SampledFunction(args.model, seeds[i], tables), top)
+                       for i in trials]
             held = [[] for _ in trials]
             done = 0  # grid points in the segments before this one
             for lo, hi in ends:
@@ -333,8 +327,7 @@ def _cmd_simulate(args) -> int:
                     pick = keep[a:b] - done
                 done += xs.size
                 for rows, i, carry in zip(held, trials, carries):
-                    m, v, normalized, _ = harness.run_trial(args.model, seeds[i], tables,
-                                                            plan, scale, carry, pick)
+                    m, v, normalized, _ = harness.run_trial(carry, plan, scale, pick)
                     rows.append(_rows(i, seeds[i], xs[pick], m, v, normalized))
                 if len(trials) == 1:
                     yield from held[0]

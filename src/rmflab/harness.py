@@ -17,8 +17,7 @@ import numpy as np
 
 from .euler import grid_quadrature, integral_on_grid, log_factor_sum, simpson_grid
 from .reporting import MomentReport, flagged, mean_se
-from .rmf import (Model, SampledFunction, abs2, cumulate, over_seeds, prime_value_matrix,
-                  value_matrix)
+from .rmf import Model, abs2, cumulate, over_seeds, prime_value_matrix, value_matrix
 from .sieve import PrimeTables, divisor_m, squarefree_count
 from .sums import (GridCarry, GridPlan, exact_expected_variance, grid_statistics,
                    quotient_sums, variance_sum)
@@ -131,9 +130,9 @@ def _normalized_max(m: np.ndarray, scale: np.ndarray, initial: float) -> float:
     return float(_normalized(m[near], scale[near]).max(initial=initial))
 
 
-def run_trial(model: Model, seed: int, tables: PrimeTables, plan: GridPlan,
-              scale: np.ndarray, carry: TrialCarry | None = None, at=slice(None)):
-    """M_f, V, the normalized |M_f| and its sup on the grid, for one realization.
+def run_trial(carry: TrialCarry, plan: GridPlan, scale: np.ndarray, at=slice(None)):
+    """M_f, V, the normalized |M_f| and its sup on the grid, for the
+    realization of ``carry``.
 
     ``plan`` and ``scale`` = sqrt(x) * fluctuation_scale(x) on ``plan.xs`` are
     computed once per grid by the caller.  Returns ``(m, v, normalized,
@@ -141,22 +140,14 @@ def run_trial(model: Model, seed: int, tables: PrimeTables, plan: GridPlan,
     points ``at`` (an index array or a slice; every point by default), and
     ``sup`` the max of ``normalized`` over every point x >= SUP_X_MIN, over
     every point when none reaches SUP_X_MIN, and 0.0 on an empty grid.
-    M_f and V are computed at every point.  With ``at`` every point, so is
-    ``normalized``, and the sup is read from it; otherwise ``normalized`` is
-    computed at ``at`` only, and the sup as in :func:`_normalized_max`, with
-    the same bits.  A walk over segments passes the trial's ``carry`` with
-    each segment's plan; the returned arrays are then the segment's, and
-    ``sup`` is over the segments so far.
+    M_f and V are computed at every point, ``normalized`` at ``at`` only,
+    and the sup as in :func:`_normalized_max`, with the bits of the max of
+    ``normalized`` at every point.  A walk over segments passes the trial's
+    ``carry`` with each segment's plan; the returned arrays are then the
+    segment's, and ``sup`` is over the segments so far.
     """
-    if carry is None:
-        carry = TrialCarry(plan.stop - 1)
-    m, v = grid_statistics(SampledFunction(model, seed, tables), plan, carry)
+    m, v = grid_statistics(plan, carry)
     split = int(np.searchsorted(plan.xs, SUP_X_MIN))
-    if isinstance(at, slice) and at == slice(None):
-        normalized = _normalized(m, scale)
-        carry.head = float(normalized[:split].max(initial=carry.head))
-        carry.tail = float(normalized[split:].max(initial=carry.tail))
-        return m, v, normalized, carry.sup
     carry.head = _normalized_max(m[:split], scale[:split], carry.head)
     carry.tail = _normalized_max(m[split:], scale[split:], carry.tail)
     return m[at], v[at], _normalized(m[at], scale[at]), carry.sup

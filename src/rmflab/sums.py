@@ -13,17 +13,17 @@ does not depend on f: :func:`grid_plan` finds them for one segment of
 integers start <= n < stop, in 6 B per kept n (about 4.4 B per integer of the
 segment, as 73 % of n <= 10^6 are kept) plus 6 B per grid point, and about
 29 B per integer of temporaries while it is built (tracemalloc, at 10^6).
-:func:`grid_statistics` is one pass over a plan per trial.  A
-:class:`GridCarry` takes a trial's running sums from one segment to the
-next, so a walk over the segments holds one segment's arrays at a time; a
-plan of the whole grid is the one-segment case.  The plan keeps its indices
-compact (int32 and int16), and the kernel gathers through them with
-``ndarray.take``, which casts an index to ``intp`` once, in one contiguous
-pass.  ``a[idx]`` with such an index casts it in small buffered chunks on
-every call: on one segment of 2^15 integers at 5*10^5 it took 72 us to
-gather f(P(n)), against 25 us with ``take`` (numpy 2.4, 2 cores).  An
-``intp`` plan would gather as fast, but for 8 B more per kept n and per
-grid point.
+:func:`grid_statistics` is one pass over a plan per trial.  A trial's
+:class:`GridCarry` is made once from its realization, and takes its running
+sums from one segment to the next, so a walk over the segments holds one
+segment's arrays at a time; a plan of the whole grid is the one-segment
+case.  The plan keeps its indices compact (int32 and int16), and the kernel
+gathers through them with ``ndarray.take``, which casts an index to
+``intp`` once, in one contiguous pass.  ``a[idx]`` with such an index casts
+it in small buffered chunks on every call: on one segment of 2^15 integers
+at 5*10^5 it took 72 us to gather f(P(n)), against 25 us with ``take``
+(numpy 2.4, 2 cores).  An ``intp`` plan would gather as fast, but for 8 B
+more per kept n and per grid point.
 
 Boundary convention throughout: "p > sqrt(u)" is evaluated as p*p > u in
 integer arithmetic, equivalently p > isqrt(u); no floating point square
@@ -220,42 +220,44 @@ def grid_plan(tables: PrimeTables, xs, start: int = 0, stop: int | None = None) 
 
 
 class GridCarry:
-    """What :func:`grid_statistics` carries for one realization from a
+    """What :func:`grid_statistics` carries for the realization ``F`` from a
     segment to the next, over the integers up to ``top``.
 
-    On the first segment it hashes f(p) at every prime <= top (1 B each for
-    Rademacher, 16 B for Steinhaus) and sieves f on [0, isqrt(top)]; every
-    later segment reads them.  ``m`` and ``v`` are the running sums over the
-    kept n < ``stop``, the integers of the segments so far, before the
+    Made once per trial, before its first segment: f(p) at every prime <= top
+    (``fp``; 1 B each for Rademacher, 16 B for Steinhaus), f on
+    [0, isqrt(top)] (``fs``), the |A|^2 increments (``d2``) and the
+    cumulative M and V corrections per prime square (``corr_m``,
+    ``corr_v``).  ``m`` and ``v`` are the running sums over the kept
+    n < ``stop``, the integers of the segments so far, before the
     prime-square corrections.
     """
 
-    def __init__(self, top: int):
-        self.top = top
-        self.stop = 0
-        self.m = self.v = 0
-        self._values = None
+    def __init__(self, F: SampledFunction, top: int):
+        tables = F.tables
+        tables.check(top, "x")
+        self.top, self.stop, self.m, self.v = top, 0, 0, 0
+        s = math.isqrt(top)
+        # max(top, 2) keeps the leading slot's prime index 0 valid on an
+        # empty grid.
+        self.fp = F.prime_values(tables.primes[: tables.prime_count_upto(max(top, 2))])
+        self.fs = F.values_up_to(s)
+        A = cumulate(self.fs)
+        a2 = abs2(A)
+        self.d2 = np.diff(a2, prepend=0)
+        # Once x passes p^2 the prime p leaves (sqrt(x), x] and its
+        # accumulated contribution (all n = p*m with m <= p-1) must be removed.
+        ps = tables.primes[: tables.prime_count_upto(s)]
+        self.corr_m = np.concatenate(([0], np.cumsum(self.fp[: ps.size] * A[ps - 1])))
+        self.corr_v = np.concatenate(([0], np.cumsum(a2[ps - 1])))
 
-    def values(self, F: SampledFunction):
-        """(f(p) per prime <= top, f on [0, isqrt(top)], the |A|^2 increments,
-        and the cumulative M and V corrections per prime square), made once."""
-        if self._values is None:
-            tables = F.tables
-            tables.check(self.top, "x")
-            s = math.isqrt(self.top)
-            # max(top, 2) keeps the leading slot's prime index 0 valid on an
-            # empty grid.
-            fp = F.prime_values(tables.primes[: tables.prime_count_upto(max(self.top, 2))])
-            fs = F.values_up_to(s)
-            A = cumulate(fs)
-            a2 = abs2(A)
-            # Once x passes p^2 the prime p leaves (sqrt(x), x] and its
-            # accumulated contribution (all n = p*m with m <= p-1) must be removed.
-            ps = tables.primes[: tables.prime_count_upto(s)]
-            self._values = (fp, fs, np.diff(a2, prepend=0),
-                            np.concatenate(([0], np.cumsum(fp[: ps.size] * A[ps - 1]))),
-                            np.concatenate(([0], np.cumsum(a2[ps - 1]))))
-        return self._values
+    @staticmethod
+    def cells(top: int) -> int:
+        """An upper bound on the values a carry up to ``top`` holds, and so on
+        the primes <= top: f(p) at each prime <= top (pi(x) < 1.26 x / log x,
+        Rosser and Schoenfeld), and f, A and the corrections on
+        [0, isqrt(top)]."""
+        n = max(top, 2)
+        return int(1.26 * n / math.log(n)) + 4 * (math.isqrt(n) + 1)
 
 
 def _running_sum(terms: np.ndarray, start):
@@ -267,32 +269,29 @@ def _running_sum(terms: np.ndarray, start):
     return np.cumsum(acc, out=acc)
 
 
-def grid_statistics(F: SampledFunction, plan: GridPlan,
-                    carry: GridCarry | None = None) -> tuple[np.ndarray, np.ndarray]:
+def grid_statistics(plan: GridPlan, carry: GridCarry) -> tuple[np.ndarray, np.ndarray]:
     """M_f and V at every x of ``plan.xs``: the per-trial half of the kernel.
 
-    ``carry`` is F's :class:`GridCarry` from the segments before ``plan``,
-    which cover [0, plan.start); it is updated for the next one.  Without
-    one, a fresh carry up to the plan's last integer is used.
+    ``carry`` is the realization's :class:`GridCarry` from the segments
+    before ``plan``, which cover [0, plan.start); it is updated for the next
+    one.  A plan of the whole grid takes a fresh carry.
     Each kept n = P(n)*q has f(n) = f(P(n)) * f(q), one gather.  Both
     statistics are a running sum over the kept n (of f(n), or of the
     telescoped |A|^2 increment at q) minus a correction at prime squares,
     where a prime leaves (sqrt(x), x] for good.  Rademacher sums are exact
     int64 throughout; V is returned as float64.
     """
-    if carry is None:
-        carry = GridCarry(plan.stop - 1)
     if plan.start != carry.stop or plan.stop - 1 > carry.top:
         raise ValueError(f"segment [{plan.start}, {plan.stop}) does not follow "
                          f"[0, {carry.stop}) within [0, {carry.top}]")
-    fp, fs, d2, corr_m, corr_v = carry.values(F)
-    m_run = _running_sum(fp.take(plan.prime_index) * fs.take(plan.quotient), carry.m)
-    v_run = _running_sum(d2.take(plan.quotient), carry.v)
+    m_run = _running_sum(carry.fp.take(plan.prime_index) * carry.fs.take(plan.quotient),
+                         carry.m)
+    v_run = _running_sum(carry.d2.take(plan.quotient), carry.v)
     carry.stop, carry.m, carry.v = plan.stop, m_run[-1], v_run[-1]
     m_vals = m_run.take(plan.kept)
-    m_vals -= corr_m.take(plan.squares)
+    m_vals -= carry.corr_m.take(plan.squares)
     v_vals = v_run.take(plan.kept)
-    v_vals -= corr_v.take(plan.squares)
+    v_vals -= carry.corr_v.take(plan.squares)
     # V(x) >= |A(1)|^2 = 1 for x >= 2 (Bertrand) and V(1) = 0, so a negative
     # value can only come from a broken decomposition.
     if np.any(v_vals < 0):

@@ -206,7 +206,8 @@ def test_criterion_09_trend_report(tables, capsys):
     plan = rl.grid_plan(tables, grid)
 
     def sup(seed):
-        return rl.run_trial(rl.Model.RADEMACHER, seed, tables, plan, scale)[3]
+        F = rl.SampledFunction(rl.Model.RADEMACHER, seed, tables)
+        return rl.run_trial(rl.TrialCarry(F, plan.stop - 1), plan, scale)[3]
 
     def survey(seed_base):
         return np.array([sup(seed_base + i) for i in range(100)])

@@ -16,6 +16,7 @@ import rmflab
 from rmflab import SampledFunction, build_tables, grid_plan, grid_statistics, harness
 from rmflab import cli
 from rmflab.cli import _build_parser, main
+from rmflab.sums import GridCarry
 
 
 def _run(args):
@@ -407,7 +408,7 @@ def test_a_3se_check_on_one_trial_is_a_usage_error(capsys):
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    def broken(F, plan, carry=None):
+    def broken(plan, carry):
         raise RuntimeError("negative V")
 
     monkeypatch.setattr("rmflab.harness.grid_statistics", broken)
@@ -422,10 +423,10 @@ def test_a_broken_carry_makes_simulate_exit_4(model, monkeypatch, capsys):
     # own guard must catch it.
     kernel = harness.grid_statistics
 
-    def broken(F, plan, carry=None):
+    def broken(plan, carry):
         if plan.start >= 50_000:
             carry.v = 0
-        return kernel(F, plan, carry)
+        return kernel(plan, carry)
 
     monkeypatch.setattr("rmflab.harness.grid_statistics", broken)
     assert _run(["simulate", "--trials", "1", "--x-max", "100000", "--model", model]) == 4
@@ -464,7 +465,7 @@ def _reference_full_grid(model: str, trials: int, x_max: int) -> dict[str, bytes
     plan = grid_plan(tables, grid)
     rows, sups = [], []
     for i in range(trials):
-        m, v = grid_statistics(SampledFunction(model, i, tables), plan)
+        m, v = grid_statistics(plan, GridCarry(SampledFunction(model, i, tables), plan.stop - 1))
         m = np.asarray(m, dtype=np.complex128)
         trial_rows = []
         for j in range(grid.size):

@@ -44,6 +44,7 @@ from rmflab.harness import (
     _z_trajectories,
 )
 from rmflab.rmf import abs2, cumulate
+from rmflab.sums import GridCarry, grid_statistics
 
 
 def _brute_test_points(epsilon, x_max):
@@ -92,8 +93,8 @@ def test_run_trial_consistent_with_pointwise(tables_small):
     grid = grid_points(0.1, 3000)
     scale = np.sqrt(grid.astype(np.float64)) * fluctuation_scale(grid, 0.1)
     plan = grid_plan(tables_small, grid)
-    m, v, normalized, sup = run_trial(Model.STEINHAUS, 5, tables_small, plan, scale)
     F = SampledFunction(Model.STEINHAUS, 5, tables_small)
+    m, v, normalized, sup = run_trial(harness.TrialCarry(F, 3000), plan, scale)
     j = len(grid) // 2
     x = int(grid[j])
     assert m[j] == pytest.approx(large_prime_sum(F, x), abs=1e-9)
@@ -105,8 +106,9 @@ def test_run_trial_consistent_with_pointwise(tables_small):
 @pytest.mark.parametrize("model", list(Model))
 def test_run_trial_on_an_empty_grid(tables_small, model):
     grid = grid_points(0.1, 2)
-    m, v, normalized, sup = run_trial(model, 5, tables_small,
-                                      grid_plan(tables_small, grid), np.zeros(0))
+    m, v, normalized, sup = run_trial(
+        harness.TrialCarry(SampledFunction(model, 5, tables_small), 2),
+        grid_plan(tables_small, grid), np.zeros(0))
     assert m.size == v.size == normalized.size == 0 and sup == 0.0
 
 
@@ -156,24 +158,35 @@ def test_the_near_tie_is_ranked_apart_by_abs2():
 
 
 @pytest.mark.parametrize("model", list(Model))
-def test_run_trial_at_some_points_matches_every_point(tables_small, model):
-    # Segments below, across and above SUP_X_MIN = 100, and the whole grid
-    # as one segment.
-    top = 3000
-    grid = grid_points(0.1, top)
-    for starts in ([0, 64, 99, 101, 150, 1000], [0]):
+def test_run_trial_matches_the_definition_of_its_rows_and_sup(tables_small, model):
+    # Segments below, across and above SUP_X_MIN = 100, the whole grid as one
+    # segment, and a walk whose grid never reaches 100.  The reference takes
+    # M and V from a plain GridCarry, np.hypot at every point, and the max over
+    # the points x >= 100 of the walk so far, or over all of them.
+    grid = grid_points(0.1, 3000)
+    for starts, top in (([0, 64, 99, 101, 150, 1000], 3000), ([0], 3000), ([0, 7, 50], 99)):
         for seed in range(10):
-            every, some = harness.TrialCarry(top), harness.TrialCarry(top)
+            F = SampledFunction(model, seed, tables_small)
+            ref_carry = GridCarry(F, top)
+            carries = {"some": harness.TrialCarry(F, top), "every": harness.TrialCarry(F, top)}
+            seen_x, seen_m, seen_scale = [], [], []
             for lo, hi in zip(starts, starts[1:] + [top + 1]):
                 xs = grid[(grid >= lo) & (grid < hi)]
                 scale = np.sqrt(xs.astype(np.float64)) * fluctuation_scale(xs, 0.1)
                 plan = grid_plan(tables_small, xs, lo, hi)
-                at = np.arange(0, xs.size, 7)
-                ref = run_trial(model, seed, tables_small, plan, scale, every)
-                got = run_trial(model, seed, tables_small, plan, scale, some, at)
-                assert [_bits(a[at]) for a in ref[:3]] == [_bits(a) for a in got[:3]]
-                assert _bits(got[3]) == _bits(ref[3]), (starts, seed, lo)
-            assert every.tail > -math.inf
+                m, v = grid_statistics(plan, ref_carry)
+                seen_x.append(xs)
+                seen_m.append(m)
+                seen_scale.append(scale)
+                all_x, all_m, all_scale = map(np.concatenate, (seen_x, seen_m, seen_scale))
+                sel = all_x >= 100 if np.any(all_x >= 100) else slice(None)
+                ref_sup = _hypot_max(all_m[sel], all_scale[sel], 0.0)
+                for name, at in (("some", np.arange(0, xs.size, 7)), ("every", slice(None))):
+                    got = run_trial(carries[name], plan, scale, at)
+                    ref = (m[at], v[at], np.hypot(m.real, m.imag)[at] / scale[at])
+                    assert [_bits(a) for a in got[:3]] == [_bits(a) for a in ref], name
+                    assert _bits(got[3]) == _bits(ref_sup), (starts, seed, lo, name)
+            assert (carries["every"].tail > -math.inf) == (top >= 100)
 
 
 @pytest.mark.parametrize("model", list(Model))

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rmflab import build_tables, cli, grid_plan, harness
+from rmflab import SampledFunction, build_tables, cli, grid_plan, harness
 from rmflab.cli import main
 
 MODELS = ["rademacher", "steinhaus"]
@@ -19,7 +19,9 @@ def _whole_grid(model: str, epsilon: float, x_max: int, seeds):
     grid = harness.test_points(epsilon, x_max)
     scale = np.sqrt(grid.astype(np.float64)) * harness.fluctuation_scale(grid, epsilon)
     plan = grid_plan(tables, grid)
-    return grid, [harness.run_trial(model, s, tables, plan, scale) for s in seeds]
+    return grid, [harness.run_trial(harness.TrialCarry(SampledFunction(model, s, tables),
+                                                       plan.stop - 1), plan, scale)
+                  for s in seeds]
 
 
 def _bits(a) -> np.ndarray:

@@ -22,6 +22,12 @@ from rmflab.rmf import cumulate, value_matrix
 from rmflab.sums import ORACLE_CAP, GridCarry, variance_sum
 
 
+def _whole_grid(F, xs):
+    """grid_statistics on one plan of the whole grid ``xs``, with a fresh carry."""
+    plan = grid_plan(F.tables, xs)
+    return grid_statistics(plan, GridCarry(F, plan.stop - 1))
+
+
 @pytest.mark.parametrize("model", list(Model))
 @pytest.mark.parametrize("x", [2, 3, 4, 10, 31, 100, 101, 997, 1000, 2500])
 def test_fast_sum_matches_bruteforce(tables_small, model, x):
@@ -106,7 +112,7 @@ def test_increment_decomposition_sums_exactly(tables_small, model):
 def test_grid_statistics_match_pointwise(tables_small, model):
     F = SampledFunction(model, 6, tables_small)
     xs = np.array([3, 4, 5, 9, 10, 25, 26, 100, 121, 500, 1000, 4999])
-    m_vals, v_vals = grid_statistics(F, grid_plan(tables_small, xs))
+    m_vals, v_vals = _whole_grid(F, xs)
     for j, x in enumerate(xs.tolist()):
         if model is Model.RADEMACHER:
             assert m_vals[j] == large_prime_sum(F, x)
@@ -127,13 +133,13 @@ def test_segment_walk_matches_the_pointwise_oracles(tables_small, model, segment
     xs = np.sort(np.concatenate((xs, [2, 48, 49, 49, 50, 120, 121, 121, 122, 999, 999, top])))
     starts = sorted(set(range(0, top + 1, segment)) | {49, 121})
     F = SampledFunction(model, 23, tables_small)
-    carry = GridCarry(top)
+    carry = GridCarry(F, top)
     m_vals, v_vals = [], []
     for lo, hi in zip(starts, starts[1:] + [top + 1]):
         plan = grid_plan(tables_small, xs[(xs >= lo) & (xs < hi)], lo, hi)
         assert ([plan.prime_index.dtype, plan.quotient.dtype, plan.kept.dtype, plan.squares.dtype]
                 == [np.int32, np.int16, np.int32, np.int16])
-        m, v = grid_statistics(F, plan, carry)
+        m, v = grid_statistics(plan, carry)
         m_vals += m.tolist()
         v_vals += v.tolist()
     assert len(m_vals) == len(v_vals) == xs.size
@@ -152,21 +158,21 @@ def test_a_broken_carry_trips_the_negative_variance_guard(tables, model):
     top, segment = 100_000, 1 << 15
     xs = np.arange(2, top + 1)
     F = SampledFunction(model, 3, tables)
-    carry = GridCarry(top)
+    carry = GridCarry(F, top)
     starts = range(0, top + 1, segment)
     with pytest.raises(RuntimeError, match="negative conditional variance -"):
         for lo in starts:
             hi = min(lo + segment, top + 1)
             if lo >= top // 2:
                 carry.v = 0
-            grid_statistics(F, grid_plan(tables, xs[(xs >= lo) & (xs < hi)], lo, hi), carry)
+            grid_statistics(grid_plan(tables, xs[(xs >= lo) & (xs < hi)], lo, hi), carry)
     assert lo == 2 * segment < starts[-1]  # the first segment with a broken carry
 
 
 def test_grid_statistics_tolerates_duplicates(tables_small):
     F = SampledFunction(Model.RADEMACHER, 6, tables_small)
     xs = np.array([10, 100, 100, 500])
-    m_vals, v_vals = grid_statistics(F, grid_plan(tables_small, xs))
+    m_vals, v_vals = _whole_grid(F, xs)
     assert m_vals[1] == m_vals[2]
     assert v_vals[1] == v_vals[2]
 
@@ -183,15 +189,24 @@ def test_grid_plan_rejects_x_outside_the_tables(tables_small, xs):
 
 
 def test_grid_statistics_rejects_a_plan_beyond_its_tables(tables, tables_small):
-    plan = grid_plan(tables, [100, 20_000])
+    F = SampledFunction(Model.RADEMACHER, 0, tables_small)
     with pytest.raises(ValueError):
-        grid_statistics(SampledFunction(Model.RADEMACHER, 0, tables_small), plan)
+        GridCarry(F, 20_000)
+    with pytest.raises(ValueError):
+        grid_statistics(grid_plan(tables, [100, 20_000]), GridCarry(F, tables_small.limit))
+
+
+def test_a_carry_checks_its_top_before_it_hashes(tables_small, monkeypatch):
+    F = SampledFunction(Model.STEINHAUS, 0, tables_small)
+    for name in ("prime_values", "values_up_to"):
+        monkeypatch.setattr(SampledFunction, name, lambda *args: pytest.fail("hashed"))
+    with pytest.raises(ValueError, match="outside"):
+        GridCarry(F, tables_small.limit + 1)
 
 
 @pytest.mark.parametrize("model", list(Model))
 def test_grid_statistics_on_an_empty_grid(tables_small, model):
-    m_vals, v_vals = grid_statistics(SampledFunction(model, 0, tables_small),
-                                     grid_plan(tables_small, []))
+    m_vals, v_vals = _whole_grid(SampledFunction(model, 0, tables_small), [])
     assert m_vals.size == v_vals.size == 0
     assert m_vals.dtype == (np.int64 if model is Model.RADEMACHER else np.complex128)
     assert v_vals.dtype == np.float64
@@ -203,8 +218,8 @@ def test_one_plan_serves_every_trial(tables_small):
     for model in Model:
         for seed in range(5):
             F = SampledFunction(model, seed, tables_small)
-            got = grid_statistics(F, plan)
-            fresh = grid_statistics(F, grid_plan(tables_small, xs))
+            got = grid_statistics(plan, GridCarry(F, plan.stop - 1))
+            fresh = _whole_grid(F, xs)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh]
 
 
@@ -231,7 +246,7 @@ def _model_seed_grid(draw):
 def test_grid_statistics_match_oracles(tables_small, case):
     model, seed, xs = case
     F = SampledFunction(model, seed, tables_small)
-    m_vals, v_vals = grid_statistics(F, grid_plan(tables_small, xs))
+    m_vals, v_vals = _whole_grid(F, xs)
     for x, m, v in zip(xs, m_vals.tolist(), v_vals.tolist()):
         brute = large_prime_sum_bruteforce(F, x)
         cv = conditional_variance(F, x)
