@@ -295,7 +295,7 @@ def _cmd_simulate(args) -> int:
     --epsilon exits before the memory check and the tables.
     """
     harness._check_epsilon(args.epsilon)
-    top = max(args.x_max, 1)
+    top = args.x_max
     group = 1 if args.full_grid else max(1, BATCH_CELLS // GridCarry.cells(top))
     _check_memory(args, top, group)
     tables = _tables(args)
@@ -352,18 +352,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_oracle_check(args) -> int:
-    tables = _tables(args)
+def _oracle_rows(args, model: Model, tables) -> tuple[list[dict], bool]:
+    """The fast large-prime sum against the brute force, per seed and x."""
     xs = _points(args, [100, 1000, 3000])
     rows = []
-    ok = True
     for i in range(args.trials):
-        F = SampledFunction(args.model, args.seed + i, tables)
+        F = SampledFunction(model, args.seed + i, tables)
         for x in xs:
             fast = complex(large_prime_sum(F, x))
             brute = complex(large_prime_sum_bruteforce(F, x))
             match = abs(fast - brute) <= 1e-9 * max(1.0, abs(brute))
-            ok = ok and match
             rows.append(
                 {
                     "seed": args.seed + i,
@@ -375,8 +373,7 @@ def _cmd_oracle_check(args) -> int:
                     "match": match,
                 }
             )
-    _emit_rows(rows, args.format, args.out)
-    return 0 if ok else 1
+    return rows, all(r["match"] for r in rows)
 
 
 def _parseval_rows(args, model: Model, tables) -> tuple[list[dict], bool]:
@@ -395,69 +392,58 @@ def _parseval_rows(args, model: Model, tables) -> tuple[list[dict], bool]:
     return rows, all(r["match"] for r in rows)
 
 
-#: moments suite -> (the suite-specific flags it reads, its one library call,
-#: which returns the reports the suite prints).
-_SUITES = {
-    "hypercontractive": (["--m"], lambda a, model, tables: harness.hypercontractive_check(
-        {n: 1.0 / n for n in range(1, a.x_max + 1)},
-        (a.m,) if a.m is not None else (1, 2, 3), a.trials, model, tables,
-        seed_base=a.seed)),
-    "hoeffding": (["--epsilon", "--points"], lambda a, model, tables:
-                  harness.hoeffding_tail_check(model, _points(a, [1000]), a.epsilon,
-                                               a.seed, a.trials, tables)),
-    "doob": (["--lam"], lambda a, model, tables: harness.doob_check(
-        "z", a.lam, a.trials, model, tables, seed_base=a.seed)),
-    "submartingale-z": ([], lambda a, model, tables: harness.submartingale_z_check(
-        model, 1000, 1365, 1375, a.trials, a.seed, tables)),
-    "submartingale-y": ([], lambda a, model, tables: [harness.y_submartingale_check(
-        model, 100, 150, a.trials, a.seed, tables)]),
-}
+def _variance_rows(args, model: Model, tables) -> tuple[list[dict], bool]:
+    """The ensemble of V(x) at each x against its exact mean."""
+    rows = harness.variance_ratio_ensemble(model, args.trials, tables, seed_base=args.seed,
+                                           xs=_points(args, [1000, 10000]))
+    return rows, not any(r["violated"] for r in rows)
 
-#: euler check -> (the check-specific flags it reads, its call, which returns
-#: the rows the check prints and whether they all pass).
+
+#: (check subcommand, its --suite or --check value, or None) -> (the suite
+#: flags the check reads, its call, which returns the rows the check prints
+#: and whether they all pass).
 _CHECKS = {
-    "parseval": (["--tcut", "--quad-tol"], _parseval_rows),
-    "product-expectation": (["--t-param", "--points"], lambda a, model, tables: _checked([
-        expected_product_identity_check(model, x, min(a.x_max, 10 * x), a.t_param,
-                                        a.trials, tables, seed_base=a.seed)
-        for x in _points(a, [10, 100])])),
-    "sigma-event": (["--t-param"], lambda a, model, tables: ([harness.sigma_event_statistic(
-        model, min(a.x_max, 1000), a.trials, a.t_param, tables, seed_base=a.seed)], True)),
+    ("moments", "hypercontractive"): (["--m"], lambda a, model, tables: _checked(
+        harness.hypercontractive_check(
+            {n: 1.0 / n for n in range(1, a.x_max + 1)},
+            (a.m,) if a.m is not None else (1, 2, 3), a.trials, model, tables,
+            seed_base=a.seed))),
+    ("moments", "hoeffding"): (["--epsilon", "--points"], lambda a, model, tables: _checked(
+        harness.hoeffding_tail_check(model, _points(a, [1000]), a.epsilon, a.seed, a.trials,
+                                     tables))),
+    ("moments", "doob"): (["--lam"], lambda a, model, tables: _checked(harness.doob_check(
+        "z", a.lam, a.trials, model, tables, seed_base=a.seed))),
+    ("moments", "submartingale-z"): ([], lambda a, model, tables: _checked(
+        harness.submartingale_z_check(model, 1000, 1365, 1375, a.trials, a.seed, tables))),
+    ("moments", "submartingale-y"): ([], lambda a, model, tables: _checked([
+        harness.y_submartingale_check(model, 100, 150, a.trials, a.seed, tables)])),
+    ("euler", "parseval"): (["--tcut", "--quad-tol"], _parseval_rows),
+    ("euler", "product-expectation"): (
+        ["--t-param", "--points"], lambda a, model, tables: _checked([
+            expected_product_identity_check(model, x, min(a.x_max, 10 * x), a.t_param,
+                                            a.trials, tables, seed_base=a.seed)
+            for x in _points(a, [10, 100])])),
+    ("euler", "sigma-event"): (["--t-param"], lambda a, model, tables: (
+        [harness.sigma_event_statistic(model, min(a.x_max, 1000), a.trials, a.t_param,
+                                       tables, seed_base=a.seed)], True)),
+    ("variance", None): (["--points"], _variance_rows),
+    ("oracle-check", None): (["--points"], _oracle_rows),
 }
 
-#: The flags only some suites or checks read; the others refuse them.
-_SUITE_FLAGS = {f for table in (_SUITES, _CHECKS) for reads, _ in table.values()
-                for f in reads}
+#: The flags only some checks read; the others refuse them.
+_SUITE_FLAGS = {f for reads, _ in _CHECKS.values() for f in reads}
 
 
-def _run_suite(args, table: dict, name: str):
-    """Call ``table[name]``, after refusing any suite flag it does not read."""
-    reads, call = table[name]
+def _cmd_check(args) -> int:
+    """Run the check ``args`` selects, after refusing any suite flag it does not read."""
+    name = getattr(args, "suite", getattr(args, "check", None))
+    reads, call = _CHECKS[args.command, name]
     unread = sorted(args.given - set(reads))
     if unread:
         raise ValueError(f"{args.command} {name} does not read {', '.join(unread)}")
-    return call(args, Model(args.model), _tables(args))
-
-
-def _cmd_moments(args) -> int:
-    rows, ok = _checked(_run_suite(args, _SUITES, args.suite))
+    rows, ok = call(args, Model(args.model), _tables(args))
     _emit_rows(rows, args.format, args.out)
     return 0 if ok else 1
-
-
-def _cmd_euler(args) -> int:
-    rows, ok = _run_suite(args, _CHECKS, args.check)
-    _emit_rows(rows, args.format, args.out)
-    return 0 if ok else 1
-
-
-def _cmd_variance(args) -> int:
-    tables = _tables(args)
-    rows = harness.variance_ratio_ensemble(args.model, args.trials, tables,
-                                           seed_base=args.seed,
-                                           xs=_points(args, [1000, 10000]))
-    _emit_rows(rows, args.format, args.out)
-    return 1 if any(r["violated"] for r in rows) else 0
 
 
 def _cmd_report(args) -> int:
@@ -506,14 +492,18 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _trials(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("must be an integer") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("trials must be positive")
-    return n
+def _positive_int(what: str):
+    """An argparse type: an integer of at least 1, else "{what} must be positive"."""
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError("must be an integer") from None
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be positive")
+        return n
+
+    return parse
 
 
 def _float_type(ok, message: str):
@@ -542,47 +532,42 @@ class _Given(argparse.Action):
         namespace.given = namespace.given | {self.option_strings[0]}
 
 
-#: Every argument any subcommand reads; each subcommand picks its own below.
+#: Every argument any subcommand reads, in the order each subcommand's
+#: parser lists them; each subcommand picks its own below.
 _OPTIONS = {
     "inputs": dict(nargs="+", help="simulate CSV files"),
-    "--suite": dict(required=True, choices=list(_SUITES)),
-    "--check": dict(required=True, choices=list(_CHECKS)),
+    "--suite": dict(required=True, choices=[n for c, n in _CHECKS if c == "moments"]),
+    "--check": dict(required=True, choices=[n for c, n in _CHECKS if c == "euler"]),
     "--model": dict(choices=[m.value for m in Model], default="rademacher"),
     "--seed": dict(type=int, default=0),
-    "--trials": dict(type=_trials, default=100),
+    "--trials": dict(type=_positive_int("trials"), default=100),
     "--epsilon": dict(type=float, default=0.1),
-    "--x-max": dict(type=int, default=10_000),
+    "--x-max": dict(type=_positive_int("x_max"), default=10_000),
     "--full-grid": dict(action="store_true"),
+    "--t-param": dict(type=_finite, default=10.0),
+    "--tcut": dict(type=_positive, default=None),
+    "--quad-tol": dict(type=_positive, default=1e-6),
     "--points": dict(default=None, help="comma-separated x values"),
     "--lam": dict(type=_positive, default=50.0),
     "--m": dict(type=int, default=None,
                 help="restrict the hypercontractive suite to one moment"),
-    "--t-param": dict(type=_finite, default=10.0),
-    "--tcut": dict(type=_positive, default=None),
-    "--quad-tol": dict(type=_positive, default=1e-6),
     "--out": dict(default=None),
     "--format": dict(choices=["csv", "json"], default="csv"),
 }
 
-#: Subcommand -> (handler, the arguments it reads).
+#: The arguments every check subcommand reads besides its checks' suite flags.
+_CHECK_FLAGS = ["--model", "--seed", "--trials", "--x-max", "--out", "--format"]
+
+#: Subcommand -> (handler, the arguments it reads besides the suite flags its
+#: entries in ``_CHECKS`` read).
 _COMMANDS = {
     "simulate": (_cmd_simulate,
                  ["--model", "--seed", "--trials", "--epsilon", "--x-max",
                   "--full-grid", "--out", "--format"]),
-    "oracle-check": (_cmd_oracle_check,
-                     ["--model", "--seed", "--trials", "--x-max", "--points",
-                      "--out", "--format"]),
-    "moments": (_cmd_moments,
-                ["--suite", "--model", "--seed", "--trials", "--epsilon",
-                 "--x-max", "--points", "--lam", "--m", "--out",
-                 "--format"]),
-    "euler": (_cmd_euler,
-              ["--check", "--model", "--seed", "--trials", "--x-max",
-               "--t-param", "--tcut", "--quad-tol", "--points", "--out",
-               "--format"]),
-    "variance": (_cmd_variance,
-                 ["--model", "--seed", "--trials", "--x-max", "--points",
-                  "--out", "--format"]),
+    "oracle-check": (_cmd_check, _CHECK_FLAGS),
+    "moments": (_cmd_check, ["--suite", *_CHECK_FLAGS]),
+    "euler": (_cmd_check, ["--check", *_CHECK_FLAGS]),
+    "variance": (_cmd_check, _CHECK_FLAGS),
     "report": (_cmd_report, ["inputs", "--out", "--format"]),
 }
 
@@ -596,9 +581,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (func, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        for flag in flags:
-            sp.add_argument(flag, **_OPTIONS[flag],
-                            **({"action": _Given} if flag in _SUITE_FLAGS else {}))
+        reads = {f for (c, _), (suite, _) in _CHECKS.items() if c == name for f in suite}
+        for flag in _OPTIONS:
+            if flag in flags or flag in reads:
+                sp.add_argument(flag, **_OPTIONS[flag],
+                                **({"action": _Given} if flag in _SUITE_FLAGS else {}))
         sp.set_defaults(func=func, given=frozenset(), **_DEFAULTS.get(name, {}))
     return p
 

@@ -561,9 +561,10 @@ def variance_ratio_ensemble(
     trials: int,
     tables: PrimeTables,
     seed_base: int = 0,
-    xs=(1000, 10_000, 100_000),
+    *,
+    xs,
 ) -> list[dict]:
-    """Distribution of V(x)*sqrt(loglog x)/x across trials, per grid x.
+    """Distribution of V(x)*sqrt(loglog x)/x across trials, per grid x in ``xs``.
 
     Also compares the Monte Carlo mean of V(x) against the closed-form
     expectation (the exact oracle), as an ``"equal"`` check.

@@ -318,19 +318,34 @@ def test_io_errors_exit_2(tmp_path, sim_csv, capsys):
     assert "dir.csv" in capsys.readouterr().err
 
 
+#: One argv per suite and check of every subcommand that reads --trials and --x-max.
+EVERY_RUN = [["simulate"], ["variance"], ["oracle-check"]]
+EVERY_RUN += [["moments", "--suite", s] for s in (
+    "hypercontractive", "hoeffding", "doob", "submartingale-z", "submartingale-y")]
+EVERY_RUN += [["euler", "--check", c] for c in (
+    "parseval", "product-expectation", "sigma-event")]
+
+
 def test_trials_must_be_positive(capsys):
-    every = [["simulate"], ["variance"], ["oracle-check"]]
-    every += [["moments", "--suite", s] for s in (
-        "hypercontractive", "hoeffding", "doob", "submartingale-z", "submartingale-y")]
-    every += [["euler", "--check", c] for c in (
-        "parseval", "product-expectation", "sigma-event")]
-    for argv in every:
+    for argv in EVERY_RUN:
         for trials in ("0", "-3"):
             assert _run(argv + ["--trials", trials]) == 2, argv
             err = capsys.readouterr().err
             assert "trials must be positive" in err and "Traceback" not in err
         assert _run(argv + ["--trials", "two"]) == 2, argv
         assert "must be an integer" in capsys.readouterr().err
+
+
+def test_x_max_must_be_positive(capsys):
+    for argv in EVERY_RUN:
+        for x_max in ("0", "-5"):
+            assert _run(argv + ["--x-max", x_max]) == 2, argv
+            err = capsys.readouterr().err
+            assert "x_max must be positive" in err and "Traceback" not in err
+        assert _run(argv + ["--x-max", "1e6"]) == 2, argv
+        assert "must be an integer" in capsys.readouterr().err
+    for x_max in ("1", "2"):
+        assert _run(["simulate", "--trials", "1", "--x-max", x_max]) == 0
 
 
 def test_quadrature_settings_must_be_positive_and_finite(capsys):
