@@ -29,7 +29,7 @@ grid = grid[grid >= 100]
 decades = [d for d in (1000, 10_000, 100_000, 1_000_000) if d <= x_max]
 cut = np.searchsorted(grid, decades, side="right")
 
-scale = np.sqrt(grid.astype(float)) * rl.fluctuation_scale(grid, eps)
+scale = rl.SegmentScale(grid, eps)
 plan = rl.grid_plan(tables, grid)
 sups = np.zeros((trials, len(decades)))
 for i in range(trials):

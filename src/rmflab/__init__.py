@@ -14,6 +14,7 @@ from .euler import (
     parseval_integral,
 )
 from .harness import (
+    SegmentScale,
     TrialCarry,
     doob_check,
     fluctuation_scale,

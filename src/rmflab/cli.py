@@ -30,9 +30,14 @@ integers up to ``--x-max`` in segments of ``_SEGMENT``, each trial of a
 group in turn on each segment, so its arrays beyond the sieve tables and
 the values each trial carries (made once per trial, before the walk) stay
 the size of a segment; see :func:`_cmd_simulate`.  M_f and V are computed
-at every grid point, |M_f| / scale only at the printed rows, and each
-trial's sup from |M_f|^2, the same way with or without ``--full-grid``
-(see :func:`rmflab.harness.run_trial`).  ``euler --check
+at every grid point.  A segment's scale sqrt(x) (log log x)^(1/4+eps) is
+computed at most once, for every trial of the group
+(:class:`rmflab.harness.SegmentScale`), and only when the segment prints
+rows or may move some trial's sup; |M_f| / scale is computed only at the
+printed rows.  Each trial's sup comes from |M_f|^2, the same way with or
+without ``--full-grid``: once it is positive, a segment whose max |M_f|^2
+over the scale^2 at its first point x >= 100 stays below the sup^2 is not
+ranked (see :func:`rmflab.harness.run_trial`).  ``euler --check
 parseval``, ``oracle-check``, ``submartingale-z`` and ``doob`` run one
 realization or one small batch at a time and do not scale.
 
@@ -83,7 +88,9 @@ _CHUNK_ROWS = 1 << 13
 _SEGMENT = 1 << 15
 #: Working set per integer of a segment: the plan and its temporaries, one
 #: trial's arrays and the segment's rows with their emit chunk.  Traced at
-#: 10^6 with the default lengths: 90-110 B, 375 B with --full-grid.
+#: 10^6, the peak above the tables per integer of a segment was 75 B
+#: (Rademacher) and 225 B (Steinhaus, with its 4 trials' carried f(p)) for
+#: the benchmark's survey, and 200 B and 365 B with --full-grid.
 _SEGMENT_BYTES = 400
 
 
@@ -288,11 +295,13 @@ def _cmd_simulate(args) -> int:
 
     A first pass marks the grid points, 1 B per integer, so the decimated
     rows are known before the walk.  Each trial of a group gets its carry
-    once, bound to its realization, and each segment its plan and scale
-    once, for every trial of the group.  --full-grid writes each
-    segment's rows as soon as they are made, so there a group is one trial;
-    a run that fails part-way leaves the rows already written.  A bad
-    --epsilon exits before the memory check and the tables.
+    once, bound to its realization, and each segment its plan and its
+    :class:`rmflab.harness.SegmentScale` once, for every trial of the group.
+    --full-grid writes each segment's rows as soon as they are made, so
+    there a group is one trial; a run that fails part-way leaves the rows
+    already written.  Without it, each trial's few rows are one block,
+    written after the group's walk.  A bad --epsilon exits before the
+    memory check and the tables.
     """
     harness._check_epsilon(args.epsilon)
     top = args.x_max
@@ -319,21 +328,21 @@ def _cmd_simulate(args) -> int:
             for lo, hi in ends:
                 xs = np.flatnonzero(on_grid[lo:hi]) + lo
                 plan = grid_plan(tables, xs, lo, hi)
-                scale = np.sqrt(xs.astype(np.float64)) * harness.fluctuation_scale(
-                    xs, args.epsilon)
+                scale = harness.SegmentScale(xs, args.epsilon)
                 pick = slice(None)
                 if keep is not None:
                     a, b = np.searchsorted(keep, [done, done + xs.size])
                     pick = keep[a:b] - done
                 done += xs.size
-                for rows, i, carry in zip(held, trials, carries):
+                for parts, i, carry in zip(held, trials, carries):
                     m, v, normalized, _ = harness.run_trial(carry, plan, scale, pick)
-                    rows.append(_rows(i, seeds[i], xs[pick], m, v, normalized))
-                if len(trials) == 1:
-                    yield from held[0]
-                    held[0].clear()
-            for rows in held:
-                yield from rows
+                    if keep is None:
+                        yield _rows(i, seeds[i], xs, m, v, normalized)
+                    else:
+                        parts.append((xs[pick], m, v, normalized))
+            if keep is not None:
+                for parts, i in zip(held, trials):
+                    yield _rows(i, seeds[i], *map(np.concatenate, zip(*parts)))
             sups.extend(carry.sup for carry in carries)
         sup = np.asarray(sups)
         yield {

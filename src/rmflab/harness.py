@@ -11,6 +11,7 @@ per-resample seeds.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -87,9 +88,10 @@ class TrialCarry(GridCarry):
 
 
 #: Relative margin below the largest |M|^2 / scale^2 of a segment within
-#: which :func:`_normalized_max` takes np.hypot.  The rounding error of
-#: |M|^2 / scale^2 is a few parts in 1e16, so the point where np.hypot
-#: peaks always lies within it.
+#: which :func:`_normalized_max` takes np.hypot, and by which a segment's
+#: bound in :func:`run_trial` must stay below the sup^2 to skip the
+#: segment.  The rounding error of |M|^2 / scale^2 is a few parts in 1e16,
+#: so the point where np.hypot peaks always lies within it.
 _NEAR_MAX = 1e-9
 
 
@@ -119,38 +121,70 @@ def _normalized_max(m: np.ndarray, scale: np.ndarray, initial: float) -> float:
     """
     if m.dtype.kind != "c" or m.size == 0:
         return float(_normalized(m, scale).max(initial=initial))
-    # np.square and an in-place add, not rmf.abs2, whose m.real * m.real
-    # on the strided parts took two to three times as long on a segment of
-    # 2**15 points.
-    r = np.square(m.real)
-    r += np.square(m.imag)
+    r = abs2(m)
     r /= scale
     r /= scale
     near = np.flatnonzero(r >= r.max() * (1.0 - _NEAR_MAX))
     return float(_normalized(m[near], scale[near]).max(initial=initial))
 
 
-def run_trial(carry: TrialCarry, plan: GridPlan, scale: np.ndarray, at=slice(None)):
+class SegmentScale:
+    """sqrt(x) * fluctuation_scale(x, epsilon) at a segment's grid points
+    ``xs``, shared by the trials that walk the segment.
+
+    ``values`` is computed on first use and at most once.
+    :func:`run_trial` asks for it only to print rows, to rank the points
+    below SUP_X_MIN, or to rank a segment whose bound does not rule out a
+    new sup.
+    """
+
+    def __init__(self, xs: np.ndarray, epsilon: float):
+        self.xs, self.epsilon = xs, epsilon
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return np.sqrt(self.xs.astype(np.float64)) * fluctuation_scale(self.xs, self.epsilon)
+
+    def floor(self, i: int) -> float:
+        """The scale at ``xs[i]``, which bounds it below at every later
+        point, as the scale increases with x."""
+        x = int(self.xs[i])
+        return math.sqrt(x) * fluctuation_scale(x, self.epsilon)
+
+
+def run_trial(carry: TrialCarry, plan: GridPlan, scale: SegmentScale, at=slice(None)):
     """M_f, V, the normalized |M_f| and its sup on the grid, for the
     realization of ``carry``.
 
-    ``plan`` and ``scale`` = sqrt(x) * fluctuation_scale(x) on ``plan.xs`` are
-    computed once per grid by the caller.  Returns ``(m, v, normalized,
-    sup)``: M_f, V and ``normalized`` = |M_f(x)| / scale(x) at the grid
-    points ``at`` (an index array or a slice; every point by default), and
-    ``sup`` the max of ``normalized`` over every point x >= SUP_X_MIN, over
-    every point when none reaches SUP_X_MIN, and 0.0 on an empty grid.
-    M_f and V are computed at every point, ``normalized`` at ``at`` only,
-    and the sup as in :func:`_normalized_max`, with the bits of the max of
-    ``normalized`` at every point.  A walk over segments passes the trial's
-    ``carry`` with each segment's plan; the returned arrays are then the
-    segment's, and ``sup`` is over the segments so far.
+    ``plan`` and ``scale``, the :class:`SegmentScale` of ``plan.xs``, are
+    made once per segment by the caller, for every trial that walks it.
+    Returns ``(m, v, normalized, sup)``: M_f, V and ``normalized`` =
+    |M_f(x)| / scale(x) at the grid points ``at`` (an index array or a
+    slice; every point by default), and ``sup`` the max of ``normalized``
+    over every point x >= SUP_X_MIN, over every point when none reaches
+    SUP_X_MIN, and 0.0 on an empty grid.  M_f and V are computed at every
+    point, ``normalized`` at ``at`` only, and the sup as in
+    :func:`_normalized_max`, with the bits of the max of ``normalized`` at
+    every point.  A walk over segments passes the trial's ``carry`` with
+    each segment's plan; the returned arrays are then the segment's, and
+    ``sup`` is over the segments so far.  Once the sup is positive, a
+    segment whose max |M_f|^2 over the scale^2 at its first point
+    x >= SUP_X_MIN stays below the sup^2 by more than ``_NEAR_MAX`` cannot
+    move it, and is not ranked.
     """
     m, v = grid_statistics(plan, carry)
     split = int(np.searchsorted(plan.xs, SUP_X_MIN))
-    carry.head = _normalized_max(m[:split], scale[:split], carry.head)
-    carry.tail = _normalized_max(m[split:], scale[split:], carry.tail)
-    return m[at], v[at], _normalized(m[at], scale[at]), carry.sup
+    if split:
+        carry.head = _normalized_max(m[:split], scale.values[:split], carry.head)
+    tail = m[split:]
+    # The scale increases with x, so max |M|^2 over the squared scale at the
+    # first point x >= SUP_X_MIN bounds |M|^2 / scale^2 at every later one.
+    if tail.size and not (carry.tail > 0 and float(abs2(tail).max()) / scale.floor(split) ** 2
+                          * (1.0 + _NEAR_MAX) < carry.tail ** 2):
+        carry.tail = _normalized_max(tail, scale.values[split:], carry.tail)
+    rows = m[at]
+    normalized = _normalized(rows, scale.values[at]) if rows.size else np.zeros(0)
+    return rows, v[at], normalized, carry.sup
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +601,14 @@ def variance_ratio_ensemble(
     """Distribution of V(x)*sqrt(loglog x)/x across trials, per grid x in ``xs``.
 
     Also compares the Monte Carlo mean of V(x) against the closed-form
-    expectation (the exact oracle), as an ``"equal"`` check.
+    expectation (the exact oracle), as an ``"equal"`` check.  An x below 3,
+    where log log x is not positive, raises ``ValueError`` before any seed
+    is hashed.
     """
     model = Model(model)
+    for x in xs:
+        if x < 3:
+            raise ValueError(f"x={x}: x must be >= 3 so that log log x > 0")
     out = []
     seeds = range(seed_base, seed_base + trials)
     for x in xs:

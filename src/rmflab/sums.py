@@ -11,8 +11,9 @@ and the suites in :mod:`rmflab.harness` are built on it.
 On a grid up to N, which n <= N have P(n)^2 > n, with P(n) and q = n // P(n),
 does not depend on f: :func:`grid_plan` finds them for one segment of
 integers start <= n < stop, in 6 B per kept n (about 4.4 B per integer of the
-segment, as 73 % of n <= 10^6 are kept) plus 6 B per grid point, and about
-29 B per integer of temporaries while it is built (tracemalloc, at 10^6).
+segment, as 73 % of n <= 10^6 are kept) plus 4 B per grid point (``kept``)
+and 8 B per prime square in the segment (``square_at``), and about
+21 B per integer of temporaries while it is built (tracemalloc, at 10^6).
 :func:`grid_statistics` is one pass over a plan per trial.  A trial's
 :class:`GridCarry` is made once from its realization, and takes its running
 sums from one segment to the next, so a walk over the segments holds one
@@ -23,7 +24,11 @@ gathers through them with ``ndarray.take``, which casts an index to
 it in small buffered chunks on every call: on one segment of 2^15 integers
 at 5*10^5 it took 72 us to gather f(P(n)), against 25 us with ``take``
 (numpy 2.4, 2 cores).  An ``intp`` plan would gather as fast, but for 8 B
-more per kept n and per grid point.
+more per kept n and per grid point.  The prime-square corrections are
+constant between two prime squares, so the kernel subtracts each one in
+place over its run of grid points.  There are 168 prime squares up to
+10^6, where a count per grid point cost a gather at each of the 10^6 grid
+points at epsilon = 0.1.
 
 Boundary convention throughout: "p > sqrt(u)" is evaluated as p*p > u in
 integer arithmetic, equivalently p > isqrt(u); no floating point square
@@ -172,7 +177,9 @@ class GridPlan(NamedTuple):
 
     ``prime_index`` and ``quotient`` lead with a slot (0, 0) that
     :func:`grid_statistics` fills with the sums carried in from the segments
-    before, so their length is 1 + the kept count.
+    before, so their length is 1 + the kept count.  The number of primes
+    with p^2 <= x is ``squares_before`` at the first grid points, and grows
+    by one at each grid index in ``square_at``.
     """
 
     xs: np.ndarray  #: the ascending int64 grid points, all in [start, stop)
@@ -181,7 +188,8 @@ class GridPlan(NamedTuple):
     prime_index: np.ndarray  #: int32 index of P(n) in ``tables.primes``, per kept n
     quotient: np.ndarray  #: int16 n // P(n) < sqrt(n), per kept n
     kept: np.ndarray  #: int32 number of kept n in [start, x], per grid point
-    squares: np.ndarray  #: int16 number of primes with p^2 <= x, per grid point
+    squares_before: int  #: number of primes with p^2 < start
+    square_at: np.ndarray  #: index of the first grid point x >= p^2, per p^2 in the segment
 
 
 def grid_plan(tables: PrimeTables, xs, start: int = 0, stop: int | None = None) -> GridPlan:
@@ -199,12 +207,12 @@ def grid_plan(tables: PrimeTables, xs, start: int = 0, stop: int | None = None) 
     if not 0 <= start < stop or np.any(xs[:1] < start) or np.any(xs[-1:] >= stop):
         raise ValueError(f"grid outside the segment [{start}, {stop})")
     lpi = tables.largest_factor_table()[start:stop]
-    p = tables.primes.take(lpi)
-    q = np.arange(start, stop)
+    # uint32 holds every n <= MAX_LIMIT < 2^32 and divides faster than int64.
+    p = tables.primes.take(lpi).astype(np.uint32)
+    q = np.arange(start, stop, dtype=np.uint32)
     q //= p
-    # n = P(n)*q is kept when q < P(n), i.e. P(n)^2 > n, and is a prime square
-    # when q = P(n); n < 2 has no P(n).
-    keep, square = q < p, q == p
+    # n = P(n)*q is kept when q < P(n), i.e. P(n)^2 > n; n < 2 has no P(n).
+    keep = q < p
     keep[:max(0, 2 - start)] = False
     del p
     n = np.flatnonzero(keep)
@@ -212,11 +220,11 @@ def grid_plan(tables: PrimeTables, xs, start: int = 0, stop: int | None = None) 
     quotient = np.zeros(n.size + 1, dtype=np.int16)
     prime_index[1:], quotient[1:] = lpi[n], q[n]
     del n, q
-    at = xs - start
-    squares_before = tables.prime_count_upto(math.isqrt(start - 1)) if start else 0
+    before = tables.prime_count_upto(math.isqrt(start - 1)) if start else 0
+    inside = tables.primes[before:tables.prime_count_upto(math.isqrt(stop - 1))]
     return GridPlan(xs, start, stop, prime_index, quotient,
-                    np.cumsum(keep, dtype=np.int32)[at],
-                    (np.cumsum(square, dtype=np.int16) + np.int16(squares_before))[at])
+                    np.cumsum(keep, dtype=np.int32)[xs - start],
+                    before, np.searchsorted(xs, inside * inside))
 
 
 class GridCarry:
@@ -289,9 +297,14 @@ def grid_statistics(plan: GridPlan, carry: GridCarry) -> tuple[np.ndarray, np.nd
     v_run = _running_sum(carry.d2.take(plan.quotient), carry.v)
     carry.stop, carry.m, carry.v = plan.stop, m_run[-1], v_run[-1]
     m_vals = m_run.take(plan.kept)
-    m_vals -= carry.corr_m.take(plan.squares)
     v_vals = v_run.take(plan.kept)
-    v_vals -= carry.corr_v.take(plan.squares)
+    # The correction is constant between two prime squares: one in-place
+    # subtraction per run, not a gather per grid point.
+    ends = [*plan.square_at.tolist(), len(plan.xs)]
+    for k, (a, b) in enumerate(zip([0, *ends], ends), plan.squares_before):
+        if a < b:
+            m_vals[a:b] -= carry.corr_m[k]
+            v_vals[a:b] -= carry.corr_v[k]
     # V(x) >= |A(1)|^2 = 1 for x >= 2 (Bertrand) and V(1) = 0, so a negative
     # value can only come from a broken decomposition.
     if np.any(v_vals < 0):

@@ -202,7 +202,7 @@ def test_criterion_09_trend_report(tables, capsys):
     grid = grid_points(0.1, 1_000_000)
     ok = grid.size > 0 and grid[0] == 3 and grid[-1] == 1_000_000
 
-    scale = np.sqrt(grid.astype(np.float64)) * rl.fluctuation_scale(grid, 0.1)
+    scale = rl.SegmentScale(grid, 0.1)
     plan = rl.grid_plan(tables, grid)
 
     def sup(seed):

@@ -91,6 +91,14 @@ def test_variance_exit_code(capsys):
     assert _run(["variance", "--trials", "400", "--points", "1000"]) == 0
 
 
+@pytest.mark.parametrize("x", ["1", "2"])
+def test_variance_below_3_is_a_usage_error_that_names_x(x, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "value_matrix", lambda *args: pytest.fail("hashed"))
+    assert _run(["variance", "--trials", "10", "--points", f"1000,{x}"]) == 2
+    captured = capsys.readouterr()
+    assert f"x={x}: x must be >= 3" in captured.err and captured.out == ""
+
+
 def test_report_aggregates(tmp_path):
     sim = tmp_path / "sim.csv"
     agg = tmp_path / "agg.csv"

@@ -94,7 +94,8 @@ def test_run_trial_consistent_with_pointwise(tables_small):
     scale = np.sqrt(grid.astype(np.float64)) * fluctuation_scale(grid, 0.1)
     plan = grid_plan(tables_small, grid)
     F = SampledFunction(Model.STEINHAUS, 5, tables_small)
-    m, v, normalized, sup = run_trial(harness.TrialCarry(F, 3000), plan, scale)
+    m, v, normalized, sup = run_trial(harness.TrialCarry(F, 3000), plan,
+                                      harness.SegmentScale(grid, 0.1))
     j = len(grid) // 2
     x = int(grid[j])
     assert m[j] == pytest.approx(large_prime_sum(F, x), abs=1e-9)
@@ -108,7 +109,7 @@ def test_run_trial_on_an_empty_grid(tables_small, model):
     grid = grid_points(0.1, 2)
     m, v, normalized, sup = run_trial(
         harness.TrialCarry(SampledFunction(model, 5, tables_small), 2),
-        grid_plan(tables_small, grid), np.zeros(0))
+        grid_plan(tables_small, grid), harness.SegmentScale(grid, 0.1))
     assert m.size == v.size == normalized.size == 0 and sup == 0.0
 
 
@@ -182,11 +183,78 @@ def test_run_trial_matches_the_definition_of_its_rows_and_sup(tables_small, mode
                 sel = all_x >= 100 if np.any(all_x >= 100) else slice(None)
                 ref_sup = _hypot_max(all_m[sel], all_scale[sel], 0.0)
                 for name, at in (("some", np.arange(0, xs.size, 7)), ("every", slice(None))):
-                    got = run_trial(carries[name], plan, scale, at)
+                    got = run_trial(carries[name], plan, harness.SegmentScale(xs, 0.1), at)
                     ref = (m[at], v[at], np.hypot(m.real, m.imag)[at] / scale[at])
                     assert [_bits(a) for a in got[:3]] == [_bits(a) for a in ref], name
                     assert _bits(got[3]) == _bits(ref_sup), (starts, seed, lo, name)
             assert (carries["every"].tail > -math.inf) == (top >= 100)
+
+
+def _sup_walk(tables, model, seed, starts, top, near_tie=None):
+    """run_trial's sup after each segment of a walk over [0, top] whose
+    segments begin at ``starts``, and the reference: the max of
+    _normalized(m, scale) over every point x >= 100 so far, or over every
+    point while none reaches 100.
+
+    With ``near_tie`` = -1, 0 or 1, each segment after the sup turns
+    positive first sets the carried sup, in the carry and the reference,
+    to one float below, at or above the segment's own max over x >= 100.
+    """
+    grid = grid_points(0.1, top)
+    F = SampledFunction(model, seed, tables)
+    carry, ref = harness.TrialCarry(F, top), GridCarry(F, top)
+    head, tail = 0.0, -math.inf
+    got, want = [], []
+    for lo, hi in zip(starts, [*starts[1:], top + 1]):
+        xs = grid[(grid >= lo) & (grid < hi)]
+        plan = grid_plan(tables, xs, lo, hi)
+        m, _ = grid_statistics(plan, ref)
+        scale = np.sqrt(xs.astype(np.float64)) * fluctuation_scale(xs, 0.1)
+        normalized = harness._normalized(m, scale)
+        low = xs < 100
+        if near_tie is not None and np.any(~low) and carry.tail > 0:
+            best = normalized[~low].max()
+            tail = carry.tail = float(np.nextafter(best, near_tie * math.inf)
+                                      if near_tie else best)
+        head = normalized[low].max(initial=head)
+        tail = normalized[~low].max(initial=tail)
+        got.append(run_trial(carry, plan, harness.SegmentScale(xs, 0.1),
+                             np.zeros(0, dtype=np.intp))[3])
+        want.append(tail if tail > -math.inf else head)
+    return got, want
+
+
+def _check_sup_walks(tables):
+    """Every walk's sups equal the reference's, bit for bit; returns how
+    many walks' sup moved after their first segment."""
+    moved = 0
+    for model in Model:
+        # Segments of 1000, of 7 below 100, and of one integer each from 100.
+        for top, starts, near_tie in ((30_000, range(0, 30_001, 1000), None),
+                                      (99, range(0, 100, 7), None),
+                                      *((299, [0, *range(100, 300)], t) for t in (-1, 0, 1))):
+            for seed in range(8 if near_tie is None else 4):
+                got, want = _sup_walk(tables, model, seed, list(starts), top, near_tie)
+                assert [_bits(g) for g in got] == [_bits(w) for w in want], (
+                    model, top, near_tie, seed)
+                moved += near_tie is None and len(set(got[1:])) > 1
+    return moved
+
+
+def test_the_walked_sup_is_the_max_over_every_point(tables):
+    # Sups that move in later segments, near-ties at the carried sup, and a
+    # grid that stops below SUP_X_MIN = 100.
+    assert _check_sup_walks(tables) > 8
+
+
+def test_a_bound_from_the_segments_last_point_breaks_the_walked_sup(tables, monkeypatch):
+    # The scale at the last point overstates the scale at the others, so the
+    # bound lets a segment that moves the sup go unranked.
+    floor = harness.SegmentScale.floor
+    monkeypatch.setattr(harness.SegmentScale, "floor",
+                        lambda self, i: floor(self, len(self.xs) - 1))
+    with pytest.raises(AssertionError):
+        _check_sup_walks(tables)
 
 
 @pytest.mark.parametrize("model", list(Model))

@@ -1,6 +1,7 @@
 """``simulate`` walks its grid in segments: the same bits as one whole-grid
 pass, in memory that does not grow with the trial count."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ def _whole_grid(model: str, epsilon: float, x_max: int, seeds):
     plan of the whole grid with a zero carry."""
     tables = build_tables(max(x_max, 1000))
     grid = harness.test_points(epsilon, x_max)
-    scale = np.sqrt(grid.astype(np.float64)) * harness.fluctuation_scale(grid, epsilon)
+    scale = harness.SegmentScale(grid, epsilon)
     plan = grid_plan(tables, grid)
     return grid, [harness.run_trial(harness.TrialCarry(SampledFunction(model, s, tables),
                                                        plan.stop - 1), plan, scale)
@@ -75,6 +76,41 @@ def test_segments_match_the_whole_grid(model, epsilon, x_max, monkeypatch):
             assert summary["x"] == (int(grid[-1]) if grid.size else 0)
             assert _bits(summary["v"]) == _bits(sups.max()), (segment, full)
             assert _bits(summary["normalized"]) == _bits(sups.mean()), (segment, full)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_segment_scale_is_made_once_and_only_where_needed(model, monkeypatch, tmp_path):
+    # A whole-segment scale is logged by its first x.  A segment that prints
+    # no row "cannot move" a trial's sup when its max |M| over the scale at
+    # its first x >= SUP_X_MIN stays a relative 1e-6 below the sup before it.
+    made = []
+    scale = harness.fluctuation_scale
+
+    def logged(x, epsilon):
+        if isinstance(x, np.ndarray):
+            made.append(int(x[0]))
+        return scale(x, epsilon)
+
+    monkeypatch.setattr(harness, "fluctuation_scale", logged)
+    x_max, seeds = 1_000_000, range(20, 24)
+    assert main(["simulate", "--x-max", str(x_max), "--trials", "4", "--seed", "20",
+                 "--model", model, "--out", str(tmp_path / "out.csv")]) == 0
+    monkeypatch.undo()
+    assert len(made) == len(set(made))
+    grid, ref = _whole_grid(model, 0.1, x_max, seeds)
+    printed = set((grid[cli._decimate(grid.size)] // cli._SEGMENT).tolist())
+    t0 = int(np.searchsorted(grid, harness.SUP_X_MIN))
+    quiet = []
+    for k in range(x_max // cli._SEGMENT + 1):
+        a, b = np.searchsorted(grid, [k * cli._SEGMENT, (k + 1) * cli._SEGMENT])
+        f = max(a, t0)
+        if k in printed or f >= b:
+            continue
+        floor = math.sqrt(grid[f]) * scale(int(grid[f]), 0.1)
+        if all(np.abs(m[f:b]).max() / floor < (1 - 1e-6) * normalized[t0:f].max(initial=0.0)
+               for m, _, normalized, _ in ref):
+            quiet.append(int(grid[a]))
+    assert len(quiet) >= 20 and not set(quiet) & set(made)
 
 
 def _traced_peak(fn) -> int:

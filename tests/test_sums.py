@@ -137,8 +137,8 @@ def test_segment_walk_matches_the_pointwise_oracles(tables_small, model, segment
     m_vals, v_vals = [], []
     for lo, hi in zip(starts, starts[1:] + [top + 1]):
         plan = grid_plan(tables_small, xs[(xs >= lo) & (xs < hi)], lo, hi)
-        assert ([plan.prime_index.dtype, plan.quotient.dtype, plan.kept.dtype, plan.squares.dtype]
-                == [np.int32, np.int16, np.int32, np.int16])
+        assert ([plan.prime_index.dtype, plan.quotient.dtype, plan.kept.dtype, plan.square_at.dtype]
+                == [np.int32, np.int16, np.int32, np.intp])
         m, v = grid_statistics(plan, carry)
         m_vals += m.tolist()
         v_vals += v.tolist()

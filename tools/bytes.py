@@ -13,8 +13,8 @@ them differs between the trees, and 0 when every one is identical.
 The argument lists are every ``perfbench/workloads.py`` ``cycle_argvs`` list
 at seeds 7 and 3, cycles 0 and 1 (that file is imported, never written),
 and, for both models, a fixed list of edge cases: a full grid as CSV and as
-JSON, grids that stop below SUP_X_MIN = 100 or are empty, a wide epsilon and
-``oracle-check``.
+JSON, grids that stop below SUP_X_MIN = 100 or are empty, a wide epsilon, a
+survey whose sups move after its first segment and ``oracle-check``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ EXTRA = [
     ["simulate", "--trials", "2", "--x-max", "50"],
     ["simulate", "--x-max", "2", "--full-grid"],
     ["simulate", "--epsilon", "0.24", "--trials", "4", "--x-max", "300000"],
+    ["simulate", "--trials", "4", "--x-max", "1000000", "--seed", "20"],
     ["oracle-check"],
 ]
 
