@@ -20,11 +20,11 @@ for model in rl.Model:
     print(f"\n{model.value}, {trials} trials")
     print(f"{'x':>8} {'mean V':>12} {'exact E V':>12} {'ratio med':>10} "
           f"{'ratio q90':>10}")
-    for row in rl.variance_ratio_ensemble(model, trials, tables,
-                                          xs=(1000, 10_000, 100_000)):
-        flag = "" if not row["violated"] else "  <-- outside 3 SE!"
-        print(f"{row['x']:>8} {row['mean_v']:>12.1f} {row['exact_ev']:>12.1f} "
-              f"{row['ratio_median']:>10.3f} {row['ratio_q90']:>10.3f}{flag}")
+    xs = (1000, 10_000, 100_000)
+    for x, rep in zip(xs, rl.variance_ratio_ensemble(model, trials, tables, xs=xs)):
+        flag = "" if not rep.violated else "  <-- outside 3 SE!"
+        print(f"{x:>8} {rep.estimate:>12.1f} {rep.bound:>12.1f} "
+              f"{rep.aux['ratio_median']:>10.3f} {rep.aux['ratio_q90']:>10.3f}{flag}")
 
 print("\nThe ratio column is V(x)*sqrt(loglog x)/x; the q90/median gap shows")
 print("the heavy upper tail driven by |A_f| spikes at quotients near sqrt(x).")

@@ -34,17 +34,17 @@ at every grid point.  A segment's scale sqrt(x) (log log x)^(1/4+eps) is
 computed at most once, for every trial of the group
 (:class:`rmflab.harness.SegmentScale`), and only when the segment prints
 rows or may move some trial's sup; |M_f| / scale is computed only at the
-printed rows.  Each trial's sup comes from |M_f|^2, the same way with or
-without ``--full-grid``: once it is positive, a segment whose max |M_f|^2
-over the scale^2 at its first point x >= 100 stays below the sup^2 is not
-ranked (see :func:`rmflab.harness.run_trial`).  ``euler --check
-parseval``, ``oracle-check``, ``submartingale-z`` and ``doob`` run one
-realization or one small batch at a time and do not scale.
+printed rows and on the segments that may move a sup.  Each trial's sup is
+taken the same way with or without ``--full-grid``: once it is positive, a
+segment whose max |M_f|^2 over the scale^2 at its first point x >= 100
+stays below the sup^2 is skipped (see :func:`rmflab.harness.run_trial`).
+``euler --check parseval``, ``oracle-check``, ``submartingale-z`` and
+``doob`` run one realization or one small batch at a time and do not scale.
 
-Exit codes: 0 all checks passed, 1 a statistical check was violated,
-2 usage or I/O error, 3 resource or quadrature failure (including a
-``simulate`` whose estimated peak exceeds the memory available), 4 internal
-error (with a traceback on stderr).
+Exit codes: 0 all checks passed, 1 some printed row has ``violated`` true
+or ``match`` false, 2 usage or I/O error, 3 resource or quadrature failure
+(including a ``simulate`` whose estimated peak exceeds the memory
+available), 4 internal error (with a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -207,13 +207,12 @@ def _points(args, default: list[int]) -> list[int]:
     return [int(v) for v in args.points.split(",")] if args.points else default
 
 
-def _checked(reports: list[MomentReport]) -> tuple[list[dict], bool]:
-    """The rows that print ``reports``, and whether none is violated."""
-    rows = [{"label": r.label, "estimate": float(r.estimate),
+def _checked(reports: list[MomentReport]) -> list[dict]:
+    """The rows that print ``reports``."""
+    return [{"label": r.label, "estimate": float(r.estimate),
              "std_error": float(r.std_error), "bound": float(r.bound),
              "trials": r.trials, "violated": bool(r.violated),
              **{f"aux_{k}": r.aux[k] for k in sorted(r.aux)}} for r in reports]
-    return rows, not any(r["violated"] for r in rows)
 
 
 def _decimate(n: int, keep: int = 30) -> np.ndarray:
@@ -361,7 +360,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _oracle_rows(args, model: Model, tables) -> tuple[list[dict], bool]:
+def _oracle_rows(args, model: Model, tables) -> list[dict]:
     """The fast large-prime sum against the brute force, per seed and x."""
     xs = _points(args, [100, 1000, 3000])
     rows = []
@@ -382,10 +381,10 @@ def _oracle_rows(args, model: Model, tables) -> tuple[list[dict], bool]:
                     "match": match,
                 }
             )
-    return rows, all(r["match"] for r in rows)
+    return rows
 
 
-def _parseval_rows(args, model: Model, tables) -> tuple[list[dict], bool]:
+def _parseval_rows(args, model: Model, tables) -> list[dict]:
     """Random coefficient cases of the Parseval identity; f plays no part."""
     quad = QuadratureConfig(t_cut=args.tcut, rel_tol=args.quad_tol)
     rng = np.random.default_rng(args.seed)
@@ -398,19 +397,21 @@ def _parseval_rows(args, model: Model, tables) -> tuple[list[dict], bool]:
         rows.append({"case": i, "n_coeffs": n, "lhs": res.lhs, "rhs": res.rhs,
                      "error_bound": res.error_bound,
                      "match": abs(res.lhs - res.rhs) <= tol})
-    return rows, all(r["match"] for r in rows)
+    return rows
 
 
-def _variance_rows(args, model: Model, tables) -> tuple[list[dict], bool]:
+def _variance_rows(args, model: Model, tables) -> list[dict]:
     """The ensemble of V(x) at each x against its exact mean."""
-    rows = harness.variance_ratio_ensemble(model, args.trials, tables, seed_base=args.seed,
-                                           xs=_points(args, [1000, 10000]))
-    return rows, not any(r["violated"] for r in rows)
+    xs = _points(args, [1000, 10000])
+    reports = harness.variance_ratio_ensemble(model, args.trials, tables, seed_base=args.seed,
+                                              xs=xs)
+    return [{"x": x, "trials": r.trials, "mean_v": r.estimate, "std_error": r.std_error,
+             "exact_ev": r.bound, "violated": r.violated, **r.aux}
+            for x, r in zip(xs, reports)]
 
 
 #: (check subcommand, its --suite or --check value, or None) -> (the suite
-#: flags the check reads, its call, which returns the rows the check prints
-#: and whether they all pass).
+#: flags the check reads, its call, which returns the rows the check prints).
 _CHECKS = {
     ("moments", "hypercontractive"): (["--m"], lambda a, model, tables: _checked(
         harness.hypercontractive_check(
@@ -432,9 +433,9 @@ _CHECKS = {
             expected_product_identity_check(model, x, min(a.x_max, 10 * x), a.t_param,
                                             a.trials, tables, seed_base=a.seed)
             for x in _points(a, [10, 100])])),
-    ("euler", "sigma-event"): (["--t-param"], lambda a, model, tables: (
-        [harness.sigma_event_statistic(model, min(a.x_max, 1000), a.trials, a.t_param,
-                                       tables, seed_base=a.seed)], True)),
+    ("euler", "sigma-event"): (["--t-param"], lambda a, model, tables: [
+        harness.sigma_event_statistic(model, min(a.x_max, 1000), a.trials, a.t_param,
+                                      tables, seed_base=a.seed)]),
     ("variance", None): (["--points"], _variance_rows),
     ("oracle-check", None): (["--points"], _oracle_rows),
 }
@@ -444,15 +445,18 @@ _SUITE_FLAGS = {f for reads, _ in _CHECKS.values() for f in reads}
 
 
 def _cmd_check(args) -> int:
-    """Run the check ``args`` selects, after refusing any suite flag it does not read."""
+    """Run the check ``args`` selects, after refusing any suite flag it does not read.
+
+    Exits 1 when a printed row has ``violated`` true or ``match`` false.
+    """
     name = getattr(args, "suite", getattr(args, "check", None))
     reads, call = _CHECKS[args.command, name]
     unread = sorted(args.given - set(reads))
     if unread:
         raise ValueError(f"{args.command} {name} does not read {', '.join(unread)}")
-    rows, ok = call(args, Model(args.model), _tables(args))
+    rows = call(args, Model(args.model), _tables(args))
     _emit_rows(rows, args.format, args.out)
-    return 0 if ok else 1
+    return int(any(r.get("violated", False) or not r.get("match", True) for r in rows))
 
 
 def _cmd_report(args) -> int:

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .euler import grid_quadrature, integral_on_grid, log_factor_sum, simpson_grid
-from .reporting import MomentReport, flagged, mean_se
+from .reporting import MomentReport, mean_se
 from .rmf import Model, abs2, cumulate, over_seeds, prime_value_matrix, value_matrix
 from .sieve import PrimeTables, divisor_m, squarefree_count
 from .sums import (GridCarry, GridPlan, exact_expected_variance, grid_statistics,
@@ -87,11 +87,10 @@ class TrialCarry(GridCarry):
         return self.tail if self.tail > -math.inf else self.head
 
 
-#: Relative margin below the largest |M|^2 / scale^2 of a segment within
-#: which :func:`_normalized_max` takes np.hypot, and by which a segment's
-#: bound in :func:`run_trial` must stay below the sup^2 to skip the
-#: segment.  The rounding error of |M|^2 / scale^2 is a few parts in 1e16,
-#: so the point where np.hypot peaks always lies within it.
+#: Relative margin by which a segment's bound in :func:`run_trial`, a max of
+#: |M|^2 over a scale^2, must stay below the sup^2 to skip the segment.  The
+#: sup is taken with np.hypot, and the rounding error of |M|^2 / scale^2 is
+#: a few parts in 1e16, so a segment within the margin may still move it.
 _NEAR_MAX = 1e-9
 
 
@@ -113,28 +112,13 @@ def _normalized(m: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalized_max(m: np.ndarray, scale: np.ndarray, initial: float) -> float:
-    """``_normalized(m, scale).max(initial=initial)``, bit for bit.
-
-    Complex m is first ranked by |m|^2 / scale^2, which needs no square
-    root, and np.hypot is taken only within ``_NEAR_MAX`` of its max.
-    """
-    if m.dtype.kind != "c" or m.size == 0:
-        return float(_normalized(m, scale).max(initial=initial))
-    r = abs2(m)
-    r /= scale
-    r /= scale
-    near = np.flatnonzero(r >= r.max() * (1.0 - _NEAR_MAX))
-    return float(_normalized(m[near], scale[near]).max(initial=initial))
-
-
 class SegmentScale:
     """sqrt(x) * fluctuation_scale(x, epsilon) at a segment's grid points
     ``xs``, shared by the trials that walk the segment.
 
     ``values`` is computed on first use and at most once.
-    :func:`run_trial` asks for it only to print rows, to rank the points
-    below SUP_X_MIN, or to rank a segment whose bound does not rule out a
+    :func:`run_trial` asks for it only to print rows, to take the sup below
+    SUP_X_MIN, or to take it on a segment whose bound does not rule out a
     new sup.
     """
 
@@ -163,25 +147,26 @@ def run_trial(carry: TrialCarry, plan: GridPlan, scale: SegmentScale, at=slice(N
     slice; every point by default), and ``sup`` the max of ``normalized``
     over every point x >= SUP_X_MIN, over every point when none reaches
     SUP_X_MIN, and 0.0 on an empty grid.  M_f and V are computed at every
-    point, ``normalized`` at ``at`` only, and the sup as in
-    :func:`_normalized_max`, with the bits of the max of ``normalized`` at
-    every point.  A walk over segments passes the trial's ``carry`` with
-    each segment's plan; the returned arrays are then the segment's, and
-    ``sup`` is over the segments so far.  Once the sup is positive, a
-    segment whose max |M_f|^2 over the scale^2 at its first point
-    x >= SUP_X_MIN stays below the sup^2 by more than ``_NEAR_MAX`` cannot
-    move it, and is not ranked.
+    point, ``normalized`` at ``at`` only, and the sup as the max of
+    :func:`_normalized` over the segment's points, with the bits of the max
+    of ``normalized`` at every point.  A walk over segments passes the
+    trial's ``carry`` with each segment's plan; the returned arrays are then
+    the segment's, and ``sup`` is over the segments so far.  Once the sup
+    is positive, a segment whose max |M_f|^2 over the scale^2 at its first
+    point x >= SUP_X_MIN stays below the sup^2 by more than ``_NEAR_MAX``
+    cannot move it, and its sup is not taken.
     """
     m, v = grid_statistics(plan, carry)
     split = int(np.searchsorted(plan.xs, SUP_X_MIN))
     if split:
-        carry.head = _normalized_max(m[:split], scale.values[:split], carry.head)
+        head = _normalized(m[:split], scale.values[:split])
+        carry.head = float(head.max(initial=carry.head))
     tail = m[split:]
     # The scale increases with x, so max |M|^2 over the squared scale at the
     # first point x >= SUP_X_MIN bounds |M|^2 / scale^2 at every later one.
     if tail.size and not (carry.tail > 0 and float(abs2(tail).max()) / scale.floor(split) ** 2
                           * (1.0 + _NEAR_MAX) < carry.tail ** 2):
-        carry.tail = _normalized_max(tail, scale.values[split:], carry.tail)
+        carry.tail = float(_normalized(tail, scale.values[split:]).max(initial=carry.tail))
     rows = m[at]
     normalized = _normalized(rows, scale.values[at]) if rows.size else np.zeros(0)
     return rows, v[at], normalized, carry.sup
@@ -597,13 +582,14 @@ def variance_ratio_ensemble(
     seed_base: int = 0,
     *,
     xs,
-) -> list[dict]:
+) -> list[MomentReport]:
     """Distribution of V(x)*sqrt(loglog x)/x across trials, per grid x in ``xs``.
 
-    Also compares the Monte Carlo mean of V(x) against the closed-form
-    expectation (the exact oracle), as an ``"equal"`` check.  An x below 3,
-    where log log x is not positive, raises ``ValueError`` before any seed
-    is hashed.
+    One report per x, in order: the Monte Carlo mean of V(x) against its
+    closed-form expectation (the exact oracle), as an ``"equal"`` check,
+    with the median and 0.9 quantile of the ratio in ``aux``.  An x below
+    3, where log log x is not positive, raises ``ValueError`` before any
+    seed is hashed.
     """
     model = Model(model)
     for x in xs:
@@ -618,20 +604,17 @@ def variance_ratio_ensemble(
                 quotient_sums(cumulate(value_matrix(model, batch, s, tables)), x, tables)[1]),
             seeds, len(tables.primes_in(s, x)))
         est, se = mean_se(vals)
-        exact = exact_expected_variance(x, model, tables)
         ratio = vals * math.sqrt(math.log(math.log(x))) / x
-        out.append(
-            {
-                "x": x,
-                "trials": trials,
-                "mean_v": est,
-                "std_error": se,
-                "exact_ev": exact,
-                "violated": flagged("equal", est, se, exact),
-                "ratio_median": float(np.median(ratio)),
-                "ratio_q90": float(np.quantile(ratio, 0.9)),
-            }
-        )
+        out.append(MomentReport(
+            estimate=est,
+            std_error=se,
+            bound=exact_expected_variance(x, model, tables),
+            trials=trials,
+            kind="equal",
+            label=f"variance x={x} {model.value}",
+            aux={"ratio_median": float(np.median(ratio)),
+                 "ratio_q90": float(np.quantile(ratio, 0.9))},
+        ))
     return out
 
 

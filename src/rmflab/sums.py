@@ -130,12 +130,14 @@ def interval_sum_pconstraint(
     """Sum of f(n) over n_lo < n <= n_hi with p_lo < P(n) <= p_hi.
 
     n = 1 is never included (its factor table sentinel is 1 and p_lo >= 1).
+    An empty n range or prime window gives the model's zero and sieves
+    nothing.
     """
     if not 0 <= n_lo <= n_hi or n_hi > F.tables.limit:
         raise ValueError(f"bad n range ({n_lo}, {n_hi}]")
     if not 1 <= p_lo <= p_hi:
         raise ValueError(f"bad prime window ({p_lo}, {p_hi}]")
-    if n_hi < 2 or p_lo == p_hi:
+    if n_hi < 2 or n_lo == n_hi or p_lo == p_hi:
         return 0 if F.model is Model.RADEMACHER else 0.0 + 0.0j
     fv = F.values_up_to(n_hi)
     lpf = F.tables.primes[F.tables.largest_factor_table()[: n_hi + 1]]
@@ -160,14 +162,8 @@ def increment_decomposition_check(F: SampledFunction, x_prev: int, x: int):
         raise ValueError(f"bad pair x_prev={x_prev}, x={x}")
     t1 = large_prime_sum(F, x_prev)
     s_prev, s = math.isqrt(x_prev), math.isqrt(x)
-    if s > s_prev:
-        t2 = -interval_sum_pconstraint(F, 0, x_prev, s_prev, s)
-    else:
-        t2 = 0 if F.model is Model.RADEMACHER else 0.0 + 0.0j
-    if x > x_prev:
-        t3 = interval_sum_pconstraint(F, x_prev, x, s, x)
-    else:
-        t3 = 0 if F.model is Model.RADEMACHER else 0.0 + 0.0j
+    t2 = -interval_sum_pconstraint(F, 0, x_prev, s_prev, s)
+    t3 = interval_sum_pconstraint(F, x_prev, x, s, x)
     return (t1, t2, t3)
 
 

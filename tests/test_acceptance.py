@@ -77,12 +77,10 @@ def test_criterion_03_variance_oracle(tables, capsys):
           and rl.exact_expected_variance(10, rl.Model.STEINHAUS, tables) == 3.0)
     details = ["E V(10)=3 exact"]
     for model in rl.Model:
-        rows = rl.variance_ratio_ensemble(model, 2000, tables,
-                                          xs=(1000, 10_000, 100_000))
-        for row in rows:
-            ok = ok and not row["violated"]
-            details.append(f"{model.value[:4]} x={row['x']}: "
-                           f"{row['mean_v']:.0f}/{row['exact_ev']:.0f}")
+        xs = (1000, 10_000, 100_000)
+        for x, rep in zip(xs, rl.variance_ratio_ensemble(model, 2000, tables, xs=xs)):
+            ok = ok and not rep.violated
+            details.append(f"{model.value[:4]} x={x}: {rep.estimate:.0f}/{rep.bound:.0f}")
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 300
     _verdict(capsys, 3, ok, "; ".join(details) + f"; {elapsed:.1f}s (budget 300s)")

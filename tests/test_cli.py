@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -463,6 +464,40 @@ def test_oracle_check_flags_a_wrong_fast_path(monkeypatch, capsys):
     assert _run(["oracle-check", "--trials", "2", "--points", "100,1000"]) == 1
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 4 and all(r["match"] == "false" for r in rows)
+
+
+#: The fewest trials each check of ``EVERY_RUN`` accepts, where more than 2.
+_FEWEST_TRIALS = {"hypercontractive": 1000, "hoeffding": 1000, "product-expectation": 100}
+
+
+def test_every_check_exits_1_exactly_when_a_printed_row_fails(monkeypatch, capsys):
+    # The exit code is read from the printed rows: a row with violated true
+    # or match false gives 1.  sigma-event prints neither column.
+    def run(argv):
+        rc = _run(argv + ["--trials", str(_FEWEST_TRIALS.get(argv[-1], 2))])
+        return rc, list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+    monkeypatch.setattr("rmflab.reporting.flagged", lambda *args: True)
+    reported = [a for a in EVERY_RUN if a[0] in ("moments", "variance")
+                or a[-1] == "product-expectation"]
+    assert len(reported) == 7
+    for argv in reported:
+        rc, rows = run(argv)
+        assert rc == 1 and rows and {r["violated"] for r in rows} == {"true"}, argv
+    assert run(["euler", "--check", "sigma-event"])[0] == 0
+
+    monkeypatch.setattr("rmflab.cli.large_prime_sum",
+                        lambda F, x: rmflab.large_prime_sum_bruteforce(F, x) + 1)
+    assert run(["oracle-check"])[0] == 1
+    check = cli.parseval_identity_check
+
+    def unequal(*args):
+        res = check(*args)
+        return dataclasses.replace(res, rhs=res.lhs + 1.0 + 2.0 * res.error_bound)
+
+    monkeypatch.setattr("rmflab.cli.parseval_identity_check", unequal)
+    rc, rows = run(["euler", "--check", "parseval"])
+    assert rc == 1 and {r["match"] for r in rows} == {"false"}
 
 
 def _fmt(v) -> str:

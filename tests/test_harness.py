@@ -147,13 +147,14 @@ def _sup_cases():
 @pytest.mark.parametrize("m,scale", [c[1:] for c in _sup_cases()],
                          ids=[c[0] for c in _sup_cases()])
 def test_the_sup_from_abs2_is_the_hypot_max_bit_for_bit(m, scale, initial):
-    got = harness._normalized_max(m, scale, initial)
+    # run_trial's sup, the max of _normalized, against np.hypot at every point.
+    got = float(harness._normalized(m, scale).max(initial=initial))
     assert _bits(got) == _bits(_hypot_max(m, scale, initial))
 
 
 def test_the_near_tie_is_ranked_apart_by_abs2():
-    # Taking np.hypot only at the largest |m|^2 would give the smaller value,
-    # so this case fails when _NEAR_MAX is 0.
+    # The segment bound compares a max |m|^2 with the square of a np.hypot
+    # sup; this pair is why it needs the _NEAR_MAX margin.
     r, h = abs2(_NEAR_TIE), np.hypot(_NEAR_TIE.real, _NEAR_TIE.imag)
     assert r[0] > r[1] and h[0] < h[1]
 
@@ -249,7 +250,7 @@ def test_the_walked_sup_is_the_max_over_every_point(tables):
 
 def test_a_bound_from_the_segments_last_point_breaks_the_walked_sup(tables, monkeypatch):
     # The scale at the last point overstates the scale at the others, so the
-    # bound lets a segment that moves the sup go unranked.
+    # bound skips a segment that moves the sup.
     floor = harness.SegmentScale.floor
     monkeypatch.setattr(harness.SegmentScale, "floor",
                         lambda self, i: floor(self, len(self.xs) - 1))
@@ -740,10 +741,10 @@ def test_every_path_sums_v_in_one_order(tables, x):
     vs = [conditional_variance(SampledFunction(model, s, tables), x) for s in range(3)]
     for s, v in enumerate(vs):
         assert hoeffding_tail_check(model, [x], 0.1, s, 1000, tables)[0].aux["v0"] == v
-    row = variance_ratio_ensemble(model, 3, tables, seed_base=0, xs=(x,))[0]
-    assert row["mean_v"] == float(np.mean(vs))
+    rep = variance_ratio_ensemble(model, 3, tables, seed_base=0, xs=(x,))[0]
+    assert rep.estimate == float(np.mean(vs))
     ratios = np.array(vs) * math.sqrt(math.log(math.log(x))) / x
-    assert row["ratio_median"] == float(np.median(ratios))
+    assert rep.aux["ratio_median"] == float(np.median(ratios))
 
 
 def _reference_integrals(model, seeds, x, ts, w, tables):
@@ -792,12 +793,12 @@ def test_y_trajectories_match_per_seed_complex_reference(tables_small, model):
 
 def test_variance_ratio_ensemble(tables_small):
     rows = variance_ratio_ensemble(Model.STEINHAUS, 600, tables_small, xs=(1000,))
-    row = rows[0]
-    assert not row["violated"]
-    assert row["exact_ev"] == pytest.approx(
+    rep = rows[0]
+    assert not rep.violated
+    assert rep.bound == pytest.approx(
         sum(1000 // p for p in tables_small.primes_in(31, 1000).tolist())
     )
-    assert row["ratio_q90"] >= row["ratio_median"] > 0
+    assert rep.aux["ratio_q90"] >= rep.aux["ratio_median"] > 0
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -827,7 +828,7 @@ def test_variance_ratio_ensemble_flags_a_wrong_target(tables_small, model, monke
     # near 9 %, so a 10 % error would be flagged only part of the time.
     def violated():
         rows = variance_ratio_ensemble(model, 8000, tables_small, xs=(10_000,))
-        return rows[0]["violated"]
+        return rows[0].violated
 
     assert not violated()
     monkeypatch.setattr("rmflab.harness.exact_expected_variance",
