@@ -4,14 +4,10 @@ sums and their conditional variances, truncated Euler products with L2
 integrals, and Monte Carlo suites for the supporting inequalities."""
 
 from .euler import (
-    IntegralEstimate,
     ParsevalCheckResult,
-    QuadratureConfig,
-    QuadratureError,
     euler_product,
     expected_product_identity_check,
     parseval_identity_check,
-    parseval_integral,
 )
 from .harness import (
     SegmentScale,

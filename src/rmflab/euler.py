@@ -6,8 +6,10 @@ the Steinhaus case.  Only its modulus enters the integrals and expectation
 identities, so products are accumulated as sums of the real log-moduli of
 :func:`log_factor_matrix`, which cannot overflow for any truncation this
 package supports; :func:`euler_product` alone keeps a complex log.
-Integrals over t use batched adaptive Simpson with an explicit analytic
-bound on the discarded tail.
+Integrals over t use one composite Simpson grid, :func:`parseval_grid` at
+:data:`GRID_T` and :data:`GRID_PANELS`, in the suites and in
+:func:`parseval_integral`, the quadrature side of
+:func:`parseval_identity_check`.
 """
 
 from __future__ import annotations
@@ -21,36 +23,24 @@ from .reporting import MomentReport, mean_se
 from .rmf import Model, SampledFunction, abs2, over_seeds, prime_value_matrix
 from .sieve import PrimeTables
 
-#: Halvings after which adaptive Simpson gives up on a panel.
-MAX_DEPTH = 40
-
-#: Unresolved panels per initial panel at which adaptive Simpson gives up:
-#: each level's evaluation grows with its unresolved panels, so a tolerance
-#: no panel can meet (0, or below float64 resolution) fails in bounded time
-#: and memory instead of doubling the work each level.  Converging
-#: integrals in this package peak near 14.
-MAX_PANEL_GROWTH = 64
+#: The cut and the panels per half line of every Parseval integral's grid.
+GRID_T = 40.0
+GRID_PANELS = 400
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Truncation and tolerance knobs for the t-integrals.
+def parseval_grid(even: bool, T: float = GRID_T,
+                  panels: int = GRID_PANELS) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson nodes and weights of a Parseval integral over |t| <= T.
 
-    ``t_cut`` defaults (when None) to 50*log(x) for the Euler product
-    integral, which keeps the discarded 1/(1/4+t^2) mass far below the
-    requested relative tolerance at desk scale.
+    An integrand even in t, such as that of a Rademacher product (real f(p)),
+    runs on [0, T] with ``panels`` panels and doubled weights; any other,
+    such as a Steinhaus one, on [-T, T] with 2 * ``panels`` panels.  Both
+    layouts have the same step.
     """
-
-    t_cut: float | None = None
-    rel_tol: float = 1e-6
-
-
-@dataclass(frozen=True)
-class IntegralEstimate:
-    value: float
-    truncation_T: float
-    quadrature_error_bound: float
-    tail_bound: float
+    if even:
+        ts, w = simpson_grid(0.0, T, panels)
+        return ts, 2.0 * w
+    return simpson_grid(-T, T, 2 * panels)
 
 
 @dataclass(frozen=True)
@@ -61,13 +51,10 @@ class ParsevalCheckResult:
     rhs: float
     error_bound: float
 
-
-class QuadratureError(RuntimeError):
-    """Adaptive refinement gave up; ``partial`` holds the best estimate."""
-
-    def __init__(self, message: str, partial: float):
-        super().__init__(message)
-        self.partial = partial
+    @property
+    def match(self) -> bool:
+        """|lhs - rhs| within ``error_bound``, with 1e-6 relative slack for rounding."""
+        return abs(self.lhs - self.rhs) <= self.error_bound + 1e-6 * max(1.0, abs(self.lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -91,142 +78,24 @@ def euler_product(F: SampledFunction | None, x: int, t: float) -> complex:
     return complex(np.exp(logs.sum()))
 
 
-def product_magnitude_bound(F: SampledFunction | None, x: int) -> float:
-    """Deterministic pointwise bound on |S_x(1/2+it)|, uniform in t."""
-    if F is None or x < 2:
-        return 1.0
-    k = F.tables.prime_count_upto(x)
-    ps = F.tables.primes[:k].astype(np.float64)
-    if F.model is Model.RADEMACHER:
-        return float(np.exp(np.sum(np.log1p(1.0 / np.sqrt(ps)))))
-    return float(np.exp(-np.sum(np.log1p(-1.0 / np.sqrt(ps)))))
-
-
-# ---------------------------------------------------------------------------
-# Batched adaptive Simpson
-# ---------------------------------------------------------------------------
-
-
-def _adaptive_simpson(func, a: float, b: float, abs_tol: float,
-                      max_depth: int, initial_panels: int) -> tuple[float, float]:
-    """Integrate vectorized ``func`` on [a, b]; returns (value, error_bound).
-
-    Classic halving with the |S2 - S1|/15 acceptance test, run breadth-first
-    so every refinement level is a single vectorized evaluation.  Raises
-    :class:`QuadratureError` after ``max_depth`` levels, or once a level holds
-    more than MAX_PANEL_GROWTH * ``initial_panels`` unresolved panels.
-    """
-    edges = np.linspace(a, b, initial_panels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    f_lo, f_mid, f_hi = func(lo), func(mid), func(hi)
-    coarse = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    total = float(np.sum(coarse))
-    value = 0.0
-    err_acc = 0.0
-    for depth in range(max_depth):
-        lm = 0.5 * (lo + mid)
-        mh = 0.5 * (mid + hi)
-        f_lm, f_mh = func(lm), func(mh)
-        left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_lm + f_mid)
-        right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_mh + f_hi)
-        fine = left + right
-        err = np.abs(fine - coarse) / 15.0
-        # Per-panel budget proportional to panel width.
-        budget = abs_tol * (hi - lo) / (b - a)
-        done = err <= budget
-        value += float(np.sum(fine[done] + (fine[done] - coarse[done]) / 15.0))
-        err_acc += float(np.sum(err[done]))
-        if np.all(done):
-            return value, err_acc
-        keep = ~done
-        lo = np.concatenate((lo[keep], mid[keep]))
-        hi = np.concatenate((mid[keep], hi[keep]))
-        f_lo = np.concatenate((f_lo[keep], f_mid[keep]))
-        f_hi = np.concatenate((f_mid[keep], f_hi[keep]))
-        mid = np.concatenate((lm[keep], mh[keep]))
-        f_mid = np.concatenate((f_lm[keep], f_mh[keep]))
-        coarse = np.concatenate((left[keep], right[keep]))
-        if lo.size > MAX_PANEL_GROWTH * initial_panels:
-            break
-    partial = value + float(np.sum(coarse))
-    raise QuadratureError(
-        f"adaptive refinement did not converge within depth {max_depth} and "
-        f"{MAX_PANEL_GROWTH * initial_panels} panels (unresolved panels: {lo.size}, "
-        f"target {abs_tol:g}, total ~{total:g})",
-        partial=partial,
-    )
-
-
-def _euler_integrand(F: SampledFunction | None, x: int):
-    """|S_x(1/2+it)|^2 / |1/2+it|^2 as a vectorized function of t."""
-    if F is None:
-        return lambda ts: 1.0 / (0.25 + ts * ts)
-    ps = F.tables.primes[:F.tables.prime_count_upto(x)]
-    fp = F.prime_values(ps)
-    return lambda ts: np.exp(2.0 * log_factor_sum(F.model, fp, ps, ts)) / (0.25 + ts * ts)
-
-
-def parseval_integral(
-    F: SampledFunction | None, x: int, quad: QuadratureConfig | None = None
-) -> IntegralEstimate:
-    """The bare integral over all t of |S_x(1/2+it)|^2 / |1/2+it|^2.
-
-    Integrates [0, T] and doubles when the integrand is even in t (Rademacher
-    and the diagnostic f = 0 mode, where f(p) is real); Steinhaus realizations
-    are not even, so both half-lines are integrated.  The |t| > T remainder is
-    bounded analytically from the pointwise product bound and recorded in
-    ``tail_bound`` rather than silently dropped.
-    """
-    quad = quad or QuadratureConfig()
-    if F is not None and x > F.tables.limit:
-        raise ValueError(f"x={x} exceeds table limit {F.tables.limit}")
-    T = quad.t_cut if quad.t_cut is not None else 50.0 * math.log(max(x, 3))
-    if T <= 0:
-        raise ValueError(f"t_cut must be positive, got {T}")
-    # |S|^2 fluctuates on scale ~1/log x; seed the panels finer than that.
-    panels = max(64, int(T * math.log(max(x, 3)) / 2.0))
-    integrand = _euler_integrand(F, x)
-    abs_tol = quad.rel_tol * 2.0 * math.pi  # refined below against the value
-    even = F is None or F.model is Model.RADEMACHER
-    if even:
-        val, err = _adaptive_simpson(integrand, 0.0, T, abs_tol, MAX_DEPTH, panels)
-        val, err = 2.0 * val, 2.0 * err
-    else:
-        v1, e1 = _adaptive_simpson(integrand, 0.0, T, abs_tol, MAX_DEPTH, panels)
-        v2, e2 = _adaptive_simpson(integrand, -T, 0.0, abs_tol, MAX_DEPTH, panels)
-        val, err = v1 + v2, e1 + e2
-    bound = product_magnitude_bound(F, x)
-    tail = bound * bound * 2.0 * (math.pi - 2.0 * math.atan(2.0 * T))
-    return IntegralEstimate(
-        value=val, truncation_T=T, quadrature_error_bound=err, tail_bound=tail
-    )
-
-
 # ---------------------------------------------------------------------------
 # Parseval identity for finitely supported Dirichlet series
 # ---------------------------------------------------------------------------
 
 
-def parseval_identity_check(
-    coeffs, sigma: float, quad: QuadratureConfig | None = None
-) -> ParsevalCheckResult:
+def parseval_identity_check(coeffs, sigma: float) -> ParsevalCheckResult:
     """Both sides of the Parseval identity for a finitely supported sequence.
 
     lhs: integral over x of |partial sum|^2 x^(-1-2*sigma) dx, in closed form
-    (the partial sum is a step function).  rhs: (1/2pi) integral over t of
-    |A(sigma+it)/(sigma+it)|^2, by adaptive quadrature on [-T, T] plus the
-    exact diagonal tail, with an integration-by-parts bound on the discarded
-    off-diagonal oscillatory tail.
+    (the partial sum is a step function).  rhs and error_bound: those of
+    :func:`parseval_integral`.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    quad = quad or QuadratureConfig(t_cut=500.0, rel_tol=1e-7)
     a = np.asarray(coeffs, dtype=np.complex128)
     if a.size == 0 or not np.any(a != 0):
         return ParsevalCheckResult(lhs=0.0, rhs=0.0, error_bound=0.0)
-    N = a.size
-    n = np.arange(1, N + 1, dtype=np.float64)
+    n = np.arange(1, a.size + 1, dtype=np.float64)
 
     # Closed-form lhs: step function constant on [k, k+1).
     S = np.cumsum(a)
@@ -236,23 +105,32 @@ def parseval_identity_check(
         np.sum(s2[:-1] * (pw[:-1] - pw[1:])) / (2.0 * sigma)
         + s2[-1] * pw[-1] / (2.0 * sigma)
     )
+    rhs, err = parseval_integral(a, sigma)
+    return ParsevalCheckResult(lhs=lhs, rhs=rhs, error_bound=err)
 
+
+def parseval_integral(coeffs, sigma: float) -> tuple[float, float]:
+    """(1/2pi) integral over all t of |A(sigma+it)/(sigma+it)|^2, and its error bound.
+
+    A(s) = sum a_n n^-s over the finitely supported ``coeffs`` (a_1 first),
+    sigma > 0.  The value is the Simpson sum on ``parseval_grid(False)`` plus
+    the exact diagonal tail beyond GRID_T.  The bound is the Simpson estimate
+    |S_h - S_2h| / 15, where S_2h is the Simpson sum on every other node of
+    the same grid, plus an integration-by-parts bound on the discarded
+    off-diagonal oscillatory tail.
+    """
+    a = np.asarray(coeffs, dtype=np.complex128)
+    n = np.arange(1, a.size + 1, dtype=np.float64)
     logn = np.log(n)
     nsig = n ** (-sigma)
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        ph = np.exp(-1j * np.outer(ts, logn))
-        A = ph @ (a * nsig)
-        return abs2(A) / (sigma * sigma + ts * ts)
-
-    T = quad.t_cut if quad.t_cut is not None else 500.0
-    if T <= 0:
-        raise ValueError(f"t_cut must be positive, got {T}")
-    # Oscillation period ~ 2*pi/log(N); keep initial panels below half of it.
-    panels = max(64, int(T * math.log(N + 1.0)))
-    abs_tol = quad.rel_tol * max(lhs, 1e-12) * 2.0 * math.pi
-    v1, e1 = _adaptive_simpson(integrand, 0.0, T, abs_tol, MAX_DEPTH, panels)
-    v2, e2 = _adaptive_simpson(integrand, -T, 0.0, abs_tol, MAX_DEPTH, panels)
+    T = GRID_T
+    ts, wts = parseval_grid(False)
+    _, coarse_wts = parseval_grid(False, T, GRID_PANELS // 2)
+    # Summed by numpy, not BLAS, so no digit depends on the thread count.
+    A = (np.exp(-1j * np.outer(ts, logn)) * (a * nsig)).sum(axis=-1)
+    g = abs2(A) / (sigma * sigma + ts * ts)
+    fine = float((g * wts).sum())
+    coarse = float((g[::2] * coarse_wts).sum())
 
     # Exact diagonal tail: the m = n terms do not oscillate.
     diag = float(
@@ -270,10 +148,8 @@ def parseval_identity_check(
     off_tail = float(
         np.sum(4.0 * off[mask] / (w[mask] * (sigma * sigma + T * T)))
     )
-
-    rhs = (v1 + v2 + diag) / (2.0 * math.pi)
-    err = (e1 + e2 + off_tail) / (2.0 * math.pi)
-    return ParsevalCheckResult(lhs=lhs, rhs=rhs, error_bound=err)
+    return ((fine + diag) / (2.0 * math.pi),
+            (abs(fine - coarse) / 15.0 + off_tail) / (2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +284,10 @@ def integral_on_grid(model: Model, fp: np.ndarray, primes: np.ndarray, ts: np.nd
     lead the result, which has one column per prime count in the ascending
     ``ends``.  :func:`log_factor_sum` sums the log-moduli as one running
     total in prime order; the log-moduli ``base`` of frozen primes, when
-    given, are added to that total before :func:`grid_quadrature`.  Used
-    inside Monte Carlo ensembles where every sample must share the
-    identical discretization; single-shot estimates should prefer
-    :func:`parseval_integral`.
+    given, are added to that total before :func:`grid_quadrature`.  The
+    suites call it on :func:`parseval_grid`, the grid
+    :func:`parseval_identity_check` checks, so every sample of a Monte Carlo
+    ensemble shares one discretization.
     """
     if np.any(np.diff(ends) < 0):
         raise ValueError(f"prime counts must ascend, got {list(ends)}")

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .euler import grid_quadrature, integral_on_grid, log_factor_sum, simpson_grid
+from .euler import (GRID_PANELS, GRID_T, grid_quadrature, integral_on_grid, log_factor_sum,
+                    parseval_grid)
 from .reporting import MomentReport, mean_se
 from .rmf import Model, abs2, cumulate, over_seeds, prime_value_matrix, value_matrix
 from .sieve import PrimeTables, divisor_m, squarefree_count
@@ -386,14 +387,6 @@ def submartingale_z_check(
     return out
 
 
-def _y_grid(model: Model, T: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    # Steinhaus realizations are not even in t; integrate both half lines.
-    if Model(model) is Model.RADEMACHER:
-        ts, w = simpson_grid(0.0, T, panels)
-        return ts, 2.0 * w
-    return simpson_grid(-T, T, 2 * panels)
-
-
 def _grid_integrals(model: Model, seeds, primes: np.ndarray, ts: np.ndarray,
                     wts: np.ndarray, ends, base=None) -> np.ndarray:
     """Matrix (seeds, len(ends)) of :func:`integral_on_grid` over f(p) on ``primes``.
@@ -415,8 +408,8 @@ def y_submartingale_check(
     resamples: int,
     seed: int,
     tables: PrimeTables,
-    T: float = 40.0,
-    panels: int = 400,
+    T: float = GRID_T,
+    panels: int = GRID_PANELS,
 ) -> MomentReport:
     """Conditional increment of the normalized Parseval-integral statistic.
 
@@ -429,7 +422,7 @@ def y_submartingale_check(
     model = Model(model)
     if not 3 <= x_from < x_to <= tables.limit:
         raise ValueError("need 3 <= x_from < x_to <= limit")
-    ts, wts = _y_grid(model, T, panels)
+    ts, wts = parseval_grid(model is Model.RADEMACHER, T, panels)
     k0 = tables.prime_count_upto(x_from)
     k1 = tables.prime_count_upto(x_to)
     base = log_factor_sum(model, prime_value_matrix(model, [seed], tables.primes[:k0])[0],
@@ -474,7 +467,7 @@ def _y_trajectories(model: Model, seeds, truncations, tables: PrimeTables,
         return np.zeros((len(seeds), 0))
     if not 2 <= truncations[0] <= truncations[-1] <= tables.limit:
         raise ValueError(f"truncations must lie in [2, {tables.limit}]")
-    ts, wts = _y_grid(model, T, panels)
+    ts, wts = parseval_grid(Model(model) is Model.RADEMACHER, T, panels)
     counts = [tables.prime_count_upto(x) for x in truncations]
     # Every truncation has weight 1 / log x0, as in y_submartingale_check.
     return (1.0 / math.log(truncations[0])) * _grid_integrals(
@@ -489,8 +482,8 @@ def doob_check(
     tables: PrimeTables,
     seed_base: int = 0,
     truncations=(50, 100, 200, 400),
-    T: float = 40.0,
-    panels: int = 400,
+    T: float = GRID_T,
+    panels: int = GRID_PANELS,
 ) -> list[MomentReport]:
     """Doob's maximal and L^2 inequalities on one of the submartingale sequences.
 
@@ -540,8 +533,8 @@ def sigma_event_statistic(
     t_param: float,
     tables: PrimeTables,
     seed_base: int = 0,
-    T: float = 40.0,
-    panels: int = 400,
+    T: float = GRID_T,
+    panels: int = GRID_PANELS,
 ) -> dict:
     """Empirical distribution of the Parseval integral at truncation x_prev.
 
@@ -557,7 +550,7 @@ def sigma_event_statistic(
         raise ValueError(f"x_prev={x_prev} outside [3, {tables.limit}]")
     if not t_param > 0:
         raise ValueError(f"t_param must be positive, got {t_param}")
-    ts, wts = _y_grid(model, T, panels)
+    ts, wts = parseval_grid(model is Model.RADEMACHER, T, panels)
     k = tables.prime_count_upto(x_prev)
     vals = _grid_integrals(model, range(seed_base, seed_base + trials), tables.primes[:k],
                            ts, wts, [k])[:, 0]

@@ -100,6 +100,17 @@ def test_variance_below_3_is_a_usage_error_that_names_x(x, capsys, monkeypatch):
     assert f"x={x}: x must be >= 3" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["euler", "--check", "parseval", "--seed", "-3"], "--seed"),
+    (["euler", "--check", "product-expectation", "--points", "1"], "--points"),
+    (["euler", "--check", "product-expectation", "--x-max", "16"], "--x-max"),
+], ids=lambda v: v if isinstance(v, str) else v[2])
+def test_an_out_of_range_value_is_refused_by_its_flag(argv, flag, capsys):
+    assert _run(argv + ["--trials", "100"]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+
+
 def test_report_aggregates(tmp_path):
     sim = tmp_path / "sim.csv"
     agg = tmp_path / "agg.csv"
@@ -199,8 +210,7 @@ KEPT_FLAGS = {
     "moments": {"--suite", "--model", "--seed", "--trials", "--epsilon",
                 "--x-max", "--points", "--lam", "--m", "--out", "--format"},
     "euler": {"--check", "--model", "--seed", "--trials", "--x-max",
-              "--t-param", "--tcut", "--quad-tol", "--points", "--out",
-              "--format"},
+              "--t-param", "--points", "--out", "--format"},
     "variance": {"--model", "--seed", "--trials", "--x-max", "--points",
                  "--out", "--format"},
     "report": {"--out", "--format"},
@@ -231,7 +241,7 @@ def sim_csv(tmp_path):
     ["variance", "--trials", "400", "--points", "1000", "--epsilon", "0.2"],
     ["oracle-check", "--points", "100", "--seeds", "1"],
     ["moments", "--suite", "hypercontractive", "--trials", "1000", "--m", "1",
-     "--x-max", "20", "--tcut", "30"],
+     "--x-max", "20", "--t-param", "3"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
 def test_subcommand_rejects_a_flag_it_does_not_read(argv, sim_csv, tmp_path, capsys):
     argv = [a.format(sim=sim_csv, tmp=tmp_path) for a in argv]
@@ -247,7 +257,7 @@ def test_subcommand_rejects_a_flag_it_does_not_read(argv, sim_csv, tmp_path, cap
     ["moments", "--suite", "hypercontractive", "--model", "steinhaus",
      "--seed", "3", "--trials", "1000", "--x-max", "30", "--m", "1"],
     ["euler", "--check", "parseval", "--model", "steinhaus", "--seed", "3",
-     "--trials", "2", "--x-max", "2000", "--tcut", "30", "--quad-tol", "1e-5"],
+     "--trials", "2", "--x-max", "2000"],
     ["variance", "--model", "steinhaus", "--seed", "3", "--trials", "400",
      "--x-max", "2000", "--points", "1000"],
     ["report", "{sim}"],
@@ -267,14 +277,14 @@ SUITE_FLAGS = {
     ("moments", "doob"): {"--lam"},
     ("moments", "submartingale-z"): set(),
     ("moments", "submartingale-y"): set(),
-    ("euler", "parseval"): {"--tcut", "--quad-tol"},
+    ("euler", "parseval"): set(),
     ("euler", "product-expectation"): {"--t-param", "--points"},
     ("euler", "sigma-event"): {"--t-param"},
 }
 
 #: A valid value of each suite flag, not the default.
 SUITE_FLAG_VALUES = {"--points": "1000", "--epsilon": "0.2", "--lam": "20", "--m": "1",
-                     "--t-param": "5", "--tcut": "30", "--quad-tol": "1e-5"}
+                     "--t-param": "5"}
 
 
 def _suite_argv(command, name):
@@ -296,9 +306,8 @@ def test_unread_suite_flags_are_all_named(capsys):
     assert _run(["moments", "--suite", "doob", "--epsilon", "7", "--points", "1",
                  "--m", "9"]) == 2
     assert "does not read --epsilon, --m, --points" in capsys.readouterr().err
-    assert _run(["euler", "--check", "sigma-event", "--tcut", "3", "--quad-tol", "5",
-                 "--points", "4"]) == 2
-    assert "does not read --points, --quad-tol, --tcut" in capsys.readouterr().err
+    assert _run(["euler", "--check", "parseval", "--t-param", "3", "--points", "4"]) == 2
+    assert "does not read --points, --t-param" in capsys.readouterr().err
     # A prefix of a flag is that flag.
     assert _run(["moments", "--suite", "doob", "--eps", "7"]) == 2
     assert "does not read --epsilon" in capsys.readouterr().err
@@ -355,17 +364,6 @@ def test_x_max_must_be_positive(capsys):
         assert "must be an integer" in capsys.readouterr().err
     for x_max in ("1", "2"):
         assert _run(["simulate", "--trials", "1", "--x-max", x_max]) == 0
-
-
-def test_quadrature_settings_must_be_positive_and_finite(capsys):
-    parseval = ["euler", "--check", "parseval", "--trials", "1"]
-    for flag, value in (("--quad-tol", "0"), ("--quad-tol", "-1"), ("--quad-tol", "nan"),
-                        ("--tcut", "0"), ("--tcut", "-5"), ("--tcut", "inf")):
-        assert _run(parseval + [flag, value]) == 2, (flag, value)
-        assert "must be positive and finite" in capsys.readouterr().err
-    # Positive, but below float64 resolution: the quadrature gives up (exit 3).
-    assert _run(parseval + ["--quad-tol", "1e-300"]) == 3
-    assert "did not converge" in capsys.readouterr().err
 
 
 def test_lam_and_t_param_must_be_finite(capsys):

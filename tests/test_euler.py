@@ -8,23 +8,22 @@ from hypothesis import strategies as st
 
 from rmflab import (
     Model,
-    QuadratureConfig,
-    QuadratureError,
+    ParsevalCheckResult,
     SampledFunction,
     euler_product,
     expected_product_identity_check,
     parseval_identity_check,
-    parseval_integral,
     prime_value_matrix,
 )
 from rmflab.euler import (
-    MAX_PANEL_GROWTH,
-    _adaptive_simpson,
+    GRID_PANELS,
+    GRID_T,
     grid_quadrature,
     integral_on_grid,
     log_factor_matrix,
     log_factor_sum,
-    product_magnitude_bound,
+    parseval_grid,
+    parseval_integral,
     simpson_grid,
 )
 
@@ -49,43 +48,25 @@ def test_euler_product_diagnostic_mode():
     assert euler_product(None, 1000, 3.7) == pytest.approx(1.0)
 
 
-def test_product_magnitude_bound_holds(tables_small):
-    F = SampledFunction(Model.STEINHAUS, 8, tables_small)
-    bound = product_magnitude_bound(F, 200)
-    for t in np.linspace(-30, 30, 41):
-        assert abs(euler_product(F, 200, float(t))) <= bound * (1 + 1e-12)
+def test_grid_diagnostic_is_2pi():
+    # The f = 0 product is identically 1: the grid sum of 1/(1/4+t^2) plus
+    # its exact tail beyond GRID_T is 2*pi.
+    for model in Model:
+        ts, w = parseval_grid(model is Model.RADEMACHER)
+        (value,) = integral_on_grid(model, np.zeros(0), np.zeros(0, dtype=np.int64), ts, w,
+                                    [0])
+        tail = 2.0 * (math.pi - 2.0 * math.atan(2.0 * GRID_T))
+        assert value + tail == pytest.approx(2 * math.pi, rel=1e-9)
 
 
-def test_adaptive_simpson_known_integrals():
-    val, err = _adaptive_simpson(np.sin, 0.0, math.pi, 1e-10, 30, 8)
-    assert abs(val - 2.0) <= max(err, 1e-9)
-    val, err = _adaptive_simpson(lambda t: 1.0 / (0.25 + t * t), 0.0, 1000.0,
-                                 1e-9, 40, 64)
-    exact = 2.0 * math.atan(2000.0)
-    assert abs(val - exact) < 1e-7
-
-
-@pytest.mark.parametrize("abs_tol", [0.0, -1.0, 1e-300])
-def test_adaptive_simpson_gives_up_at_the_panel_cap(abs_tol):
-    # No panel meets these tolerances, so each level would double the work.
-    sizes = []
-
-    def func(t):
-        sizes.append(t.size)
-        return np.sin(t)
-
-    with pytest.raises(QuadratureError) as info:
-        _adaptive_simpson(func, 0.0, math.pi, abs_tol, 40, 8)
-    assert max(sizes) <= MAX_PANEL_GROWTH * 8
-    assert info.value.partial == pytest.approx(2.0)
-
-
-def test_parseval_integral_diagnostic_is_2pi():
-    est = parseval_integral(None, 100)
-    # The f = 0 product is identically 1; the missing tail is exactly the
-    # reported tail bound in this case.
-    assert est.value + est.tail_bound == pytest.approx(2 * math.pi, rel=1e-6)
-    assert est.quadrature_error_bound < 1e-4
+def test_parseval_grid_layouts_agree():
+    # An even integrand sums alike on both layouts, and the check's coarse
+    # grid is every other node of its fine one.
+    (te, we), (tf, wf) = parseval_grid(True), parseval_grid(False)
+    assert float(we @ (1.0 / (0.25 + te * te))) == pytest.approx(
+        float(wf @ (1.0 / (0.25 + tf * tf))), rel=1e-13)
+    tc, _ = parseval_grid(False, GRID_T, GRID_PANELS // 2)
+    assert np.array_equal(tc, tf[::2])
 
 
 def test_parseval_identity_single_coefficient():
@@ -101,7 +82,7 @@ def test_parseval_identity_two_ones():
     assert abs(res.rhs - res.lhs) <= res.error_bound + 1e-5
 
 
-@pytest.mark.parametrize("sigma", [0.4, 0.5, 0.9])
+@pytest.mark.parametrize("sigma", [0.4, 0.5, 0.9, 2.0])
 def test_parseval_identity_random_sequences(sigma):
     rng = np.random.default_rng(int(sigma * 100))
     for _ in range(3):
@@ -114,12 +95,6 @@ def test_parseval_identity_random_sequences(sigma):
 def test_parseval_identity_rejects_bad_sigma():
     with pytest.raises(ValueError):
         parseval_identity_check([1.0], 0.0)
-
-
-@pytest.mark.parametrize("t_cut", [0.0, -5.0])
-def test_parseval_identity_rejects_a_nonpositive_t_cut(t_cut):
-    with pytest.raises(ValueError, match="t_cut"):
-        parseval_identity_check([1.0, 2.0], 0.5, QuadratureConfig(t_cut=t_cut))
 
 
 def test_parseval_identity_zero_sequence():
@@ -166,20 +141,91 @@ def test_simpson_grid_exact_on_cubics():
     assert float(w @ np.ones_like(ts)) == pytest.approx(2.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("model", list(Model))
-def test_integral_on_grid_tracks_adaptive(tables_small, model):
-    F = SampledFunction(model, 5, tables_small)
-    x = 50
-    est = parseval_integral(F, x, QuadratureConfig(t_cut=40.0))
+def _cli_cases(seeds):
+    """The coefficient sequences ``euler --check parseval --trials 20`` draws at ``seeds``."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            yield rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def test_parseval_identity_matches_on_the_cli_cases():
+    results = [parseval_identity_check(a, 0.5) for a in _cli_cases(range(5))]
+    assert all(r.match for r in results)
+    # The bound is not vacuous: a few percent of the closed-form side.
+    assert max(r.error_bound / r.lhs for r in results) < 0.1
+
+
+def test_parseval_identity_catches_a_dropped_coefficient():
+    # The quadrature side of a sequence without its first coefficient
+    # against the closed-form side of the whole one: of the 100 CLI cases
+    # at seeds 0-4, all but 4 give match false.
+    caught = 0
+    for a in _cli_cases(range(5)):
+        rhs, err = parseval_integral(np.concatenate(([0.0], a[1:])), 0.5)
+        res = ParsevalCheckResult(parseval_identity_check(a, 0.5).lhs, rhs, err)
+        caught += not res.match
+    assert caught >= 95
+
+
+def _rademacher_support(fp, ps):
+    """The sorted n whose primes are all in ``ps``, each squarefree, and f(n)."""
+    n, a = np.array([1]), np.array([1])
+    for f, p in zip(fp.tolist(), ps.tolist()):
+        n, a = np.concatenate((n, n * p)), np.concatenate((a, a * f))
+    order = np.argsort(n)
+    return n[order].astype(np.float64), a[order].astype(np.float64)
+
+
+@pytest.mark.parametrize("x", [13, 29])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integral_on_grid_against_the_exact_rademacher_integral(tables_small, x, seed):
+    # The truncated Rademacher product is the finite Dirichlet series
+    # sum f(n) n^-s over the squarefree n with P(n) <= x, so its integral
+    # (1/2pi) int |F(1/2+it)|^2 / |1/2+it|^2 dt is int_1^inf |S(u)|^2 u^-2 du
+    # exactly, a sum over the sorted support.  The suites' grid plus the
+    # exact diagonal tail beyond GRID_T must land within the bound on the
+    # off-diagonal tail over the support pairs.
     k = tables_small.prime_count_upto(x)
-    if model is Model.RADEMACHER:
-        ts, w = simpson_grid(0.0, 40.0, 800)
-        w = 2.0 * w
-    else:
-        ts, w = simpson_grid(-40.0, 40.0, 1600)
     ps = tables_small.primes[:k]
-    (fixed,) = integral_on_grid(model, F.prime_values(ps), ps, ts, w, [k])
-    assert fixed == pytest.approx(est.value, rel=1e-4)
+    fp = SampledFunction(Model.RADEMACHER, seed, tables_small).prime_values(ps)
+    n, a = _rademacher_support(fp, ps)
+    S = np.cumsum(a)
+    exact = float(np.sum(S[:-1] ** 2 * (1.0 / n[:-1] - 1.0 / n[1:])) + S[-1] ** 2 / n[-1])
+    diag = float(np.sum(1.0 / n)) * 2.0 * (math.pi - 2.0 * math.atan(2.0 * GRID_T))
+    logn = np.log(n)
+    w = np.abs(logn[:, None] - logn[None, :])
+    off = np.outer(n ** -0.5, n ** -0.5)
+    bound = float(np.sum(4.0 * off[w > 0] / (w[w > 0] * (0.25 + GRID_T ** 2)))) / (2 * math.pi)
+    ts, wts = parseval_grid(True)
+
+    def grid(fp):
+        (value,) = integral_on_grid(Model.RADEMACHER, fp, ps, ts, wts, [k])
+        return (value + diag) / (2 * math.pi)
+
+    assert abs(grid(fp) - exact) <= bound
+    if x == 13:
+        # A wrong f(p), any p <= x, lands outside the bound.
+        for j in range(k):
+            flipped = fp.copy()
+            flipped[j] = -flipped[j]
+            assert abs(grid(flipped) - exact) > bound, j
+
+
+@pytest.mark.parametrize("x", [13, 29])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integral_on_grid_against_euler_product_sums(tables_small, x, seed):
+    # Steinhaus: Simpson sums of the definition-level euler_product, node by
+    # node, without log_factor_sum.
+    F = SampledFunction(Model.STEINHAUS, seed, tables_small)
+    k = tables_small.prime_count_upto(x)
+    ps = tables_small.primes[:k]
+    ts, wts = parseval_grid(False)
+    want = sum(wt * abs(euler_product(F, x, t)) ** 2 / (0.25 + t * t)
+               for t, wt in zip(ts.tolist(), wts.tolist()))
+    (got,) = integral_on_grid(Model.STEINHAUS, F.prime_values(ps), ps, ts, wts, [k])
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_log_factor_matrix_shape(tables_small):
