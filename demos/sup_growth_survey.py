@@ -34,7 +34,7 @@ plan = rl.grid_plan(tables, grid)
 sups = np.zeros((trials, len(decades)))
 for i in range(trials):
     carry = rl.TrialCarry(rl.SampledFunction(rl.Model.RADEMACHER, i, tables), x_max)
-    _, _, ratio, _ = rl.run_trial(carry, plan, scale)
+    _, _, ratio = rl.run_trial(carry, plan, scale)
     running = np.maximum.accumulate(ratio)
     sups[i] = running[cut - 1]
 

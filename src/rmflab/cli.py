@@ -27,17 +27,19 @@ memory budget shared by the batches in flight; see
 threads per segment were measured about 17% faster on the benchmark's
 survey, but at a peak RSS of 63-64 MB against 53 MB.  It walks the
 integers up to ``--x-max`` in segments of ``_SEGMENT``, each trial of a
-group in turn on each segment, so its arrays beyond the sieve tables and
-the values each trial carries (made once per trial, before the walk) stay
-the size of a segment; see :func:`_cmd_simulate`.  M_f and V are computed
-at every grid point.  A segment's scale sqrt(x) (log log x)^(1/4+eps) is
-computed at most once, for every trial of the group
-(:class:`rmflab.harness.SegmentScale`), and only when the segment prints
-rows or may move some trial's sup; |M_f| / scale is computed only at the
-printed rows and on the segments that may move a sup.  Each trial's sup is
+group in turn on each segment, and takes each segment's grid points from
+:func:`rmflab.harness.test_points` on the segment, so its arrays beyond the
+sieve tables and the values each trial carries (made once per trial, before
+the walk) stay the size of a segment; see :func:`_cmd_simulate`.  M_f and
+V are computed at every grid point.  A segment's scale
+sqrt(x) (log log x)^(1/4+eps) is computed at most once, for every trial of
+the group (:class:`rmflab.harness.SegmentScale`), and only when the segment
+prints rows or may move some trial's sup; |M_f| / scale is computed only at
+the printed rows and on the segments that may move a sup.  Each trial's sup is
 taken the same way with or without ``--full-grid``: once it is positive, a
 segment whose max |M_f|^2 over the scale^2 at its first point x >= 100
-stays below the sup^2 is skipped (see :func:`rmflab.harness.run_trial`).
+(its first point when ``--x-max`` < 100) stays below the sup^2 is skipped
+(see :func:`rmflab.harness.run_trial`).
 ``euler --check parseval``, ``oracle-check``, ``submartingale-z`` and
 ``doob`` run one realization or one small batch at a time and do not scale.
 
@@ -199,7 +201,13 @@ def _tables(args):
 
 
 def _points(args, default: list[int]) -> list[int]:
-    return [int(v) for v in args.points.split(",")] if args.points else default
+    if not args.points:
+        return default
+    try:
+        return [int(v) for v in args.points.split(",")]
+    except ValueError:
+        raise ValueError(f"--points {args.points}: expected integers separated by "
+                         "commas") from None
 
 
 def _checked(reports: list[MomentReport]) -> list[dict]:
@@ -248,13 +256,12 @@ def _check_memory(args, top: int, group: int) -> None:
     The estimate: the sieve table at 4 B per integer, its prime list at 8 B
     per prime and the build's transient at 16 B per prime (an int64 index
     and an int64 multiple of each prime above the square root; tracemalloc
-    at 10^6), 1 B per integer of grid membership, the carried values of one
-    group of trials and the hashing of one trial's primes (32 B each), and
-    one segment's working set.
+    at 10^6), the carried values of one group of trials and the hashing of
+    one trial's primes (32 B each), and one segment's working set.
     """
     limit = max(args.x_max, 1000)
     value_bytes = 16 if Model(args.model) is Model.STEINHAUS else 1
-    need = (4 * (limit + 1) + 24 * GridCarry.cells(limit) + top + 1
+    need = (4 * (limit + 1) + 24 * GridCarry.cells(limit)
             + (group * value_bytes + 32) * GridCarry.cells(top) + _SEGMENT_BYTES * _SEGMENT)
     have = _memory_available()
     if have is not None and need > have:
@@ -287,10 +294,12 @@ def _cmd_simulate(args) -> int:
     """Walk [0, x_max] in segments of ``_SEGMENT`` integers, once per group of
     trials whose carried values fit ``BATCH_CELLS``.
 
-    A first pass marks the grid points, 1 B per integer, so the decimated
-    rows are known before the walk.  Each trial of a group gets its carry
-    once, bound to its realization, and each segment its plan and its
-    :class:`rmflab.harness.SegmentScale` once, for every trial of the group.
+    Each segment's grid points come from :func:`rmflab.harness.test_points`
+    on the segment, once per group.  Without --full-grid, a first pass
+    counts them, so the decimated rows are known before the walk.  Each
+    trial of a group gets its carry once, bound to its realization, and each
+    segment its plan and its :class:`rmflab.harness.SegmentScale` once, for
+    every trial of the group.
     --full-grid writes each segment's rows as soon as they are made, so
     there a group is one trial; a run that fails part-way leaves the rows
     already written.  Without it, each trial's few rows are one block,
@@ -303,16 +312,12 @@ def _cmd_simulate(args) -> int:
     _check_memory(args, top, group)
     tables = _tables(args)
     ends = [(lo, min(lo + _SEGMENT, top + 1)) for lo in range(0, top + 1, _SEGMENT)]
-    on_grid = np.zeros(top + 1, dtype=bool)
-    for lo, hi in ends:
-        on_grid[harness.test_points(args.epsilon, hi - 1, lo)] = True
-    count = int(np.count_nonzero(on_grid))
-    keep = None if args.full_grid else _decimate(count)
-    last = top - int(np.argmax(on_grid[::-1])) if count else 0
+    keep = None if args.full_grid else _decimate(
+        sum(harness.test_points(args.epsilon, hi - 1, lo).size for lo, hi in ends))
     seeds = range(args.seed, args.seed + args.trials)
-    sups = []
 
     def blocks():
+        sups, last = [], 0  # last: the largest grid point, the summary row's x
         for first in range(0, len(seeds), group):
             trials = range(first, min(first + group, len(seeds)))
             carries = [harness.TrialCarry(SampledFunction(args.model, seeds[i], tables), top)
@@ -320,7 +325,8 @@ def _cmd_simulate(args) -> int:
             held = [[] for _ in trials]
             done = 0  # grid points in the segments before this one
             for lo, hi in ends:
-                xs = np.flatnonzero(on_grid[lo:hi]) + lo
+                xs = harness.test_points(args.epsilon, hi - 1, lo)
+                last = int(xs[-1]) if xs.size else last
                 plan = grid_plan(tables, xs, lo, hi)
                 scale = harness.SegmentScale(xs, args.epsilon)
                 pick = slice(None)
@@ -329,7 +335,7 @@ def _cmd_simulate(args) -> int:
                     pick = keep[a:b] - done
                 done += xs.size
                 for parts, i, carry in zip(held, trials, carries):
-                    m, v, normalized, _ = harness.run_trial(carry, plan, scale, pick)
+                    m, v, normalized = harness.run_trial(carry, plan, scale, pick)
                     if keep is None:
                         yield _rows(i, seeds[i], xs, m, v, normalized)
                     else:

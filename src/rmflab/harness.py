@@ -48,7 +48,8 @@ def test_points(epsilon: float, x_max: int, x_min: int = 3) -> np.ndarray:
 
     Computed by inversion: x is kept iff some integer i >= 1 satisfies
     (log x)^(1/eps) <= i < (log(x+1))^(1/eps), which avoids iterating the
-    astronomically many i directly.  Where (log x)^(1/eps) overflows float64
+    astronomically many i directly; for x >= 3, (log x)^(1/eps) > 1, so the
+    smallest such i is its ceiling.  Where (log x)^(1/eps) overflows float64
     the gap to (log(x+1))^(1/eps) is far wider than 1, so x is kept.  Each x
     is decided on its own, so the grid of a segment [x_min, x_max] is the
     whole grid's points in it.
@@ -57,12 +58,10 @@ def test_points(epsilon: float, x_max: int, x_min: int = 3) -> np.ndarray:
     x_min = max(x_min, 3)
     if x_max < x_min:
         return np.zeros(0, dtype=np.int64)
-    xs = np.arange(x_min, x_max + 1, dtype=np.int64)
     with np.errstate(over="ignore"):
         L = np.log(np.arange(x_min, x_max + 2, dtype=np.float64)) ** (1.0 / epsilon)
     lo, hi = L[:-1], L[1:]
-    first = np.maximum(np.ceil(lo), 1.0)
-    return xs[(first < hi) | np.isinf(lo)]
+    return np.flatnonzero((np.ceil(lo) < hi) | np.isinf(lo)) + x_min
 
 
 def fluctuation_scale(x, epsilon: float):
@@ -75,17 +74,11 @@ def fluctuation_scale(x, epsilon: float):
 
 
 class TrialCarry(GridCarry):
-    """A :class:`GridCarry` that also carries the largest normalized |M_f|
-    so far, below SUP_X_MIN (``head``) and from it (``tail``, -inf until a
-    grid point reaches SUP_X_MIN)."""
+    """A :class:`GridCarry` that also carries ``sup``, the largest normalized
+    |M_f| so far at the grid points x >= SUP_X_MIN, or at every grid point
+    when ``top`` < SUP_X_MIN."""
 
-    head = 0.0
-    tail = -math.inf
-
-    @property
-    def sup(self) -> float:
-        """The sup of :func:`run_trial` over the segments so far."""
-        return self.tail if self.tail > -math.inf else self.head
+    sup = 0.0
 
 
 #: Relative margin by which a segment's bound in :func:`run_trial`, a max of
@@ -118,9 +111,8 @@ class SegmentScale:
     ``xs``, shared by the trials that walk the segment.
 
     ``values`` is computed on first use and at most once.
-    :func:`run_trial` asks for it only to print rows, to take the sup below
-    SUP_X_MIN, or to take it on a segment whose bound does not rule out a
-    new sup.
+    :func:`run_trial` asks for it only to print rows, or to take the sup on
+    a segment whose bound does not rule out a new sup.
     """
 
     def __init__(self, xs: np.ndarray, epsilon: float):
@@ -138,39 +130,35 @@ class SegmentScale:
 
 
 def run_trial(carry: TrialCarry, plan: GridPlan, scale: SegmentScale, at=slice(None)):
-    """M_f, V, the normalized |M_f| and its sup on the grid, for the
-    realization of ``carry``.
+    """M_f, V and the normalized |M_f| on a segment of the grid, for the
+    realization of ``carry``, whose ``sup`` it updates.
 
     ``plan`` and ``scale``, the :class:`SegmentScale` of ``plan.xs``, are
     made once per segment by the caller, for every trial that walks it.
-    Returns ``(m, v, normalized, sup)``: M_f, V and ``normalized`` =
+    Returns ``(m, v, normalized)``: M_f, V and ``normalized`` =
     |M_f(x)| / scale(x) at the grid points ``at`` (an index array or a
-    slice; every point by default), and ``sup`` the max of ``normalized``
-    over every point x >= SUP_X_MIN, over every point when none reaches
-    SUP_X_MIN, and 0.0 on an empty grid.  M_f and V are computed at every
-    point, ``normalized`` at ``at`` only, and the sup as the max of
-    :func:`_normalized` over the segment's points, with the bits of the max
-    of ``normalized`` at every point.  A walk over segments passes the
-    trial's ``carry`` with each segment's plan; the returned arrays are then
-    the segment's, and ``sup`` is over the segments so far.  Once the sup
-    is positive, a segment whose max |M_f|^2 over the scale^2 at its first
-    point x >= SUP_X_MIN stays below the sup^2 by more than ``_NEAR_MAX``
-    cannot move it, and its sup is not taken.
+    slice; every point by default).  M_f and V are computed at every point,
+    ``normalized`` at ``at`` only.  A walk over segments passes the trial's
+    ``carry`` with each segment's plan.  ``carry.sup`` is the max of
+    :func:`_normalized` over the points so far from SUP_X_MIN, or from the
+    first point when ``carry.top`` < SUP_X_MIN, and 0.0 before any: the bits
+    of the max of ``normalized`` at those points.  SUP_X_MIN = 100 is a
+    grid point for every epsilon, so a walk up to ``carry.top`` >= SUP_X_MIN
+    reaches it.  Once the sup is positive, a segment whose max |M_f|^2 over
+    the scale^2 at its first such point stays below the sup^2 by more than
+    ``_NEAR_MAX`` cannot move it, and its sup is not taken.
     """
     m, v = grid_statistics(plan, carry)
-    split = int(np.searchsorted(plan.xs, SUP_X_MIN))
-    if split:
-        head = _normalized(m[:split], scale.values[:split])
-        carry.head = float(head.max(initial=carry.head))
+    split = int(np.searchsorted(plan.xs, SUP_X_MIN if carry.top >= SUP_X_MIN else 0))
     tail = m[split:]
-    # The scale increases with x, so max |M|^2 over the squared scale at the
-    # first point x >= SUP_X_MIN bounds |M|^2 / scale^2 at every later one.
-    if tail.size and not (carry.tail > 0 and float(abs2(tail).max()) / scale.floor(split) ** 2
-                          * (1.0 + _NEAR_MAX) < carry.tail ** 2):
-        carry.tail = float(_normalized(tail, scale.values[split:]).max(initial=carry.tail))
+    # The scale increases with x, so max |M|^2 over the squared scale at
+    # xs[split] bounds |M|^2 / scale^2 at every later point.
+    if tail.size and not (carry.sup > 0 and float(abs2(tail).max()) / scale.floor(split) ** 2
+                          * (1.0 + _NEAR_MAX) < carry.sup ** 2):
+        carry.sup = float(_normalized(tail, scale.values[split:]).max(initial=carry.sup))
     rows = m[at]
     normalized = _normalized(rows, scale.values[at]) if rows.size else np.zeros(0)
-    return rows, v[at], normalized, carry.sup
+    return rows, v[at], normalized
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,9 @@ def test_criterion_09_trend_report(tables, capsys):
 
     def sup(seed):
         F = rl.SampledFunction(rl.Model.RADEMACHER, seed, tables)
-        return rl.run_trial(rl.TrialCarry(F, plan.stop - 1), plan, scale)[3]
+        carry = rl.TrialCarry(F, plan.stop - 1)
+        rl.run_trial(carry, plan, scale)
+        return carry.sup
 
     def survey(seed_base):
         return np.array([sup(seed_base + i) for i in range(100)])

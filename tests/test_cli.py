@@ -111,6 +111,17 @@ def test_an_out_of_range_value_is_refused_by_its_flag(argv, flag, capsys):
     assert flag in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["variance", "--points", "a"],
+    ["oracle-check", "--points", "1.5"],
+    ["euler", "--check", "product-expectation", "--points", "10,x"],
+], ids=lambda argv: argv[0])
+def test_a_points_value_that_is_not_an_integer_list_is_refused_by_its_flag(argv, capsys):
+    assert _run(argv) == 2
+    captured = capsys.readouterr()
+    assert "--points" in captured.err and captured.out == ""
+
+
 def test_report_aggregates(tmp_path):
     sim = tmp_path / "sim.csv"
     agg = tmp_path / "agg.csv"

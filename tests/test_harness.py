@@ -75,6 +75,37 @@ def test_test_points_keep_every_x_where_the_power_overflows(epsilon):
         assert grid_points(epsilon, 1000).tolist() == list(range(3, 1001))
 
 
+def _old_test_points(epsilon, x_max, x_min=3):
+    """test_points as it was written before it dropped the max(ceil, 1) and
+    the arange: the reference for the shorter expression."""
+    x_min = max(x_min, 3)
+    if x_max < x_min:
+        return np.zeros(0, dtype=np.int64)
+    xs = np.arange(x_min, x_max + 1, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        L = np.log(np.arange(x_min, x_max + 2, dtype=np.float64)) ** (1.0 / epsilon)
+    lo, hi = L[:-1], L[1:]
+    first = np.maximum(np.ceil(lo), 1.0)
+    return xs[(first < hi) | np.isinf(lo)]
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.2, 0.24])
+def test_test_points_equal_the_old_expression_on_segments(epsilon):
+    for lo, hi in ((0, 1), (0, 3), (0, 120), (3, 4), (97, 103), (0, 1 << 15),
+                   (1 << 15, 1 << 16), (999_000, 1_000_001)):
+        got = grid_points(epsilon, hi - 1, lo)
+        want = _old_test_points(epsilon, hi - 1, lo)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist(), (epsilon, lo, hi)
+
+
+def test_100_is_a_test_point_for_every_epsilon():
+    # run_trial counts the sup from SUP_X_MIN = 100 exactly when the walk's top
+    # reaches it, which needs 100 on every grid.
+    for epsilon in [1e-9, *np.linspace(0.0, 0.25, 4001)[1:-1].tolist(), 0.24999999999]:
+        assert harness.SUP_X_MIN in grid_points(epsilon, 120, 90).tolist(), epsilon
+
+
 def test_test_points_validation():
     with pytest.raises(ValueError):
         grid_points(0.3, 100)
@@ -94,8 +125,9 @@ def test_run_trial_consistent_with_pointwise(tables_small):
     scale = np.sqrt(grid.astype(np.float64)) * fluctuation_scale(grid, 0.1)
     plan = grid_plan(tables_small, grid)
     F = SampledFunction(Model.STEINHAUS, 5, tables_small)
-    m, v, normalized, sup = run_trial(harness.TrialCarry(F, 3000), plan,
-                                      harness.SegmentScale(grid, 0.1))
+    carry = harness.TrialCarry(F, 3000)
+    m, v, normalized = run_trial(carry, plan, harness.SegmentScale(grid, 0.1))
+    sup = carry.sup
     j = len(grid) // 2
     x = int(grid[j])
     assert m[j] == pytest.approx(large_prime_sum(F, x), abs=1e-9)
@@ -107,10 +139,10 @@ def test_run_trial_consistent_with_pointwise(tables_small):
 @pytest.mark.parametrize("model", list(Model))
 def test_run_trial_on_an_empty_grid(tables_small, model):
     grid = grid_points(0.1, 2)
-    m, v, normalized, sup = run_trial(
-        harness.TrialCarry(SampledFunction(model, 5, tables_small), 2),
-        grid_plan(tables_small, grid), harness.SegmentScale(grid, 0.1))
-    assert m.size == v.size == normalized.size == 0 and sup == 0.0
+    carry = harness.TrialCarry(SampledFunction(model, 5, tables_small), 2)
+    m, v, normalized = run_trial(carry, grid_plan(tables_small, grid),
+                                 harness.SegmentScale(grid, 0.1))
+    assert m.size == v.size == normalized.size == 0 and carry.sup == 0.0
 
 
 def _hypot_max(m, scale, initial):
@@ -164,7 +196,8 @@ def test_run_trial_matches_the_definition_of_its_rows_and_sup(tables_small, mode
     # Segments below, across and above SUP_X_MIN = 100, the whole grid as one
     # segment, and a walk whose grid never reaches 100.  The reference takes
     # M and V from a plain GridCarry, np.hypot at every point, and the max over
-    # the points x >= 100 of the walk so far, or over all of them.
+    # the points x >= 100 of the walk so far, or over all of them when the
+    # walk's top is below 100.
     grid = grid_points(0.1, 3000)
     for starts, top in (([0, 64, 99, 101, 150, 1000], 3000), ([0], 3000), ([0, 7, 50], 99)):
         for seed in range(10):
@@ -181,21 +214,22 @@ def test_run_trial_matches_the_definition_of_its_rows_and_sup(tables_small, mode
                 seen_m.append(m)
                 seen_scale.append(scale)
                 all_x, all_m, all_scale = map(np.concatenate, (seen_x, seen_m, seen_scale))
-                sel = all_x >= 100 if np.any(all_x >= 100) else slice(None)
+                sel = all_x >= 100 if top >= 100 else slice(None)
                 ref_sup = _hypot_max(all_m[sel], all_scale[sel], 0.0)
                 for name, at in (("some", np.arange(0, xs.size, 7)), ("every", slice(None))):
                     got = run_trial(carries[name], plan, harness.SegmentScale(xs, 0.1), at)
                     ref = (m[at], v[at], np.hypot(m.real, m.imag)[at] / scale[at])
-                    assert [_bits(a) for a in got[:3]] == [_bits(a) for a in ref], name
-                    assert _bits(got[3]) == _bits(ref_sup), (starts, seed, lo, name)
-            assert (carries["every"].tail > -math.inf) == (top >= 100)
+                    assert [_bits(a) for a in got] == [_bits(a) for a in ref], name
+                    assert _bits(carries[name].sup) == _bits(ref_sup), (starts, seed, lo, name)
+            # The walk reaches SUP_X_MIN exactly when its top does.
+            assert np.any(all_x >= 100) == (top >= 100)
 
 
 def _sup_walk(tables, model, seed, starts, top, near_tie=None):
     """run_trial's sup after each segment of a walk over [0, top] whose
     segments begin at ``starts``, and the reference: the max of
     _normalized(m, scale) over every point x >= 100 so far, or over every
-    point while none reaches 100.
+    point so far when top < 100.
 
     With ``near_tie`` = -1, 0 or 1, each segment after the sup turns
     positive first sets the carried sup, in the carry and the reference,
@@ -204,7 +238,7 @@ def _sup_walk(tables, model, seed, starts, top, near_tie=None):
     grid = grid_points(0.1, top)
     F = SampledFunction(model, seed, tables)
     carry, ref = harness.TrialCarry(F, top), GridCarry(F, top)
-    head, tail = 0.0, -math.inf
+    sup = 0.0
     got, want = [], []
     for lo, hi in zip(starts, [*starts[1:], top + 1]):
         xs = grid[(grid >= lo) & (grid < hi)]
@@ -212,16 +246,15 @@ def _sup_walk(tables, model, seed, starts, top, near_tie=None):
         m, _ = grid_statistics(plan, ref)
         scale = np.sqrt(xs.astype(np.float64)) * fluctuation_scale(xs, 0.1)
         normalized = harness._normalized(m, scale)
-        low = xs < 100
-        if near_tie is not None and np.any(~low) and carry.tail > 0:
-            best = normalized[~low].max()
-            tail = carry.tail = float(np.nextafter(best, near_tie * math.inf)
-                                      if near_tie else best)
-        head = normalized[low].max(initial=head)
-        tail = normalized[~low].max(initial=tail)
-        got.append(run_trial(carry, plan, harness.SegmentScale(xs, 0.1),
-                             np.zeros(0, dtype=np.intp))[3])
-        want.append(tail if tail > -math.inf else head)
+        counted = xs >= (100 if top >= 100 else 0)
+        if near_tie is not None and np.any(counted) and carry.sup > 0:
+            best = normalized[counted].max()
+            sup = carry.sup = float(np.nextafter(best, near_tie * math.inf)
+                                    if near_tie else best)
+        sup = normalized[counted].max(initial=sup)
+        run_trial(carry, plan, harness.SegmentScale(xs, 0.1), np.zeros(0, dtype=np.intp))
+        got.append(carry.sup)
+        want.append(sup)
     return got, want
 
 

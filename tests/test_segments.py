@@ -1,8 +1,10 @@
 """``simulate`` walks its grid in segments: the same bits as one whole-grid
 pass, in memory that does not grow with the trial count."""
 
+import csv
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +16,17 @@ MODELS = ["rademacher", "steinhaus"]
 
 
 def _whole_grid(model: str, epsilon: float, x_max: int, seeds):
-    """The grid, and run_trial's (m, v, normalized, sup) per seed, from one
-    plan of the whole grid with a zero carry."""
+    """The grid, and run_trial's (m, v, normalized) with the carry's sup after
+    it, per seed, from one plan of the whole grid with a zero carry."""
     tables = build_tables(max(x_max, 1000))
     grid = harness.test_points(epsilon, x_max)
     scale = harness.SegmentScale(grid, epsilon)
     plan = grid_plan(tables, grid)
-    return grid, [harness.run_trial(harness.TrialCarry(SampledFunction(model, s, tables),
-                                                       plan.stop - 1), plan, scale)
-                  for s in seeds]
+    ref = []
+    for s in seeds:
+        carry = harness.TrialCarry(SampledFunction(model, s, tables), plan.stop - 1)
+        ref.append((*harness.run_trial(carry, plan, scale), carry.sup))
+    return grid, ref
 
 
 def _bits(a) -> np.ndarray:
@@ -76,6 +80,52 @@ def test_segments_match_the_whole_grid(model, epsilon, x_max, monkeypatch):
             assert summary["x"] == (int(grid[-1]) if grid.size else 0)
             assert _bits(summary["v"]) == _bits(sups.max()), (segment, full)
             assert _bits(summary["normalized"]) == _bits(sups.mean()), (segment, full)
+
+
+def _simulate(out: Path, argv: str) -> Path:
+    """``out``, after ``rmflab ARGV --out OUT`` has written it."""
+    assert main([*argv.split(), "--out", str(out)]) == 0
+    return out
+
+
+def _lines(path: Path) -> list[str]:
+    """The lines of a CSV file, without their \\r\\n ends."""
+    with open(path, newline="") as fh:
+        return fh.read().split("\r\n")[:-1]
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("eps", ["0.1", "0.24"])
+def test_decimated_rows_are_full_grid_rows_and_the_summary_rows_agree(model, eps, tmp_path):
+    argv = f"simulate --model {model} --epsilon {eps} --x-max 300000 --trials 3"
+    paths = _simulate(tmp_path / "dec.csv", argv), _simulate(tmp_path / "full.csv",
+                                                             argv + " --full-grid")
+    dec, full = (_lines(p) for p in paths)
+    assert set(dec[:-1]) <= set(full), "a decimated row is not a full-grid row"
+    assert dec[-1] == full[-1] and dec[-1].startswith("-1,"), "summary rows differ"
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_the_summary_row_holds_the_statistics_of_the_trials_sups(model, tmp_path):
+    # Each trial's sup is the max of its normalized column at x >= 100.
+    path = _simulate(tmp_path / "sup.csv", f"simulate --full-grid --trials 4 --x-max 300000 "
+                                           f"--seed 20 --model {model}")
+    sups = {}
+    with open(path, newline="") as fh:
+        # One row at a time: a list of the 1.2e6 row dicts took 0.8 GB.
+        reader = csv.DictReader(fh)
+        summary = next(reader)
+        for row in reader:
+            row, summary = summary, row  # every row but the last
+            if int(row["x"]) >= 100:
+                trial = int(row["trial"])
+                sups[trial] = max(sups.get(trial, 0.0), float(row["normalized"]))
+    sup = np.array([sups[t] for t in range(4)])
+    want = {"m_re": np.median(sup), "m_im": np.quantile(sup, 0.9), "v": sup.max(),
+            "normalized": sup.mean(), "variance_ratio": np.std(sup, ddof=1)}
+    assert summary["trial"] == "-1" and sorted(sups) == [0, 1, 2, 3]
+    for name, value in want.items():
+        assert float(summary[name]) == float(value), (name, summary[name], value)
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -13,9 +13,10 @@ them differs between the trees, and 0 when every one is identical.
 The argument lists are every ``perfbench/workloads.py`` ``cycle_argvs`` list
 at seeds 7 and 3, cycles 0 and 1 (that file is imported, never written),
 and, for both models, a fixed list of edge cases: a full grid as CSV and as
-JSON, grids that stop below SUP_X_MIN = 100 or are empty, a wide epsilon, a
-survey whose sups move after its first segment, ``oracle-check`` and a
-``variance`` run with too few trials for the 3-SE rule, which exits 1.
+JSON, grids that stop below or at SUP_X_MIN = 100 or are empty, a wide
+epsilon, a survey whose sups move after its first segment, a survey of two
+groups of trials, ``oracle-check`` and a ``variance`` run with too few
+trials for the 3-SE rule, which exits 1.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ EXTRA = [
     ["simulate", "--x-max", "2", "--full-grid"],
     ["simulate", "--epsilon", "0.24", "--trials", "4", "--x-max", "300000"],
     ["simulate", "--trials", "4", "--x-max", "1000000", "--seed", "20"],
+    ["simulate", "--trials", "12", "--x-max", "1000000"],
+    ["simulate", "--trials", "3", "--x-max", "99"],
+    ["simulate", "--full-grid", "--trials", "2", "--x-max", "100", "--epsilon", "0.24"],
     ["oracle-check"],
     ["variance", "--trials", "3", "--points", "1000", "--seed", "3"],
 ]
