@@ -201,7 +201,7 @@ def _tables(args):
 
 
 def _points(args, default: list[int]) -> list[int]:
-    if not args.points:
+    if args.points is None:
         return default
     try:
         return [int(v) for v in args.points.split(",")]
@@ -494,19 +494,20 @@ def _cmd_report(args) -> int:
                     raise ValueError(f"{where}: normalized {row['normalized']} is not "
                                      "finite and non-negative")
                 stats.setdefault(x, []).append(normalized)
-    rows = []
-    for x in sorted(stats):
-        vals = np.asarray(stats[x])
-        rows.append(
-            {
-                "x": x,
-                "count": len(vals),
-                "median_normalized": float(np.median(vals)),
-                "q90_normalized": float(np.quantile(vals, 0.9)),
-                "max_normalized": float(np.max(vals)),
-            }
-        )
-    _emit_rows(rows, args.format, args.out)
+    # The x values with the same count are aggregated together, one numpy
+    # call per statistic and count: per x, these calls on a few values took
+    # 85% of a report on a 3-trial full grid at 3e5.
+    xs = sorted(stats)
+    counts = np.array([len(stats[x]) for x in xs], dtype=np.int64)
+    median, q90, top = (np.empty(len(xs)) for _ in range(3))
+    for count in np.unique(counts):
+        at = np.flatnonzero(counts == count)
+        vals = np.array([stats[xs[i]] for i in at])
+        median[at] = np.median(vals, axis=1)
+        q90[at] = np.quantile(vals, 0.9, axis=1)
+        top[at] = np.max(vals, axis=1)
+    _emit([{"x": xs, "count": counts, "median_normalized": median, "q90_normalized": q90,
+            "max_normalized": top}], args.format, args.out)
     return 0
 
 

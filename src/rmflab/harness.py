@@ -61,7 +61,9 @@ def test_points(epsilon: float, x_max: int, x_min: int = 3) -> np.ndarray:
     with np.errstate(over="ignore"):
         L = np.log(np.arange(x_min, x_max + 2, dtype=np.float64)) ** (1.0 / epsilon)
     lo, hi = L[:-1], L[1:]
-    return np.flatnonzero((np.ceil(lo) < hi) | np.isinf(lo)) + x_min
+    xs = np.flatnonzero((np.ceil(lo) < hi) | np.isinf(lo))
+    xs += x_min
+    return xs
 
 
 def fluctuation_scale(x, epsilon: float):

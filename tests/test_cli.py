@@ -115,21 +115,40 @@ def test_an_out_of_range_value_is_refused_by_its_flag(argv, flag, capsys):
     ["variance", "--points", "a"],
     ["oracle-check", "--points", "1.5"],
     ["euler", "--check", "product-expectation", "--points", "10,x"],
+    ["moments", "--suite", "hoeffding", "--points", "1000,"],
 ], ids=lambda argv: argv[0])
 def test_a_points_value_that_is_not_an_integer_list_is_refused_by_its_flag(argv, capsys):
-    assert _run(argv) == 2
-    captured = capsys.readouterr()
-    assert "--points" in captured.err and captured.out == ""
+    # An empty value used to run the default points with exit 0.
+    for value in (argv[-1], ""):
+        assert _run([*argv[:-1], value]) == 2, value
+        captured = capsys.readouterr()
+        assert "--points" in captured.err and captured.out == ""
 
 
-def test_report_aggregates(tmp_path):
-    sim = tmp_path / "sim.csv"
-    agg = tmp_path / "agg.csv"
-    _run(["simulate", "--trials", "2", "--x-max", "300", "--out", str(sim)])
-    assert _run(["report", str(sim), "--out", str(agg)]) == 0
-    with open(agg, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows and all(r["count"] == "2" for r in rows)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_rows_equal_the_per_x_statistics(fmt, tmp_path):
+    # The x values up to 1000 have 5 (3 + 2) values, those above 3, and a
+    # decimated run's rows add one more at some of them, so each count has
+    # its own group of x.
+    paths = [tmp_path / f"{i}.csv" for i in range(3)]
+    for path, argv in zip(paths, ["--full-grid --trials 3 --x-max 3000",
+                                  "--full-grid --trials 2 --x-max 1000 --seed 5",
+                                  "--trials 1 --x-max 5000 --seed 9"]):
+        assert _run(["simulate", *argv.split(), "--out", str(path)]) == 0
+    stats = {}
+    for path in paths:
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                if int(row["trial"]) >= 0:
+                    stats.setdefault(int(row["x"]), []).append(float(row["normalized"]))
+    assert {len(v) for v in stats.values()} >= {1, 3, 4, 5, 6}
+    rows = [{"x": x, "count": len(v), "median_normalized": float(np.median(v)),
+             "q90_normalized": float(np.quantile(v, 0.9)), "max_normalized": float(np.max(v))}
+            for x, v in sorted(stats.items())]
+    want, got = tmp_path / "want", tmp_path / "got"
+    cli._emit_rows(rows, fmt, str(want))
+    assert _run(["report", *map(str, paths), "--format", fmt, "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
@@ -701,7 +720,7 @@ def test_emit_rows_matches_the_percent_template(fmt, capsys):
 @pytest.mark.parametrize("suite", ["hypercontractive", "hoeffding", "doob",
                                    "submartingale-z", "submartingale-y"])
 def test_moments_suites_run_with_default_trials(suite, capsys):
-    assert _run(["moments", "--suite", suite]) in (0, 1)
+    assert _run(["moments", "--suite", suite]) == 0
     assert "need at least" not in capsys.readouterr().err
 
 
